@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 
 from .atlas import basic_map
-from .construct import ConstructionPlan, MapPair, build_pair
+from .construct import ConstructionPlan, MapPair, build_pair, with_free_stock_handles
 from .compose import pick_handle, self_join, CompositionError
 from .maps import new_map
-from .perm import an_conjugate, group_order, is_transitive, parse_cycles
+from .perm import an_conjugate, group_order, is_prime, is_transitive, parse_cycles
 
 __all__ = [
     "CertificationError",
@@ -39,6 +39,7 @@ __all__ = [
     "verify_certificate",
     "certificate_to_json",
     "certificate_from_json",
+    "certificate_maps",
 ]
 
 SCHEMA = "beauville-certificate-v1"
@@ -64,19 +65,8 @@ class JordanCertificate:
     conclusion: str = ""
 
     def __post_init__(self):
-        if not _is_prime(self.prime):
+        if not is_prime(self.prime):
             raise CertificationError(f"{self.prime} is not prime")
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def jordan_certify(m, p):
@@ -86,7 +76,7 @@ def jordan_certify(m, p):
     p <= n-3; (iii) p is coprime to every other cycle length of w;
     (iv) that cycle is useful (witnesses for x and y recorded).
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise CertificationError(f"hypothesis (ii): {p} is not prime")
     if not is_transitive([m.x, m.y], m.n):
         raise CertificationError("hypothesis (i): <x, y> is not transitive")
@@ -123,16 +113,6 @@ def jordan_certify(m, p):
             f"<x,y,t> >= A_{m.n}; x, y even and [<x,y,t>:<x,y>] <= 2, "
             f"so <x,y> = A_{m.n}"
         ),
-    )
-
-
-def reverify_jordan(m, cert):
-    """Re-check a Jordan certificate from the raw permutations alone."""
-    fresh = jordan_certify(m, cert.prime)
-    return (
-        fresh.cycle == cert.cycle
-        and fresh.w_cycle_type == cert.w_cycle_type
-        and set(cert.cycle) == set(m.w_cycles.cycle_of(cert.cycle[0]))
     )
 
 
@@ -278,7 +258,11 @@ def min_degree_search(g_max=3, count_max=(16, 12, 14)):
             for s2 in sigs[i + 1 :]:
                 da, db, dc = s1[1] - s2[1], s1[2] - s2[2], s1[3] - s2[3]
                 if da and db and dc:
-                    assert da % 4 == 0 and db % 3 == 0 and dc % 7 == 0
+                    if da % 4 or db % 3 or dc % 7:
+                        raise CertificationError(
+                            f"signatures {s1} and {s2} of degree {n} break the "
+                            "congruences a = 0 mod 4, b = 0 mod 3, c = 0 mod 7"
+                        )
                     pairs.append((s1, s2))
         if pairs:
             best = MinDegreeResult(n, tuple(pairs))
@@ -332,20 +316,14 @@ def certify_cover(plan):
             f"tau/2 parities should always be opposite, got {t1}, {t2}"
         )
     branch = "adjoin_E_2A" if t1 % 2 == 1 else "internal_join"
-    demand = 2  # free stock (1)-handles needed by either branch
-    extra_g = 0
-    while True:
-        eff = ConstructionPlan(plan.r, plan.s + 3 * extra_g, plan.variant)
-        pair = build_pair(eff)
-        shared = _shared_stock_handles(pair, eff.stock_range)
-        if len(shared) >= demand:
-            break
-        extra_g += 1
-        if extra_g > 4:
-            raise CertificationError(
-                "could not provision enough unused stock handles "
-                f"for variant {plan.variant!r}"
-            )
+    # either branch needs two free stock (1)-handles
+    found = with_free_stock_handles(plan, None)
+    if found is None:
+        raise CertificationError(
+            "could not provision enough unused stock handles "
+            f"for variant {plan.variant!r}"
+        )
+    eff, pair, extra_g, shared = found
 
     if branch == "adjoin_E_2A":
         w1 = k_compose_at(pair.w1, shared[-1], basic_map("E"))
@@ -374,18 +352,6 @@ def certify_cover(plan):
         raise CertificationError(f"v-difference {dv}, expected {expected}")
     base = DHBCertificate(eff, fixed, j1, j2, ev, dv)
     return CoverCertificate(base, branch, extra_g, tau1, tau2, dv)
-
-
-def _shared_stock_handles(pair, stock_range):
-    """Point pairs of free (1)-handles present in both members and lying
-    inside the stock's label range.  The members share labels on the
-    common prefix, so these are exactly the unused stock handles."""
-    lo, hi = stock_range
-    h1 = {h.points for h in pair.w1.find_handles(1)}
-    h2 = {h.points for h in pair.w2.find_handles(1)}
-    return sorted(
-        (pts for pts in h1 & h2 if all(lo <= p < hi for p in pts)), key=min
-    )
 
 
 def _handle_at(m, points):
@@ -474,11 +440,47 @@ def _cover_doc(cert):
 
 
 def certificate_from_json(text):
-    """Parse a certificate document back to raw maps and claims."""
-    doc = json.loads(text)
-    if doc.get("schema") != SCHEMA:
-        raise CertificationError(f"unknown schema {doc.get('schema')!r}")
+    """Parse a certificate document and check its schema; the maps come
+    from certificate_maps."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CertificationError(f"not a JSON document: {exc}") from None
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        raise CertificationError(f"unknown schema {schema!r}")
     return doc
+
+
+def certificate_maps(doc):
+    """The members [w1, w2] rebuilt from a certificate document's cycle
+    text.  Raises naming the field that is missing or malformed, or whose
+    image array disagrees with its cycle text."""
+    maps = []
+    for key in ("w1", "w2"):
+        try:
+            raw = doc[key]
+            n = raw["degree"]
+            perms = []
+            for gen in ("x", "y", "t"):
+                perm = parse_cycles(raw[gen], degree=n)
+                images = raw.get(f"{gen}_images")
+                if images is not None and tuple(images) != perm.images:
+                    raise CertificationError(
+                        f"{key}.{gen}_images disagree with {key}.{gen}"
+                    )
+                perms.append(perm)
+            maps.append(new_map(n, *perms))
+        except CertificationError:
+            raise
+        except KeyError as exc:
+            name = exc.args[0]
+            raise CertificationError(
+                f"missing field {name if name == key else f'{key}.{name}'}"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            raise CertificationError(f"malformed field {key}: {exc}") from None
+    return maps
 
 
 def verify_certificate(text_or_doc):
@@ -494,36 +496,26 @@ def verify_certificate(text_or_doc):
         if isinstance(text_or_doc, str)
         else text_or_doc
     )
-    maps = {}
-    for key in ("w1", "w2"):
-        raw = doc[key]
-        n = raw["degree"]
-        perms = {}
-        for gen in ("x", "y", "t"):
-            from_text = parse_cycles(raw[gen], degree=n)
-            images = raw.get(f"{gen}_images")
-            if images is not None and tuple(images) != from_text.images:
-                return False
-            perms[gen] = from_text
-        maps[key] = new_map(n, perms["x"], perms["y"], perms["t"])
-    if maps["w1"].n != doc["n"] or maps["w2"].n != doc["n"]:
+    try:
+        w1, w2 = certificate_maps(doc)
+    except CertificationError:
+        return False
+    if w1.n != doc["n"] or w2.n != doc["n"]:
         return False
     p = doc["prime"]
     try:
-        j1 = jordan_certify(maps["w1"], p)
-        j2 = jordan_certify(maps["w2"], p)
-        ev = beauville_check(maps["w1"], maps["w2"])
+        j1 = jordan_certify(w1, p)
+        j2 = jordan_certify(w2, p)
+        ev = beauville_check(w1, w2)
     except CertificationError:
         return False
     if not ev:
         return False
-    dv = (
-        maps["w1"].fixed_point_vector() - maps["w2"].fixed_point_vector()
-    ).as_tuple()
+    dv = (w1.fixed_point_vector() - w2.fixed_point_vector()).as_tuple()
     if list(dv) != list(doc["v_difference"]):
         return False
     if doc.get("kind") == "cover":
-        tau1, tau2 = maps["w1"].tau(), maps["w2"].tau()
+        tau1, tau2 = w1.tau(), w2.tau()
         if [tau1, tau2] != doc["tau"] or tau1 % 4 or tau2 % 4:
             return False
     return (

@@ -15,6 +15,8 @@ from . import __version__
 from .atlas import BASIC_MAP_IDS, basic_map, validate_atlas
 from .certify import (
     CertificationError,
+    certificate_from_json,
+    certificate_maps,
     certificate_to_json,
     certify_cover,
     certify_dhb,
@@ -23,7 +25,13 @@ from .certify import (
 )
 from .compose import CompositionError, eval_expr
 from .construct import ConstructionPlan, PlanError, all_minimal_plans, build_pair
-from .frobenius import TableError, bundled_table, frobenius_count, load_table
+from .frobenius import (
+    BUNDLED_TABLES,
+    TableError,
+    bundled_table,
+    frobenius_count,
+    load_table,
+)
 from .linlift import LiftError, lift_maps, lift_pair
 from .maps import MapError, map_to_text
 
@@ -129,13 +137,7 @@ def cmd_certify(args):
         if args.r is None:
             raise PlanError("certify needs --r R or --all-minimal")
         plans = [_plan_from_args(args)]
-    if args.jobs > 1 and len(plans) > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            docs = list(pool.map(_certify_doc, plans))
-    else:
-        docs = [_certify_doc(plan) for plan in plans]
+    docs = [_certify_doc(plan) for plan in plans]
     passed = all(doc["verified"] for doc in docs)
     _emit(args, _report("certify", docs, passed))
     return 0 if passed else 1
@@ -184,7 +186,7 @@ def cmd_min_degree(args):
 
 
 def cmd_frobenius(args):
-    if args.table in ("s3", "s4", "a4", "a5", "l2_13"):
+    if args.table in BUNDLED_TABLES:
         table = bundled_table(args.table)
     else:
         table = load_table(args.table)
@@ -204,24 +206,13 @@ def cmd_frobenius(args):
 
 def cmd_lift(args):
     if args.pair:
-        from .certify import certificate_from_json
-        from .maps import new_map
-        from .perm import parse_cycles
-
-        with open(args.pair, encoding="utf-8") as fh:
-            doc = certificate_from_json(fh.read())
-        maps = []
-        for key in ("w1", "w2"):
-            raw = doc[key]
-            n = raw["degree"]
-            maps.append(
-                new_map(
-                    n,
-                    parse_cycles(raw["x"], degree=n),
-                    parse_cycles(raw["y"], degree=n),
-                    parse_cycles(raw["t"], degree=n),
-                )
-            )
+        try:
+            with open(args.pair, encoding="utf-8") as fh:
+                maps = certificate_maps(certificate_from_json(fh.read()))
+        except OSError as exc:
+            raise LiftError(f"cannot read {args.pair}: {exc.strerror}") from None
+        except CertificationError as exc:
+            raise LiftError(f"{args.pair}: {exc}") from None
         t1m, t2m, dims = lift_maps(maps[0], maps[1], args.p, args.t1)
         payload = {
             "source": args.pair,
@@ -298,7 +289,6 @@ def build_parser():
     p.add_argument("--s", type=int, default=3)
     p.add_argument("--variant", default=None)
     p.add_argument("--all-minimal", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._atlas_data import BASIC_MAPS
 from .atlas import basic_map
 from .compose import eval_expr, join, pick_handle
 from .maps import MapError
@@ -42,6 +43,8 @@ __all__ = [
     "designated_handle",
     "x_map",
     "build_pair",
+    "shared_handles",
+    "with_free_stock_handles",
     "small_case",
     "minimal_plan",
     "all_minimal_plans",
@@ -78,8 +81,66 @@ STANDARD_RS = frozenset({0, 2, 3, 4, 5, 7, 12, 13})
 SHIFTED_RS = frozenset({6, 9, 10, 11})
 SHIFT_TARGET = {6: 13, 9: 2, 10: 3, 11: 4}
 SMALL_EXCLUDED = frozenset({4, 6, 10})
+MARKER_DEGREE = 210
 
-VARIANTS = ("standard", "shifted", "r1_special", "r8_special", "small_n", "s3_shortcut")
+
+def _bumped_stock(s):
+    return s + 3 if s in (3, 4, 5) else s
+
+
+@dataclass(frozen=True)
+class _Recipe:
+    """How one variant assembles its pair.
+
+    `layout(r)` gives the pieces joined by (1)-handles before the
+    markers, in order ("U" is the stock, "V" the chain map, any other
+    letter a basic map), and the index of the chain map.  `stock` maps s
+    to the effective stock parameter s*.  `tail` is joined onto each
+    member through (2)-handles after the markers, and `prime` replaces
+    the chain map's certifying prime.
+    """
+
+    rs: frozenset
+    refusal: str
+    layout: object
+    stock: object
+    tail: str = None
+    prime: int = None
+
+
+RECIPES = {
+    "standard": _Recipe(
+        STANDARD_RS,
+        "standard recipe is only valid for r in {rs}: attaching the second "
+        "marker creates a cycle length sharing a factor with p_{r}",
+        lambda r: ("UV", r), lambda s: s,
+    ),
+    "shifted": _Recipe(
+        SHIFTED_RS, "shifted recipe is only for r in {rs}",
+        lambda r: ("CUV", SHIFT_TARGET[r]), _bumped_stock,
+    ),
+    "r1_special": _Recipe(
+        frozenset({1}), "r1_special requires r = 1", lambda r: ("UVM", 5), _bumped_stock
+    ),
+    # Chain an extra copy of M onto each member through the (2)-handles,
+    # merging the useful 47-cycle with a 36-cycle into one of prime
+    # length 47 + 36 = 83.
+    "r8_special": _Recipe(
+        frozenset({8}), "r8_special requires r = 8", lambda r: ("UV", 12), lambda s: s,
+        tail="M", prime=83,
+    ),
+    "small_n": _Recipe(
+        frozenset(range(14)) - SMALL_EXCLUDED,
+        "no small case for r = {r}: l_r + 57 = {l57} is divisible by p_r = {p}",
+        lambda r: ("V", r), lambda s: s,
+    ),
+    "s3_shortcut": _Recipe(
+        SHIFTED_RS | {1}, "s3_shortcut applies to r in {{1, 6, 9, 10, 11}}",
+        lambda r: RECIPES["r1_special" if r == 1 else "shifted"].layout(r), lambda s: 3,
+    ),
+}
+
+VARIANTS = tuple(RECIPES)
 
 # Published minimal degrees per residue class.
 MINIMAL_DEGREES = {
@@ -104,29 +165,15 @@ class ConstructionPlan:
             raise PlanError(f"r must be 0..13, got {self.r}")
         if self.variant is None:
             object.__setattr__(self, "variant", default_variant(self.r))
-        if self.variant not in VARIANTS:
+        if self.variant not in RECIPES:
             raise PlanError(f"unknown variant {self.variant!r}")
-        v = self.variant
-        if v == "standard" and self.r not in STANDARD_RS:
+        recipe = RECIPES[self.variant]
+        if self.r not in recipe.rs:
+            _, _, (_, l_r), _, p_r, _ = CHAIN_RECIPES[self.r]
             raise PlanError(
-                f"standard recipe is only valid for r in {sorted(STANDARD_RS)}: "
-                f"attaching the second marker creates a cycle length sharing "
-                f"a factor with p_{self.r}"
+                recipe.refusal.format(r=self.r, rs=sorted(recipe.rs), l57=l_r + 57, p=p_r)
             )
-        if v == "shifted" and self.r not in SHIFTED_RS:
-            raise PlanError(f"shifted recipe is only for r in {sorted(SHIFTED_RS)}")
-        if v == "r1_special" and self.r != 1:
-            raise PlanError("r1_special requires r = 1")
-        if v == "r8_special" and self.r != 8:
-            raise PlanError("r8_special requires r = 8")
-        if v == "small_n" and self.r in SMALL_EXCLUDED:
-            raise PlanError(
-                f"no small case for r = {self.r}: l_r + 57 = "
-                f"{CHAIN_RECIPES[self.r][2][1] + 57} is divisible by p_r = {CHAIN_RECIPES[self.r][4]}"
-            )
-        if v == "s3_shortcut" and self.r not in (SHIFTED_RS | {1}):
-            raise PlanError("s3_shortcut applies to r in {1, 6, 9, 10, 11}")
-        if v not in ("small_n",) and self.s < 3:
+        if "U" in self._layout[0] and self.s < 3:
             raise PlanError(f"stock parameter s must be >= 3, got {self.s}")
 
     @property
@@ -139,65 +186,45 @@ class ConstructionPlan:
         s3_shortcut keeps s* = 3: with the minimal stock the single copy
         of G has exactly the three handles needed.
         """
-        if self.variant in ("shifted", "r1_special"):
-            return self.s + 3 if self.s in (3, 4, 5) else self.s
-        if self.variant == "s3_shortcut":
-            return 3
-        return self.s
+        return RECIPES[self.variant].stock(self.s)
+
+    @property
+    def _layout(self):
+        return RECIPES[self.variant].layout(self.r)
+
+    def _piece_degree(self, name):
+        if name == "U":
+            return 14 * self.s_star
+        if name == "V":
+            return CHAIN_RECIPES[self._layout[1]][1]
+        return BASIC_MAPS[name]["degree"]
 
     @property
     def degree(self):
-        r, v = self.r, self.variant
-        if v == "standard":
-            return 14 * self.s + CHAIN_RECIPES[r][1] + 210
-        if v == "shifted":
-            return 21 + 14 * self.s_star + CHAIN_RECIPES[SHIFT_TARGET[r]][1] + 210
-        if v == "r1_special":
-            return 14 * self.s_star + CHAIN_RECIPES[5][1] + 108 + 210
-        if v == "r8_special":
-            return 14 * self.s + CHAIN_RECIPES[12][1] + 108 + 210
-        if v == "small_n":
-            return CHAIN_RECIPES[r][1] + 210
-        if v == "s3_shortcut":
-            if r == 1:
-                return 42 + CHAIN_RECIPES[5][1] + 108 + 210
-            return 21 + 42 + CHAIN_RECIPES[SHIFT_TARGET[r]][1] + 210
-        raise AssertionError(v)
+        tail = RECIPES[self.variant].tail
+        return (
+            sum(self._piece_degree(name) for name in self._layout[0])
+            + MARKER_DEGREE
+            + (BASIC_MAPS[tail]["degree"] if tail else 0)
+        )
 
     @property
     def stock_range(self):
         """Label range occupied by the stock chain in the assembled maps."""
-        v = self.variant
-        if v == "standard" or v == "r8_special":
-            return (0, 14 * self.s)
-        if v in ("shifted",) or (v == "s3_shortcut" and self.r != 1):
-            return (21, 21 + 14 * self.s_star)
-        if v in ("r1_special",) or (v == "s3_shortcut" and self.r == 1):
-            return (0, 14 * self.s_star)
-        return (0, 0)  # small_n has no stock
+        pieces = self._layout[0]
+        if "U" not in pieces:
+            return (0, 0)
+        lo = sum(self._piece_degree(name) for name in pieces[: pieces.index("U")])
+        return (lo, lo + self._piece_degree("U"))
 
     @property
     def prime(self):
-        r, v = self.r, self.variant
-        if v in ("standard", "small_n"):
-            return CHAIN_RECIPES[r][4]
-        if v in ("shifted",):
-            return CHAIN_RECIPES[SHIFT_TARGET[r]][4]
-        if v in ("r1_special",):
-            return CHAIN_RECIPES[5][4]
-        if v == "r8_special":
-            return 83
-        if v == "s3_shortcut":
-            return CHAIN_RECIPES[5][4] if r == 1 else CHAIN_RECIPES[SHIFT_TARGET[r]][4]
-        raise AssertionError(v)
+        return RECIPES[self.variant].prime or CHAIN_RECIPES[self._layout[1]][4]
 
 
 def default_variant(r):
-    if r in STANDARD_RS:
-        return "standard"
-    if r in SHIFTED_RS:
-        return "shifted"
-    return "r1_special" if r == 1 else "r8_special"
+    """The first variant in table order that serves r."""
+    return next(v for v in VARIANTS if r in RECIPES[v].rs)
 
 
 def minimal_plan(r):
@@ -249,7 +276,8 @@ def stock_U(s):
         out = join(out, 1, basic_map("A"))
     elif s % 3 == 2:
         out = join(out, 1, basic_map("E"))
-    assert out.n == 14 * s
+    if out.n != 14 * s:
+        raise MapError(f"U_{s} degree {out.n} != {14 * s}")
     return out
 
 
@@ -285,16 +313,16 @@ def designated_handle(m):
 def x_map(i):
     """The degree-210 markers: X_1 = 4G+3A, X_2 = L(2)M."""
     if i == 1:
-        m = eval_expr("4G(1)A(1)A(1)A")
-        assert m.fixed_point_vector().as_tuple() == (6, 6, 0)
-        assert len(m.find_handles(1)) == 3
+        m, want = eval_expr("4G(1)A(1)A(1)A"), (MARKER_DEGREE, (6, 6, 0), 3)
     elif i == 2:
-        m = eval_expr("L(2)M")
-        assert m.fixed_point_vector().as_tuple() == (2, 0, 7)
-        assert len(m.find_handles(1)) == 1
+        m, want = eval_expr("L(2)M"), (MARKER_DEGREE, (2, 0, 7), 1)
     else:
         raise ValueError("marker index must be 1 or 2")
-    assert m.n == 210
+    got = (m.n, m.fixed_point_vector().as_tuple(), len(m.find_handles(1)))
+    if got != want:
+        raise MapError(
+            f"X_{i}: degree, fixed point vector and free (1)-handles {got} != {want}"
+        )
     return m
 
 
@@ -319,35 +347,58 @@ def _check_prime_cycle(m, p, label):
 
 def build_pair(plan):
     """Assemble the pair of maps for a plan and validate it."""
-    r, v = plan.r, plan.variant
-    if v == "standard":
-        w = join(stock_U(plan.s), 1, v_map(r))
-    elif v in ("shifted", "s3_shortcut") and r != 1:
-        w = join(basic_map("C"), 1, stock_U(plan.s_star))
-        w = join(w, 1, v_map(SHIFT_TARGET[r]))
-    elif v in ("r1_special",) or (v == "s3_shortcut" and r == 1):
-        w = join(stock_U(plan.s_star), 1, v_map(5))
-        w = join(w, 1, basic_map("M"))
-    elif v == "r8_special":
-        w = join(stock_U(plan.s), 1, v_map(12))
-    elif v == "small_n":
-        w = v_map(r)
-    else:
-        raise AssertionError(v)
+    pieces, chain = plan._layout
+    w = None
+    for name in pieces:
+        if name == "U":
+            piece = stock_U(plan.s_star)
+        elif name == "V":
+            piece = v_map(chain)
+        else:
+            piece = basic_map(name)
+        w = piece if w is None else join(w, 1, piece)
     w1 = join(w, 1, x_map(1))
     w2 = join(w, 1, x_map(2))
-    if v == "r8_special":
-        # Chain an extra copy of M onto each member through the
-        # (2)-handles, merging the useful 47-cycle with a 36-cycle into
-        # one of prime length 47 + 36 = 83.
-        w1 = join(w1, 2, basic_map("M"))
-        w2 = join(w2, 2, basic_map("M"))
+    tail = RECIPES[plan.variant].tail
+    if tail:
+        w1 = join(w1, 2, basic_map(tail))
+        w2 = join(w2, 2, basic_map(tail))
     pair = MapPair(w1, w2, plan=plan, prime=plan.prime)
     for which, m in (("W_1", pair.w1), ("W_2", pair.w2)):
         _check_prime_cycle(m, plan.prime, which)
     if pair.degree != plan.degree:
         raise PlanError(f"assembled degree {pair.degree} != planned {plan.degree}")
     return pair
+
+
+def shared_handles(w1, w2, lo, hi):
+    """Point pairs of the free (1)-handles present in both members with
+    every point in lo..hi-1, ascending by least point.  The members share
+    labels on their common prefix, so inside the stock these are exactly
+    the unused stock handles."""
+    h1 = {h.points for h in w1.find_handles(1)}
+    h2 = {h.points for h in w2.find_handles(1)}
+    return sorted((pts for pts in h1 & h2 if all(lo <= p < hi for p in pts)), key=min)
+
+
+def with_free_stock_handles(plan, labels):
+    """Build the plan's pair with the fewest extra whole copies of G in
+    the stock (s + 3 each, at most 4) that leave two shared free
+    (1)-handles inside the stock, or inside its first `labels` labels.
+
+    Returns (enlarged plan, pair, extra copies, shared handles), or None
+    when four extra copies do not suffice.
+    """
+    for extra_g in range(5):
+        eff = ConstructionPlan(plan.r, plan.s + 3 * extra_g, plan.variant)
+        pair = build_pair(eff)
+        lo, hi = eff.stock_range
+        if labels is not None:
+            hi = lo + labels
+        shared = shared_handles(pair.w1, pair.w2, lo, hi)
+        if len(shared) >= 2:
+            return eff, pair, extra_g, shared
+    return None
 
 
 def small_case(r):

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import ConstructionPlan, build_pair
-from .perm import Permutation
+from .construct import ConstructionPlan, shared_handles, with_free_stock_handles
+from .perm import Permutation, is_prime, prime_divisors
 
 __all__ = [
     "LiftError",
@@ -47,17 +47,6 @@ class LiftError(ValueError):
     """Invalid lift parameters or a failed matrix relation."""
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _is_primitive_root(t1, p):
     t1 %= p
     if t1 == 0:
@@ -65,24 +54,10 @@ def _is_primitive_root(t1, p):
     if p == 2:
         return t1 == 1
     order = p - 1
-    for q in _prime_divisors(order):
+    for q in prime_divisors(order):
         if pow(t1, order // q, p) == 1:
             return False
     return True
-
-
-def _prime_divisors(m):
-    out = set()
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.add(m)
-    return out
 
 
 class PrimeFieldMatrix:
@@ -401,7 +376,7 @@ def build_linear_triple(m, p, t1, handle_points=None):
     free (1)-handle pairs, all fixed by the map's involution.  When
     omitted, the two lowest free (1)-handles are used.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise LiftError(f"{p} is not prime")
     if not _is_primitive_root(t1, p):
         raise LiftError(f"t1 = {t1} is not a generator of F_{p}^*")
@@ -510,46 +485,12 @@ def lift_pair(plan, p, t1):
     The stock is enlarged by whole copies (degree +42 each) as needed,
     matching the construction's stated degree penalty.
     """
-    extra_g = 0
-    while True:
-        eff = ConstructionPlan(plan.r, plan.s + 3 * extra_g, plan.variant)
-        pair = build_pair(eff)
-        pts = _first_stock_handles(pair, eff.stock_range)
-        if pts is not None:
-            break
-        extra_g += 1
-        if extra_g > 4:
-            raise LiftError("could not free two stock handles for the lift")
-    lift1 = build_linear_triple(pair.w1, p, t1, pts)
-    lift2 = build_linear_triple(pair.w2, p, t1, pts)
-    dims = beauville_dims(lift1, lift2)
-    if not dims:
-        raise LiftError(
-            f"fixed-space dimensions coincide: {dims.dims1} vs {dims.dims2}"
-        )
+    found = with_free_stock_handles(plan, 42)  # inside the first stock copy
+    if found is None:
+        raise LiftError("could not free two stock handles for the lift")
+    eff, pair, extra_g, shared = found
+    lift1, lift2, dims = _lift_at(pair.w1, pair.w2, p, t1, shared)
     return LiftReport(eff, p, t1 % p, pair.degree, extra_g, lift1, lift2, dims)
-
-
-def _first_stock_handles(pair, stock_range):
-    """Four points (a, b, a2, b2) of two free (1)-handles inside the first
-    stock copy, present in both members; None if unavailable."""
-    lo, _ = stock_range
-    hi = lo + 42  # the first stock copy
-    shared = _shared_handle_points(pair.w1, pair.w2, lo, hi)
-    if len(shared) < 2:
-        return None
-    (a, b), (a2, b2) = shared[0], shared[1]
-    return (a, b, a2, b2)
-
-
-def _shared_handle_points(m1, m2, lo=0, hi=None):
-    if hi is None:
-        hi = m1.n
-    h1 = {h.points for h in m1.find_handles(1)}
-    h2 = {h.points for h in m2.find_handles(1)}
-    return sorted(
-        (pts for pts in h1 & h2 if all(lo <= q < hi for q in pts)), key=min
-    )
 
 
 def lift_maps(w1, w2, p, t1):
@@ -562,12 +503,18 @@ def lift_maps(w1, w2, p, t1):
     """
     if w1.n != w2.n:
         raise LiftError("pair members must have equal degree")
-    shared = _shared_handle_points(w1, w2)
+    shared = shared_handles(w1, w2, 0, w1.n)
     if len(shared) < 2:
         raise LiftError(
             "need two free (1)-handle pairs common to both members; "
             "rebuild the pair with a larger stock"
         )
+    return _lift_at(w1, w2, p, t1, shared)
+
+
+def _lift_at(w1, w2, p, t1, shared):
+    """Lift both members with the modification anchored at the first two
+    of the shared handle point pairs, and compare the dimensions."""
     (a, b), (a2, b2) = shared[0], shared[1]
     pts = (a, b, a2, b2)
     lift1 = build_linear_triple(w1, p, t1, pts)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .perm import is_transitive, parse_cycles
+from .perm import is_transitive, parse_cycles, prime_divisors
 
 __all__ = [
     "MapError",
@@ -305,18 +305,7 @@ class HurwitzMap:
 
     def prime_set(self):
         """Primes dividing the cycle lengths of w."""
-        out = set()
-        for l in self.w_cycles.lengths():
-            d = 2
-            while d * d <= l:
-                if l % d == 0:
-                    out.add(d)
-                    while l % d == 0:
-                        l //= d
-                d += 1
-            if l > 1:
-                out.add(l)
-        return frozenset(out)
+        return frozenset(q for l in self.w_cycles.lengths() for q in prime_divisors(l))
 
     def tau(self, g=None):
         """Number of transpositions (n - |Fix g|) / 2 of an involution.

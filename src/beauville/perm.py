@@ -25,6 +25,8 @@ __all__ = [
     "orbit",
     "group_order",
     "OrderInconclusive",
+    "is_prime",
+    "prime_divisors",
 ]
 
 
@@ -256,23 +258,6 @@ def parse_cycles(text, degree=None):
     return from_cycles(degree, cycles)
 
 
-def compose(p, q):
-    """Left-to-right product, point a -> (a^p)^q."""
-    return p * q
-
-
-def power(p, k):
-    return p ** k
-
-
-def cycle_type(p):
-    return p.cycle_type()
-
-
-def parity(p):
-    return p.parity()
-
-
 def orbit(gens, start):
     """Orbit of a point under the group generated by gens."""
     if not gens:
@@ -366,7 +351,8 @@ def an_conjugate(p, q, n=None):
     fix = _odd_centralizer_element(p)
     if fix is not None:
         g2 = fix * g
-        assert p.conjugate_by(g2) == q and g2.is_even
+        if not (g2.is_even and p.conjugate_by(g2) == q):
+            raise ValueError("the repaired conjugator is not an even conjugator")
         return True
     return False
 
@@ -421,9 +407,8 @@ class _Level:
 
 
 class _Chain:
-    def __init__(self, n, rng):
+    def __init__(self, n):
         self.n = n
-        self.rng = rng
         self.levels = []
         self._id = np.arange(n, dtype=np.int64)
 
@@ -433,10 +418,11 @@ class _Chain:
             out *= len(lv.uinv)
         return out
 
-    def sift(self, arr):
-        """Return (residue, level index where it dropped out)."""
-        for i, lv in enumerate(self.levels):
-            nxt = lv.strip(arr)
+    def sift(self, arr, start=0):
+        """Strip arr through the levels from `start` on; return (residue,
+        level index where it dropped out)."""
+        for i in range(start, len(self.levels)):
+            nxt = self.levels[i].strip(arr)
             if nxt is None:
                 return arr, i
             arr = nxt
@@ -467,19 +453,11 @@ class _Chain:
                 for g in lv.gens:
                     # Sifting u*g from level i strips the Schreier
                     # generator u * g * rep((b_i)^(u*g))^-1.
-                    res, j = self._sift_from(g[u], i)
+                    res, j = self.sift(g[u], i)
                     if not np.array_equal(res, self._id):
                         self.add(res)
                         return False
         return True
-
-    def _sift_from(self, arr, start):
-        for i in range(start, len(self.levels)):
-            nxt = self.levels[i].strip(arr)
-            if nxt is None:
-                return arr, i
-            arr = nxt
-        return arr, len(self.levels)
 
 
 def group_order(gens, upper_bound=None, rng=None, max_rounds=4096):
@@ -498,7 +476,7 @@ def group_order(gens, upper_bound=None, rng=None, max_rounds=4096):
     if any(g.degree != n for g in gens):
         raise ValueError("generator degree mismatch")
     rng = rng or random.Random(0x237)
-    chain = _Chain(n, rng)
+    chain = _Chain(n)
     for g in gens:
         chain.add(g.array)
         if upper_bound is not None and chain.order() == upper_bound:
@@ -547,6 +525,33 @@ def group_order(gens, upper_bound=None, rng=None, max_rounds=4096):
     raise OrderInconclusive(
         f"randomized stabilizer chain stalled at order {chain.order()}"
     )
+
+
+def is_prime(p):
+    """Trial division; numbers below 2 are not prime."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def prime_divisors(m):
+    """The set of primes dividing m >= 1."""
+    out = set()
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.add(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.add(m)
+    return out
 
 
 def random_permutation(n, rng=None):

@@ -125,6 +125,12 @@ class TestDHB:
         imgs[0], imgs[1] = imgs[1], imgs[0]
         assert not verify_certificate(json.dumps(doc))
 
+    @pytest.mark.parametrize("member", ["w1", "w2"])
+    def test_missing_member_rejected(self, member):
+        doc = json.loads(certificate_to_json(certify_dhb(minimal_plan(0))))
+        del doc[member]
+        assert verify_certificate(doc) is False
+
     def test_tampered_v_difference_rejected(self):
         doc = json.loads(certificate_to_json(certify_dhb(minimal_plan(0))))
         doc["v_difference"] = [4, 6, 7]

@@ -63,12 +63,6 @@ class TestReports:
         ]
         assert all(entry["verified"] for entry in doc["result"])
 
-    def test_certify_jobs_parallel_matches_serial(self, capsys):
-        code1, out1 = run(capsys, "certify", "--all-minimal")
-        code2, out2 = run(capsys, "certify", "--all-minimal", "--jobs", "2")
-        assert code1 == code2 == 0
-        assert out1 == out2  # plan-ordered, byte-deterministic
-
     def test_min_degree(self, capsys):
         code, out = run(capsys, "min-degree", "--g-max", "2", "--count-max", "12")
         assert code == 0
@@ -123,6 +117,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "divisible by" in err
+
+    def test_malformed_lift_pair(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{not json")
+        no_member = tmp_path / "no_member.json"
+        no_member.write_text(json.dumps({"schema": "beauville-certificate-v1", "w2": {}}))
+        for path, problem in (
+            (missing, "cannot read"),
+            (bad_json, "not a JSON document"),
+            (no_member, "missing field w1"),
+        ):
+            code = main(["lift", "--p", "3", "--t1", "2", "--pair", str(path)])
+            err = capsys.readouterr().err
+            assert code == 2, path
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(path) in err and problem in err, err
 
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2

@@ -1,0 +1,233 @@
+"""Golden CLI reports: the SHA-256 of the exact bytes each command emits.
+
+Each digest covers the exit code, stdout and stderr of one in-process
+`cli.main` call, so any change to a report's bytes fails here and has to
+be made on purpose.  The construct cases are every valid (r, variant) at
+s = 3 and s = 4; every other (r, variant) pair at those stocks is a
+refusal, and their messages are pinned together by one digest.
+"""
+
+import hashlib
+
+import pytest
+
+from beauville.cli import main
+
+VARIANTS = ("standard", "shifted", "r1_special", "r8_special", "small_n", "s3_shortcut")
+
+GOLDEN = {
+    "certify --all-minimal":
+        "e1d824cee287d2ca3a64ad0f67a0b42e1075fa49ed1697fe03709338ff61ce9c",
+    "construct --r 0 --s 3 --variant small_n":
+        "459cca81a602dfd63603d6f1075d3bbdbf2abfe17e359d9141ae1dc7261e015e",
+    "construct --r 0 --s 3 --variant standard":
+        "d9f1dc94ef72b68c16be038dc85b4b5bfc928299909113bbc33fc2f024e3ae07",
+    "construct --r 0 --s 4 --variant small_n":
+        "1d61c695740a282154fb764ed8ad159eb1c23868b4e9999dbf0ee2df5f3a3c4c",
+    "construct --r 0 --s 4 --variant standard":
+        "7b0d056c6474a2538431f49ae02eb221e490c9a04915e10c008546c6d58731de",
+    "construct --r 1 --s 3 --variant r1_special":
+        "b61374d4300c8d99e32672e21b9f080b1a6128696713d10da8c2acd04656edaf",
+    "construct --r 1 --s 3 --variant s3_shortcut":
+        "81d495231f59dd697c3ec28e53c48cff782bc43e2318061ea934907a6c247624",
+    "construct --r 1 --s 3 --variant small_n":
+        "554a607f640ca8e30c15f3bb0378c23a6047f23b5566833de5481876c1b14fdb",
+    "construct --r 1 --s 4 --variant r1_special":
+        "7fb7d0338841a196afe19ef9aad02c4d6d8a5a52995917f6a7ca686fbc5d1060",
+    "construct --r 1 --s 4 --variant s3_shortcut":
+        "800d6a7f9554b0f1955d64f7a618f9438e2e952bbd1e513ba20662fd5e6626e1",
+    "construct --r 1 --s 4 --variant small_n":
+        "f1cd127928e2ba14c6256ea5e224ac5fb6c86f52e6b7d957757da851bc02971a",
+    "construct --r 10 --s 3 --variant s3_shortcut":
+        "3c5a9f28922df307ac6d8c13bff8ce67919b491297bf2d042a76abd973e2ec9d",
+    "construct --r 10 --s 3 --variant shifted":
+        "c2bade79e1b07cac852cde4654287134803f8175ea9407bd8b39ec69cda80a06",
+    "construct --r 10 --s 4 --variant s3_shortcut":
+        "8d6d899e9b1fd19592f03e388d69edc4d04b48a6122c854342af2d5df36eae01",
+    "construct --r 10 --s 4 --variant shifted":
+        "d008039e4525d937511c7f6ecf8a544925d27ab12c1a4acc5690df64d700b560",
+    "construct --r 11 --s 3 --variant s3_shortcut":
+        "7699525a1bd2e2b3b98aa37457d79440000b19413929f481c7f67a8c29222d37",
+    "construct --r 11 --s 3 --variant shifted":
+        "6e55494dc5918a4da0b79bca8c0f640346d96df8ec76f149411e026f3a0b3527",
+    "construct --r 11 --s 3 --variant small_n":
+        "34e5c2f23e0036cf89f3b3071b56c132318b327695ed98419b55844cef2b816f",
+    "construct --r 11 --s 4 --variant s3_shortcut":
+        "6853d0ac533838756ced25f8356ec87b4987b4ff0a803756d748a3b195ad6115",
+    "construct --r 11 --s 4 --variant shifted":
+        "a64737e940703047a1f862f5a39ccd631f064729ea2f15f8f147161f3ee37d1a",
+    "construct --r 11 --s 4 --variant small_n":
+        "5f6c4acb47b8e06b3d45748b7700246e76e770ac71ee0afc1c59596a378cddd2",
+    "construct --r 12 --s 3 --variant small_n":
+        "96bdfc082b3031d563b171e218ed2ac24850ebdea2143590b13de211dd996c30",
+    "construct --r 12 --s 3 --variant standard":
+        "db4a1ad1f298a202da0cf2670d1ed1f1eb6874414d766a65020ab8fe67ca229f",
+    "construct --r 12 --s 4 --variant small_n":
+        "1f956f14001c31b327bfab1cdd26c01b6d5cdb67bf63a84778e6b2354c7227e8",
+    "construct --r 12 --s 4 --variant standard":
+        "6ef1206b56697e00d5b24463b1237da91ca225fd9279c451e78f042bab49a9e0",
+    "construct --r 13 --s 3 --variant small_n":
+        "bb8b15a9e29ba0f27a8795c7216fc36b93cc3b335e92ad2b979d4cb6cc5d166b",
+    "construct --r 13 --s 3 --variant standard":
+        "c5b5787a449dd3864dbcffcb711f264435f12ef045846508c6b6d0b32327ab17",
+    "construct --r 13 --s 4 --variant small_n":
+        "2e7456f2d40b6a07b9c9f9284816b2b8bb9638bd831e3d5f62d9e71045435546",
+    "construct --r 13 --s 4 --variant standard":
+        "d60bbe35a9bf4c857493a5e74ff7a18dd00c8625ed14a78e709afb0a6a0a6b2a",
+    "construct --r 2 --s 3 --variant small_n":
+        "b440ca6a76dbe67399f62c20ba63607b2d81b8b1d545116f4b1169a592a8486b",
+    "construct --r 2 --s 3 --variant standard":
+        "ed3eebbba426fcaec8459fe84b17c0059f2ea2c12fbb635c6a049e8c632f7d67",
+    "construct --r 2 --s 4 --variant small_n":
+        "37f4f7d8fd3ad2c64e4edc04161e399fbfa59457b253715ed9c8e6e66c9efbe2",
+    "construct --r 2 --s 4 --variant standard":
+        "c2cd4f231da75cf601ed1bf4a380cce97bffb71edeab66c1842511c46004f5fd",
+    "construct --r 3 --s 3 --variant small_n":
+        "0ca74a89d310cc852236dc59a8aa6b79232f8c9dbdb26b4b66c58d09d30283b7",
+    "construct --r 3 --s 3 --variant standard":
+        "b891da6acd416b429615713f61c68e888736b65670cb64890d7c46ac880402c6",
+    "construct --r 3 --s 4 --variant small_n":
+        "a05b5ddcd99a6a29807eefe4f82360d2b37ab15301419615f857ac3d3511d148",
+    "construct --r 3 --s 4 --variant standard":
+        "cdddd7ba0725f3ffa2bb45cb85306d538d09786fbe1cb6206ff8a06a1768067a",
+    "construct --r 4 --s 3 --variant standard":
+        "f57f9be6d9e090c6d541bff8ad3a232232d07bdcec8b3a951a2131190ad23d8b",
+    "construct --r 4 --s 4 --variant standard":
+        "92cddb606772980e4ec45d0e8aa3318e95eafb58ad60d2c2994a9e4374c09634",
+    "construct --r 5 --s 3 --variant small_n":
+        "d5a6027fe9c9d4d807e2045613fba2b7b394962201bee52e8aeece2e8033c494",
+    "construct --r 5 --s 3 --variant standard":
+        "3fa197ac3cf9e0ebbae325c8aa0018123f88759e505cd7fad25f25cb2960e93e",
+    "construct --r 5 --s 4 --variant small_n":
+        "e550feb62477ed76f5399a9f9210e59cdc31ff3cc29996bb549bf3a2ce9f54a3",
+    "construct --r 5 --s 4 --variant standard":
+        "bfcdd2a0230022814c3fc5712b9547c4963dee906dc83e9c79c769cf39df61f6",
+    "construct --r 6 --s 3 --variant s3_shortcut":
+        "c6d554d553bff2c161f6ccdc50c5cb8d4a4abd6399ca725db98c66a0c822c35f",
+    "construct --r 6 --s 3 --variant shifted":
+        "bf8b771d0f725ad135e9e8d675ffabdc386dc3d0e3af2617631c75288776e887",
+    "construct --r 6 --s 4 --variant s3_shortcut":
+        "f11d2e728ac7bc5a529bb2c0f88b25b9142945dc060e8d9ad6d0c143c83e585f",
+    "construct --r 6 --s 4 --variant shifted":
+        "e6b3c5e23fff1b8ce5a84f7b12093592a7a054473dc96b404942a6496e017789",
+    "construct --r 7 --s 3 --variant small_n":
+        "44b9f10244f642ff75e26cd5e0423077a688e041a4db125e9522451d9a9d10a0",
+    "construct --r 7 --s 3 --variant standard":
+        "8bfe80f76e63855d55c1b8e3ce7dd595af3c01fd2a619f6b20ee48f6a192cc41",
+    "construct --r 7 --s 4 --variant small_n":
+        "8e524c354824b91c3ba1ef7c04f9edc2188c80205ec0ef7ced86416a619b9ca6",
+    "construct --r 7 --s 4 --variant standard":
+        "ea13402e192478487014b53121e16654f05ec19387001a3a6b910f4d4193f386",
+    "construct --r 8 --s 3 --variant r8_special":
+        "3f482983688e5374e841129348d462cd39130e7d504683528f7d97a64b0567ac",
+    "construct --r 8 --s 3 --variant small_n":
+        "41e838e9755d4294ac65eb68e0ede4f22a63600f99e09998eaf40e603e775f17",
+    "construct --r 8 --s 4 --variant r8_special":
+        "8eb11224fa899ccf8ca10077e4fb3a73019c7a7114a036ada843f90e73c5b13d",
+    "construct --r 8 --s 4 --variant small_n":
+        "49806d384d391cd218ececf9580ad6a508dad8f5593c50859e0519ebe8c59bbc",
+    "construct --r 9 --s 3 --variant s3_shortcut":
+        "53c282512f4c430ad52bc9b5b6021a2fac1484c0cdb08d03a986bece7b6ab7ac",
+    "construct --r 9 --s 3 --variant shifted":
+        "cbe98950b21dfee6bd4e6d6073399573d823836617241bbb57ecfd52f75bd436",
+    "construct --r 9 --s 3 --variant small_n":
+        "4458209a39e9fbfd7e9246baa9ef6872d2285fec17c61963f70b8668328a559b",
+    "construct --r 9 --s 4 --variant s3_shortcut":
+        "e087bdb00bdbdf471dee7ae11fd2da430362527bf0b04074da1b08cd299ae408",
+    "construct --r 9 --s 4 --variant shifted":
+        "d273f07ac68d04be6b45cf51569048690041135fdd062aa0990d82be50657e16",
+    "construct --r 9 --s 4 --variant small_n":
+        "5f7ebc7941a654988ffcfcd34e51b59fe8e2a607a8f191ceac904e9fad1cdad4",
+    "cover --r 0 --s 3":
+        "40507b2043d73a5634b291ba82e067bd5e298231bddf777c62a507c2b003fb88",
+    "cover --r 1 --s 3":
+        "b9e87523fc162ec3a91db911e212f923ffae6f7ce279e04cf8f02a84581db0fb",
+    "cover --r 10 --s 3":
+        "4ac41421699fe2072540628e119af4f42a3cab8ace2d4ba4003f00a13fb51630",
+    "cover --r 11 --s 3":
+        "ed4a389bcaed72ecfe8e64b54fb29722c4bae2c6d606be714e48a295d7ec686a",
+    "cover --r 12 --s 3":
+        "a33e51335dbbc155bc8ba3eab2c86eef30a6bb108aff3237620823258193121f",
+    "cover --r 13 --s 3":
+        "1c38ab155aed52fd045bb1ea4aafa7c838ee12498359e042b4854a942ee6f487",
+    "cover --r 2 --s 3":
+        "4eb2d009625746f1e280ac2446cc5e1759a7561703eb68ee83829b4a976b016c",
+    "cover --r 3 --s 3":
+        "dbfaaf0c33eb880ec2c8700de2f3911945ebc1aedb9566fb048133081b666ac7",
+    "cover --r 4 --s 3":
+        "a72cfe81c81a3de7294435f4672bcad509c5ed17f8fe5570ee027f89e8f1d7e2",
+    "cover --r 5 --s 3":
+        "0b696f334daf9e43c9cf639238d9b51c95ed7f3a2c8dffcd5365c97f826e7d3a",
+    "cover --r 6 --s 3":
+        "d476bb8acdc770d2a3f30ad320d5ab1abf92aecc9b744b798268769d19113d67",
+    "cover --r 7 --s 3":
+        "94ed627d039b9f079500db6f87a269d2f9eb6cc52041f465d049e764021b5a51",
+    "cover --r 8 --s 3":
+        "0eb34e4f9e388217ed43ff903e21f534d64500d472a1861e52836580ae5e6df4",
+    "cover --r 9 --s 3":
+        "9afddabe3014c05995cb4525195aa4c2446f1117d1d7030101fcf8e2cec2dfc2",
+    "lift --r 0 --s 3 --p 7 --t1 3":
+        "eacc908738a155e86ae0bae2bae2706af528e89f692c2958bd2d1cc26f4aa459",
+    "lift --r 1 --s 3 --p 7 --t1 3":
+        "0906be8e1797f3c1432bbdda636f1f070152f6494cd3c8983c17cf42b0fd684e",
+    "lift --r 10 --s 3 --p 7 --t1 3":
+        "b06bd96dba53111de4beb19d8abcb6d45abd23a6c752e1c503f8df7f00ce502d",
+    "lift --r 11 --s 3 --p 7 --t1 3":
+        "b398ad9b119a8741548083c7961b715b60c3320e8252ba24eeaf07f396a747c9",
+    "lift --r 12 --s 3 --p 7 --t1 3":
+        "6a5df320651a45c488c09fc032874fc9b3fb455ab93706fab660245ced25cfc4",
+    "lift --r 13 --s 3 --p 7 --t1 3":
+        "8b94eb6096f010e0879bb1707f5aa0ec9ee4cdb46d73fce91f9cd8d909ba7e16",
+    "lift --r 2 --s 3 --p 7 --t1 3":
+        "b9edc285a0f18000f19ad4265d445f9e4176e883c0767623be1eb1eb5691e9f0",
+    "lift --r 3 --s 3 --p 7 --t1 3":
+        "d902dacaad7e7d2b7d7df39c98ab3a630a81c89ea8068ceda8fc73dcd0c77248",
+    "lift --r 4 --s 3 --p 7 --t1 3":
+        "cf6e72eed3f2d4b649ff27a230d4adc0ac269854bad00b94179ac5c466c3858f",
+    "lift --r 5 --s 3 --p 7 --t1 3":
+        "e9b5ade7c94930e96ff2ad0900536d0988191156db0688cbddf0b42c9ca2eed4",
+    "lift --r 6 --s 3 --p 7 --t1 3":
+        "2f0db9a712f1ec1d56be039376b6665993a36bbe3c5463f5fffade5ad8113374",
+    "lift --r 7 --s 3 --p 7 --t1 3":
+        "045640bdd6b23aedcf2c0e3b76b06e361b2da7f8897ca19355691aa2b26bdfb4",
+    "lift --r 8 --s 3 --p 7 --t1 3":
+        "ba87a1ec1e784fc1baab541262deb3a106e919b2b48d82acb2d0aa4eb53ba457",
+    "lift --r 9 --s 3 --p 7 --t1 3":
+        "114ba9963501017ae22b530e0841694ed7e5031e3f9bb284edaf0846cac94315",
+}
+
+REFUSALS = "97536816b456d8f8f70750f561c588107ecbf16949252d453b01d9376fd30b13"
+
+
+def _run(capsys, argv):
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _digest(code, out, err):
+    return hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
+
+
+def _construct_argv(r, variant, s):
+    return f"construct --r {r} --s {s} --variant {variant}"
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_report_bytes(capsys, argv):
+    assert _digest(*_run(capsys, argv)) == GOLDEN[argv]
+
+
+def test_construct_refusals(capsys):
+    lines = []
+    for s in (3, 4):
+        for r in range(14):
+            for variant in VARIANTS:
+                argv = _construct_argv(r, variant, s)
+                if argv in GOLDEN:
+                    continue
+                code, out, err = _run(capsys, argv)
+                assert (code, out) == (2, ""), argv
+                lines.append(f"{argv}: {err}")
+    assert len(lines) == 2 * (14 * len(VARIANTS) - 30)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == REFUSALS
