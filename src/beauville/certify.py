@@ -317,7 +317,7 @@ def certify_cover(plan):
         )
     branch = "adjoin_E_2A" if t1 % 2 == 1 else "internal_join"
     # either branch needs two free stock (1)-handles
-    found = with_free_stock_handles(plan, None)
+    found = with_free_stock_handles(base_pair, None)
     if found is None:
         raise CertificationError(
             "could not provision enough unused stock handles "
@@ -498,11 +498,18 @@ def verify_certificate(text_or_doc):
     )
     try:
         w1, w2 = certificate_maps(doc)
-    except CertificationError:
+        n, p, v_difference = doc["n"], doc["prime"], list(doc["v_difference"])
+        types1 = doc["jordan1"]["w_cycle_type"]
+        types2 = doc["jordan2"]["w_cycle_type"]
+        tau = doc["tau"] if doc.get("kind") == "cover" else None
+    except (CertificationError, KeyError, TypeError):
         return False
-    if w1.n != doc["n"] or w2.n != doc["n"]:
+    if w1.n != n or w2.n != n:
         return False
-    p = doc["prime"]
+    # no w-cycle is longer than n; the bound also keeps trial division off
+    # a huge stated prime
+    if type(p) is not int or p > n:
+        return False
     try:
         j1 = jordan_certify(w1, p)
         j2 = jordan_certify(w2, p)
@@ -512,13 +519,10 @@ def verify_certificate(text_or_doc):
     if not ev:
         return False
     dv = (w1.fixed_point_vector() - w2.fixed_point_vector()).as_tuple()
-    if list(dv) != list(doc["v_difference"]):
+    if list(dv) != v_difference:
         return False
-    if doc.get("kind") == "cover":
+    if tau is not None:
         tau1, tau2 = w1.tau(), w2.tau()
-        if [tau1, tau2] != doc["tau"] or tau1 % 4 or tau2 % 4:
+        if [tau1, tau2] != tau or tau1 % 4 or tau2 % 4:
             return False
-    return (
-        list(j1.w_cycle_type) == doc["jordan1"]["w_cycle_type"]
-        and list(j2.w_cycle_type) == doc["jordan2"]["w_cycle_type"]
-    )
+    return list(j1.w_cycle_type) == types1 and list(j2.w_cycle_type) == types2

@@ -381,17 +381,20 @@ def shared_handles(w1, w2, lo, hi):
     return sorted((pts for pts in h1 & h2 if all(lo <= p < hi for p in pts)), key=min)
 
 
-def with_free_stock_handles(plan, labels):
-    """Build the plan's pair with the fewest extra whole copies of G in
-    the stock (s + 3 each, at most 4) that leave two shared free
-    (1)-handles inside the stock, or inside its first `labels` labels.
+def with_free_stock_handles(pair, labels):
+    """Starting from `pair`, built from its plan, rebuild with the fewest
+    extra whole copies of G in the stock (s + 3 each, at most 4) that leave
+    two shared free (1)-handles inside the stock, or inside its first
+    `labels` labels.
 
     Returns (enlarged plan, pair, extra copies, shared handles), or None
     when four extra copies do not suffice.
     """
+    plan = pair.plan
     for extra_g in range(5):
         eff = ConstructionPlan(plan.r, plan.s + 3 * extra_g, plan.variant)
-        pair = build_pair(eff)
+        if extra_g:
+            pair = build_pair(eff)
         lo, hi = eff.stock_range
         if labels is not None:
             hi = lo + labels

@@ -26,7 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import ConstructionPlan, shared_handles, with_free_stock_handles
+from .construct import (
+    ConstructionPlan,
+    build_pair,
+    shared_handles,
+    with_free_stock_handles,
+)
 from .perm import Permutation, is_prime, prime_divisors
 
 __all__ = [
@@ -485,7 +490,8 @@ def lift_pair(plan, p, t1):
     The stock is enlarged by whole copies (degree +42 each) as needed,
     matching the construction's stated degree penalty.
     """
-    found = with_free_stock_handles(plan, 42)  # inside the first stock copy
+    # inside the first stock copy
+    found = with_free_stock_handles(build_pair(plan), 42)
     if found is None:
         raise LiftError("could not free two stock handles for the lift")
     eff, pair, extra_g, shared = found

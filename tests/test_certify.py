@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from beauville import certify, construct
 from beauville.atlas import basic_map
 from beauville.certify import (
     CertificationError,
@@ -125,10 +126,19 @@ class TestDHB:
         imgs[0], imgs[1] = imgs[1], imgs[0]
         assert not verify_certificate(json.dumps(doc))
 
-    @pytest.mark.parametrize("member", ["w1", "w2"])
-    def test_missing_member_rejected(self, member):
+    MISSING = ("w1", "w2", "n", "prime", "jordan1", "jordan2", "v_difference")
+
+    @pytest.mark.parametrize(
+        "member, value",
+        [(m, None) for m in MISSING] + [("prime", "7"), ("prime", 10**18 + 9)],
+        ids=[*MISSING, "prime_text", "prime_huge"],
+    )
+    def test_missing_member_rejected(self, member, value):
         doc = json.loads(certificate_to_json(certify_dhb(minimal_plan(0))))
-        del doc[member]
+        if value is None:
+            del doc[member]
+        else:
+            doc[member] = value
         assert verify_certificate(doc) is False
 
     def test_tampered_v_difference_rejected(self):
@@ -178,6 +188,20 @@ class TestCover:
         assert cov.branch == "internal_join"
         assert cov.base.pair.w2.genus() == 1
         assert cov.base.pair.w1.genus() == 0
+
+    def test_builds_each_stock_once(self, monkeypatch):
+        # r = 0 needs one extra copy of G: the pair at s = 3 gives the tau
+        # parities and is the first stock tried, so only s = 6 is rebuilt.
+        built = []
+
+        def counting(plan):
+            built.append((plan.r, plan.s))
+            return build_pair(plan)
+
+        monkeypatch.setattr(certify, "build_pair", counting)
+        monkeypatch.setattr(construct, "build_pair", counting)
+        assert certify_cover(minimal_plan(0)).extra_g_copies == 1
+        assert built == [(0, 3), (0, 6)]
 
     def test_nonminimal_stock(self):
         cov = certify_cover(ConstructionPlan(0, 6, "standard"))

@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from beauville import perm
+from beauville.construct import ConstructionPlan, build_pair
 from beauville.perm import (
     CycleType,
     Permutation,
@@ -265,3 +267,26 @@ class TestGroupOrder:
         gens = [parse_cycles("(0 1 2 3 4)"), parse_cycles("(0 1 2)", 5)]
         with pytest.raises(ValueError, match="bound"):
             group_order(gens, upper_bound=30)  # |A_5| = 60 exceeds it
+
+    def test_chain_memory_small_case(self):
+        # n = 246: the chain's rows take about 7.5 MB as uint8 and about
+        # 60 MB as int64.
+        m = build_pair(ConstructionPlan(8, 3, "small_n")).w1
+        target = math.factorial(m.n) // 2
+        tracemalloc.start()
+        try:
+            assert group_order([m.x, m.y], upper_bound=target) == target
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_alternating_at_row_dtype_switch(self, n):
+        # Rows hold points 0..n-1: uint8 up to n = 256, uint16 from 257.
+        # (0 1 2) with the cycle on 0..n-1 (n odd) or 1..n-1 (n even)
+        # generates A_n.
+        cycle = tuple(range(n % 2 == 0, n))
+        gens = [from_cycles(n, [(0, 1, 2)]), from_cycles(n, [cycle])]
+        target = math.factorial(n) // 2
+        assert group_order(gens, upper_bound=target) == target
