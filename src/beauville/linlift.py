@@ -52,6 +52,11 @@ class LiftError(ValueError):
     """Invalid lift parameters or a failed matrix relation."""
 
 
+# The largest p with p * p < 2**63: arithmetic mod p runs on int64 arrays
+# and multiplies two residues before reducing.
+P_MAX = 3037000499
+
+
 def _is_primitive_root(t1, p):
     t1 %= p
     if t1 == 0:
@@ -119,9 +124,9 @@ class PrimeFieldMatrix:
         for j, v in other.cor.items():
             add_col(j, self._apply(v))
         # C_self @ P_other: column j picks self's correction at other.perm[j]
-        inv_needed = {other.perm[j]: j for j in range(self.n) if other.perm[j] in self.cor}
-        for target, j in inv_needed.items():
-            add_col(j, self.cor[target])
+        if self.cor:
+            for j in np.flatnonzero(np.isin(other.perm, list(self.cor))).tolist():
+                add_col(j, self.cor[int(other.perm[j])])
         out = PrimeFieldMatrix(p, perm, cor)
         return out
 
@@ -131,7 +136,7 @@ class PrimeFieldMatrix:
         out[self.perm] = v
         for j, col in self.cor.items():
             if v[j]:
-                out = out + v[j] * col
+                out = (out + v[j] * col) % self.p
         return out % self.p
 
     def is_identity(self):
@@ -178,7 +183,7 @@ class PrimeFieldMatrix:
         """Exact determinant mod p via the low-rank determinant lemma:
         det(P + C) = det(P) det(I + P^-1 C), and the second factor is the
         determinant of a small matrix on the correction columns."""
-        sign = _perm_sign(self.perm) % self.p
+        sign = _as_permutation(self.perm).parity() % self.p
         if not self.cor:
             return sign
         cols = sorted(self.cor)
@@ -195,21 +200,10 @@ class PrimeFieldMatrix:
         return (sign * _small_det_mod(small, self.p)) % self.p
 
 
-def _perm_sign(perm):
-    seen = np.zeros(perm.size, dtype=bool)
-    sign = 1
-    for start in range(perm.size):
-        if seen[start]:
-            continue
-        length = 0
-        pt = start
-        while not seen[pt]:
-            seen[pt] = True
-            pt = int(perm[pt])
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _as_permutation(perm):
+    """The permutation part of a matrix as a Permutation (a copy, since
+    permutations freeze their image array)."""
+    return Permutation._trusted(perm.copy())
 
 
 def _small_det_mod(mat, p):
@@ -217,13 +211,10 @@ def _small_det_mod(mat, p):
     k = m.shape[0]
     det = 1
     for col in range(k):
-        piv = None
-        for row in range(col, k):
-            if m[row, col] % p:
-                piv = row
-                break
-        if piv is None:
+        nz = np.flatnonzero(m[col:, col])
+        if not nz.size:
             return 0
+        piv = col + int(nz[0])
         if piv != col:
             m[[col, piv]] = m[[piv, col]]
             det = -det
@@ -260,13 +251,10 @@ def _rank_mod(m, p):
     rows, cols = m.shape
     rank = 0
     for col in range(cols):
-        piv = None
-        for row in range(rank, rows):
-            if m[row, col]:
-                piv = row
-                break
-        if piv is None:
+        nz = np.flatnonzero(m[rank:, col])
+        if not nz.size:
             continue
+        piv = rank + int(nz[0])
         m[[rank, piv]] = m[[piv, rank]]
         inv = pow(int(m[rank, col]), p - 2, p) if p > 2 else int(m[rank, col])
         m[rank] = (m[rank] * inv) % p
@@ -293,64 +281,42 @@ def fixed_space_dim(matrix):
     """
     p = matrix.p
     n = matrix.n
-    perm = matrix.perm
     cols = sorted(matrix.cor)
     k = len(cols)
+    cycles = _as_permutation(matrix.perm).cycles(include_fixed=True)
+    c = len(cycles)
     if k == 0:
         # permutation matrix: one dimension per cycle
-        return len(Permutation._trusted(perm.copy()).cycles(include_fixed=True))
+        return c
 
-    # cycles of the permutation part
-    seen = np.zeros(n, dtype=bool)
+    # v[g[m]] = v[m] + sum_j lam_j * cor_j[g[m]]  (from (P + C) v = v).
+    # Walking a cycle from its first point, each step adds the corrections
+    # at the point it lands on: a point's lam coefficients sum the steps
+    # up to it, and the cycle's closure sums all of its steps.  run[:, i]
+    # sums the first i steps of the walk; every sum is below n * p, far
+    # inside int64.
+    lengths = np.array([len(cyc) for cyc in cycles])
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    walk = np.array([pt for cyc in cycles for pt in cyc])
     cycle_id = np.empty(n, dtype=np.int64)
-    reps = []
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = []
-        pt = start
-        while not seen[pt]:
-            seen[pt] = True
-            cycle_id[pt] = len(reps)
-            cyc.append(pt)
-            pt = int(perm[pt])
-        reps.append(start)
-        cycles.append(cyc)
-    c = len(reps)
+    cycle_id[walk] = np.repeat(np.arange(c), lengths)
+    position = np.empty(n, dtype=np.int64)
+    position[walk] = np.arange(n)
+    cor = np.array([matrix.cor[j] for j in cols])
+    run = np.zeros((k, n + 1), dtype=np.int64)
+    np.cumsum(cor[:, matrix.perm[walk]], axis=1, out=run[:, 1:])
 
-    # v[g[m]] = v[m] + sum_j lam_j * cor_j[g[m]]  (from (P + C) v = v)
-    colpos = {j: i for i, j in enumerate(cols)}
-    coeff = {}  # point -> accumulated lam coefficients from its cycle rep
-    closure = np.zeros((c, k), dtype=np.int64)
-    for ci, cyc in enumerate(cycles):
-        acc = np.zeros(k, dtype=np.int64)
-        coeff[cyc[0]] = acc.copy()
-        pt = cyc[0]
-        for _ in range(len(cyc)):
-            nxt = int(perm[pt])
-            for j, i in colpos.items():
-                acc[i] = (acc[i] + matrix.cor[j][nxt]) % p
-            if nxt != cyc[0]:
-                coeff[nxt] = acc.copy()
-            pt = nxt
-        closure[ci] = acc
-
-    # unknowns: s_0..s_{c-1} (cycle start values) then lam_0..lam_{k-1}
-    rows = []
-    for ci in range(c):
-        row = np.zeros(c + k, dtype=np.int64)
-        row[c:] = closure[ci]
-        rows.append(row)
-    for j in cols:
-        i = colpos[j]
-        row = np.zeros(c + k, dtype=np.int64)
+    # unknowns: s_0..s_{c-1} (cycle start values) then lam_0..lam_{k-1};
+    # one row closes each cycle, one matches each lam_i to its expression
+    system = np.zeros((c + k, c + k), dtype=np.int64)
+    system[:c, c:] = (run[:, ends] - run[:, starts]).T
+    for i, j in enumerate(cols):
+        row = system[c + i]
         row[cycle_id[j]] = 1
-        row[c:] = (row[c:] + coeff[j]) % p
-        row[c + i] = (row[c + i] - 1) % p
-        rows.append(row)
-    system = np.array(rows, dtype=np.int64) % p
-    return (c + k) - _rank_mod(system, p)
+        row[c:] = run[:, position[j]] - run[:, starts[cycle_id[j]]]
+        row[c + i] -= 1
+    return (c + k) - _rank_mod(system % p, p)
 
 
 # -- the lift --------------------------------------------------------------------
@@ -381,6 +347,11 @@ def build_linear_triple(m, p, t1, handle_points=None):
     free (1)-handle pairs, all fixed by the map's involution.  When
     omitted, the two lowest free (1)-handles are used.
     """
+    if p > P_MAX:
+        raise LiftError(
+            f"p = {p} is above {P_MAX}, the largest p whose residue "
+            "products fit int64"
+        )
     if not is_prime(p):
         raise LiftError(f"{p} is not prime")
     if not _is_primitive_root(t1, p):
@@ -398,7 +369,7 @@ def build_linear_triple(m, p, t1, handle_points=None):
             raise LiftError(f"designated point {pt} is not fixed by the involution")
 
     n = m.n
-    xprime = _x_modification(p, n, t1, a, b, a2, b2)
+    xprime = _x_modification(p, n, t1 % p, a, b, a2, b2)
     ximat = permutation_matrix(xi, p)
     if not (xprime @ xprime).is_identity():
         raise LiftError("x' is not an involution")

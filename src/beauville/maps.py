@@ -281,7 +281,7 @@ class HurwitzMap:
         The x-witness must not be a fixed point of x lying in a handle, so
         that usefulness survives composition.
         """
-        xa, ya = self.x.array, self.y.array
+        xa, ya = self.x.array.tolist(), self.y.array.tolist()
         handle_pts = self.handle_points
         out = []
         for cyc in self.w_cycles:
@@ -289,10 +289,10 @@ class HurwitzMap:
             x_wit = None
             y_wit = None
             for pt in sorted(members):
-                if x_wit is None and int(xa[pt]) in members:
-                    if not (int(xa[pt]) == pt and pt in handle_pts):
+                if x_wit is None and xa[pt] in members:
+                    if not (xa[pt] == pt and pt in handle_pts):
                         x_wit = pt
-                if y_wit is None and int(ya[pt]) in members:
+                if y_wit is None and ya[pt] in members:
                     y_wit = pt
                 if x_wit is not None and y_wit is not None:
                     break

@@ -7,6 +7,7 @@ All values are immutable; every operation returns a new permutation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -31,9 +32,15 @@ __all__ = [
 
 
 class Permutation:
-    """A bijection on {0..n-1}, stored as the tuple of images."""
+    """A bijection on {0..n-1}, stored as its read-only array of images.
 
-    __slots__ = ("_arr", "_hash")
+    Permutations are immutable, so each one memoizes its cycle
+    decomposition: the first of `cycles`, `cycle_type`, `order`,
+    `is_even` or `parity` walks the cycles once, and every later call
+    reads the stored walk.
+    """
+
+    __slots__ = ("_arr", "_hash", "_cycles")
 
     def __init__(self, images):
         arr = np.asarray(images, dtype=np.int64)
@@ -49,6 +56,7 @@ class Permutation:
         arr.setflags(write=False)
         self._arr = arr
         self._hash = hash(arr.tobytes())
+        self._cycles = None
 
     @classmethod
     def _trusted(cls, arr):
@@ -57,6 +65,7 @@ class Permutation:
         arr.setflags(write=False)
         self._arr = arr
         self._hash = hash(arr.tobytes())
+        self._cycles = None
         return self
 
     @property
@@ -70,7 +79,7 @@ class Permutation:
 
     @property
     def images(self):
-        return tuple(int(v) for v in self._arr)
+        return tuple(self._arr.tolist())
 
     def __getitem__(self, point):
         return int(self._arr[point])
@@ -104,50 +113,47 @@ class Permutation:
         return Permutation._trusted(inv)
 
     def __pow__(self, k):
-        """k-fold product; negative k uses the inverse. Computed cycle-wise."""
-        n = self._arr.size
-        out = np.empty(n, dtype=np.int64)
-        for cyc in self.cycles(include_fixed=True):
-            m = len(cyc)
-            shift = k % m
-            for i, pt in enumerate(cyc):
-                out[pt] = cyc[(i + shift) % m]
+        """k-fold product; negative k uses the inverse.  Computed by
+        repeated squaring of the image array."""
+        base = self._arr if k >= 0 else self.inverse()._arr
+        k = abs(k)
+        out = None
+        while k:
+            if k & 1:
+                out = base if out is None else base[out]
+            k >>= 1
+            if k:
+                base = base[base]
+        if out is None:
+            return identity(self._arr.size)
         return Permutation._trusted(out)
+
+    def _all_cycles(self):
+        # The memoized decomposition, fixed points included.
+        if self._cycles is None:
+            self._cycles = _walk_cycles(self._arr.tolist())
+        return self._cycles
 
     def cycles(self, include_fixed=False):
         """Disjoint cycles, each rotated to start at its least point,
-        ordered by that least point."""
-        arr = self._arr
-        n = arr.size
-        seen = np.zeros(n, dtype=bool)
-        out = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            pt = int(arr[start])
-            while pt != start:
-                cyc.append(pt)
-                seen[pt] = True
-                pt = int(arr[pt])
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
-        return out
+        ordered by that least point.  A new list on every call."""
+        if include_fixed:
+            return list(self._all_cycles())
+        return [c for c in self._all_cycles() if len(c) > 1]
 
     def cycle_type(self):
-        return CycleType(len(c) for c in self.cycles(include_fixed=True))
+        return CycleType(map(len, self._all_cycles()))
 
     def fixed_points(self):
-        return tuple(int(v) for v in np.flatnonzero(self._arr == np.arange(self._arr.size)))
+        return tuple(np.flatnonzero(self._arr == np.arange(self._arr.size)).tolist())
 
     def order(self):
-        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
+        return math.lcm(*map(len, self._all_cycles()))
 
     @property
     def is_even(self):
         # n - (number of cycles) counts the transpositions needed.
-        return (self._arr.size - len(self.cycles(include_fixed=True))) % 2 == 0
+        return (self._arr.size - len(self._all_cycles())) % 2 == 0
 
     def parity(self):
         """+1 for an even permutation, -1 for an odd one."""
@@ -168,7 +174,9 @@ class Permutation:
         cycs = self.cycles()
         if not cycs:
             return "id"
-        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
+        # str((0, 1, 2)) is "(0, 1, 2)"; without its commas it is the
+        # notation (cycles() leaves out 1-cycles, whose str is "(5,)").
+        return "".join(map(str, cycs)).replace(",", "")
 
     def __repr__(self):
         return f"Permutation[{self.degree}] {self.cycle_string()}"
@@ -181,7 +189,7 @@ class CycleType:
 
     def __init__(self, lengths):
         self.lengths = tuple(sorted(lengths))
-        if any(l < 1 for l in self.lengths):
+        if self.lengths and self.lengths[0] < 1:
             raise ValueError("cycle lengths must be >= 1")
 
     @property
@@ -213,25 +221,65 @@ class CycleType:
         return " ".join(parts)
 
 
+def _walk_cycles(images):
+    """Every cycle of the image list, fixed points included, each starting
+    at its least point and ordered by it.  The package's one cycle walk."""
+    seen = bytearray(len(images))
+    out = []
+    for start, pt in enumerate(images):
+        if seen[start]:
+            continue
+        cyc = [start]
+        while pt != start:
+            seen[pt] = 1
+            cyc.append(pt)
+            pt = images[pt]
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
 def identity(n):
     return Permutation._trusted(np.arange(n, dtype=np.int64))
 
 
 def from_cycles(n, cycles):
     """Permutation of degree n from disjoint cycles of points."""
+    cycles = [c for c in map(list, cycles) if c]
+    return _from_flat(n, [pt for c in cycles for pt in c], [len(c) for c in cycles])
+
+
+def _from_flat(n, points, sizes):
+    """from_cycles for the points of the cycles listed one after another,
+    and the cycle lengths (none of them 0)."""
     arr = np.arange(n, dtype=np.int64)
-    used = set()
-    for cyc in cycles:
-        cyc = list(cyc)
-        for pt in cyc:
-            if pt in used:
-                raise ValueError(f"point {pt} appears in two cycles")
-            if not 0 <= pt < n:
-                raise ValueError(f"point {pt} out of range for degree {n}")
-            used.add(pt)
-        for i, pt in enumerate(cyc):
-            arr[pt] = cyc[(i + 1) % len(cyc)]
+    pts = np.asarray(points)
+    if not pts.size:
+        return Permutation._trusted(arr)
+    if (
+        pts.dtype.kind != "i"
+        or pts.min() < 0
+        or pts.max() >= n
+        or np.bincount(pts).max() > 1
+    ):
+        _check_points(n, points)
+    # each point goes to the next of its cycle, the last to the first
+    ends = np.cumsum(sizes)
+    nxt = np.arange(1, pts.size + 1)
+    nxt[ends - 1] = ends - sizes
+    arr[pts] = pts[nxt]
     return Permutation._trusted(arr)
+
+
+def _check_points(n, points):
+    """Raise for the first point, in the order given, that repeats or
+    lies outside 0..n-1."""
+    used = set()
+    for pt in points:
+        if pt in used:
+            raise ValueError(f"point {pt} appears in two cycles")
+        if not 0 <= pt < n:
+            raise ValueError(f"point {pt} out of range for degree {n}")
+        used.add(pt)
 
 
 def parse_cycles(text, degree=None):
@@ -241,21 +289,24 @@ def parse_cycles(text, degree=None):
     is taken as 1 + the largest point mentioned.
     """
     text = text.strip()
-    cycles = []
+    points, sizes = [], []
     if text not in ("id", "()", ""):
         if not text.startswith("(") or not text.endswith(")"):
             raise ValueError(f"bad cycle notation: {text!r}")
-        for chunk in text[1:-1].split(")("):
-            pts = [int(tok) for tok in chunk.replace(",", " ").split()]
-            if not pts:
-                raise ValueError(f"empty cycle in {text!r}")
-            cycles.append(pts)
-    top = max((pt for cyc in cycles for pt in cyc), default=-1)
+        tokens = [c.split() for c in text[1:-1].replace(",", " ").split(")(")]
+        sizes = list(map(len, tokens))
+        if 0 in sizes:
+            # an in-order scan meets a bad point before the empty cycle first
+            for toks in tokens[: sizes.index(0)]:
+                list(map(int, toks))
+            raise ValueError(f"empty cycle in {text!r}")
+        points = list(map(int, itertools.chain.from_iterable(tokens)))
+    top = max(points, default=-1)
     if degree is None:
         degree = top + 1 if top >= 0 else 1
     elif top >= degree:
         raise ValueError(f"point {top} out of range for degree {degree}")
-    return from_cycles(degree, cycles)
+    return _from_flat(degree, points, sizes)
 
 
 def orbit(gens, start):
@@ -264,12 +315,12 @@ def orbit(gens, start):
         return {start}
     seen = {start}
     frontier = [start]
-    arrs = [g.array for g in gens]
+    image_lists = [g.array.tolist() for g in gens]
     while frontier:
         nxt = []
         for pt in frontier:
-            for arr in arrs:
-                img = int(arr[pt])
+            for images in image_lists:
+                img = images[pt]
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
@@ -302,9 +353,7 @@ def conjugator_in_sn(p, q):
     if [len(c) for c in cp] != [len(c) for c in cq]:
         return None
     arr = np.empty(p.degree, dtype=np.int64)
-    for a, b in zip(cp, cq):
-        for x, y in zip(a, b):
-            arr[x] = y
+    arr[[x for c in cp for x in c]] = [y for c in cq for y in c]
     return Permutation._trusted(arr)
 
 

@@ -135,6 +135,14 @@ class TestErrors:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert str(path) in err and problem in err, err
 
+    def test_lift_prime_above_int64_bound(self, capsys):
+        # refused before the trial division that would run for minutes
+        code = main(["lift", "--r", "0", "--p", "1000000000000000003", "--t1", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "1000000000000000003" in err and "3037000499" in err, err
+
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ from beauville import perm
 from beauville.atlas import basic_map
 from beauville.construct import minimal_plan
 from beauville.linlift import (
+    P_MAX,
     LiftError,
     PrimeFieldMatrix,
     beauville_dims,
@@ -129,6 +131,63 @@ class TestTripleConstruction:
         assert (xi @ xi).is_identity()
         assert (y @ y @ y).is_identity()
         assert (xi @ y).power(7).is_identity()
+
+
+class TestLargePrime:
+    # the largest prime not above P_MAX; 2 generates its multiplicative group
+    P = 3037000493
+
+    def test_bound_is_the_int64_limit(self):
+        assert P_MAX * P_MAX < 2**63 <= (P_MAX + 1) ** 2
+        assert perm.is_prime(self.P)
+        assert not any(perm.is_prime(q) for q in range(self.P + 1, P_MAX + 1))
+
+    def test_arithmetic_exact_at_the_bound(self):
+        # residues near p: a product of two overflows int64 unless it is
+        # reduced before the next one is added; the reference uses Python
+        # integers
+        rng = random.Random(31)
+        p = self.P
+
+        def matrix(n):
+            cor = {
+                rng.randrange(n): [p - 1 - rng.randrange(5) for _ in range(n)]
+                for _ in range(3)
+            }
+            return PrimeFieldMatrix(p, perm.random_permutation(n, rng).array, cor)
+
+        for _ in range(10):
+            n = rng.randrange(3, 7)
+            a, b = matrix(n), matrix(n)
+            want = (a.dense().astype(object) @ b.dense().astype(object)) % p
+            assert np.array_equal((a @ b).dense(), want)
+            assert a.det() == _leibniz_det(a.dense().tolist(), p)
+            assert fixed_space_dim(a) == dense_fixed_space_dim(a)
+
+    def test_lift_at_the_bound(self):
+        tri = build_linear_triple(basic_map("G"), self.P, 2)
+        for mat in (tri.x, tri.y, tri.z):
+            assert fixed_space_dim(mat) == dense_fixed_space_dim(mat)
+
+    def test_rejects_p_above_the_bound_before_primality(self):
+        # trial division up to sqrt(p) would take minutes here
+        with pytest.raises(LiftError, match=str(P_MAX)):
+            build_linear_triple(basic_map("G"), 1000000000000000003, 3)
+        with pytest.raises(LiftError, match=str(P_MAX)):
+            build_linear_triple(basic_map("G"), P_MAX + 1, 3)
+
+
+def _leibniz_det(rows, p):
+    """Determinant mod p as the signed sum over all permutations."""
+    n = len(rows)
+    total = 0
+    for sigma in itertools.permutations(range(n)):
+        inversions = sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= rows[i][sigma[i]]
+        total += term
+    return total % p
 
 
 class TestBeauvilleDims:

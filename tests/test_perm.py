@@ -290,3 +290,173 @@ class TestGroupOrder:
         gens = [from_cycles(n, [(0, 1, 2)]), from_cycles(n, [cycle])]
         target = math.factorial(n) // 2
         assert group_order(gens, upper_bound=target) == target
+
+
+# -- kernels against a pure-Python reference ----------------------------------
+
+
+def naive_cycles(images):
+    """Every cycle, fixed points included: follow each point until it
+    returns, and keep the cycle at its least point."""
+    out = []
+    for start in range(len(images)):
+        cyc = [start]
+        while images[cyc[-1]] != start:
+            cyc.append(images[cyc[-1]])
+        if min(cyc) == start:
+            out.append(tuple(cyc))
+    return out
+
+
+def naive_is_even(images):
+    n = len(images)
+    inversions = sum(images[i] > images[j] for i in range(n) for j in range(i + 1, n))
+    return inversions % 2 == 0
+
+
+def naive_power(images, k):
+    """k-fold application (of the inverse for k < 0); large k rotates each
+    cycle by k instead."""
+    n = len(images)
+    if abs(k) > 9:
+        out = [None] * n
+        for cyc in naive_cycles(images):
+            for i, pt in enumerate(cyc):
+                out[pt] = cyc[(i + k) % len(cyc)]
+        return tuple(out)
+    step = list(images)
+    if k < 0:
+        for a, b in enumerate(images):
+            step[b] = a
+    out = list(range(n))
+    for _ in range(abs(k)):
+        out = [step[a] for a in out]
+    return tuple(out)
+
+
+def naive_orbit(gens, start):
+    seen = {start}
+    while True:
+        grown = seen | {g[a] for g in gens for a in seen}
+        if grown == seen:
+            return seen
+        seen = grown
+
+
+def random_images(rng):
+    return [p.images for p in (perm.random_permutation(rng.randrange(1, 61), rng) for _ in range(200))]
+
+
+class TestKernelsAgainstReference:
+    def test_cycle_data(self):
+        rng = random.Random(60)
+        for images in random_images(rng):
+            p = Permutation(images)
+            want = naive_cycles(images)
+            lengths = [len(c) for c in want]
+            assert p.cycles(include_fixed=True) == want
+            assert p.cycles() == [c for c in want if len(c) > 1]
+            assert p.cycle_type() == CycleType(lengths)
+            assert p.order() == math.lcm(*lengths)
+            assert p.is_even == naive_is_even(images)
+            assert p.parity() == (1 if naive_is_even(images) else -1)
+
+    def test_powers(self):
+        rng = random.Random(61)
+        big = 10**18 + 7
+        for images in random_images(rng):
+            p = Permutation(images)
+            for k in [*range(-9, 10), big, -big]:
+                assert (p ** k).images == naive_power(images, k), k
+
+    def test_orbits(self):
+        rng = random.Random(62)
+        for _ in range(12):
+            n = rng.randrange(1, 61)
+            # a few short cycles each, so most sets are intransitive
+            gens = []
+            for _ in range(rng.randrange(1, 4)):
+                pts = rng.sample(range(n), min(n, rng.randrange(1, 6)))
+                gens.append(from_cycles(n, [pts]))
+            for start in range(n):
+                assert perm.orbit(gens, start) == naive_orbit([g.images for g in gens], start)
+            assert is_transitive(gens, n) == (len(naive_orbit([g.images for g in gens], 0)) == n)
+
+
+class TestCycleMemo:
+    def test_one_walk_per_permutation(self, monkeypatch):
+        walks = []
+        real_walk = perm._walk_cycles
+
+        def counting_walk(images):
+            walks.append(len(images))
+            return real_walk(images)
+
+        monkeypatch.setattr(perm, "_walk_cycles", counting_walk)
+        p = parse_cycles("(0 1 2)(3 4)", 7)
+        assert p.order() == 6
+        assert not p.is_even
+        assert p.parity() == -1
+        assert p.cycle_type() == CycleType([1, 1, 2, 3])
+        assert p.cycles() == [(0, 1, 2), (3, 4)]
+        assert len(p.cycles(include_fixed=True)) == 4
+        assert p.cycle_string() == "(0 1 2)(3 4)"
+        assert walks == [7]
+        # a power is a new permutation with a walk of its own
+        assert (p ** 2).order() == 3
+        assert walks == [7, 7]
+
+    def test_returned_lists_are_copies(self):
+        p = parse_cycles("(0 1 2)(3 4)", 7)
+        got = p.cycles()
+        got.append((5, 6))
+        got[0] = (9,)
+        full = p.cycles(include_fixed=True)
+        full.clear()
+        assert p.cycles() == [(0, 1, 2), (3, 4)]
+        assert p.cycles(include_fixed=True) == [(0, 1, 2), (3, 4), (5,), (6,)]
+
+
+class TestRefusalMessages:
+    # The exact texts are part of the interface: CLI errors and map
+    # parsing report them.
+    @pytest.mark.parametrize(
+        "text, degree, message",
+        [
+            ("(0 1)(1 2)", None, "point 1 appears in two cycles"),
+            ("(0,1)(3,3)", None, "point 3 appears in two cycles"),
+            ("(0 1)(2 5)", 4, "point 5 out of range for degree 4"),
+            ("(0 -1)", 3, "point -1 out of range for degree 3"),
+            ("(0 -1)", None, "point -1 out of range for degree 1"),
+            ("(0 1)()", None, "empty cycle in '(0 1)()'"),
+            ("()(a)", None, "empty cycle in '()(a)'"),
+            ("(a)()", None, "invalid literal for int() with base 10: 'a'"),
+            ("0 1", None, "bad cycle notation: '0 1'"),
+            ("(0 1", None, "bad cycle notation: '(0 1'"),
+            ("(0 1) (2 3)", None, "invalid literal for int() with base 10: '1)'"),
+        ],
+    )
+    def test_parse_cycles(self, text, degree, message):
+        with pytest.raises(ValueError) as exc:
+            parse_cycles(text, degree)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "cycles, degree, message",
+        [
+            ([(0, 1), (1, 2)], 3, "point 1 appears in two cycles"),
+            ([(0, 1, 0)], 3, "point 0 appears in two cycles"),
+            ([(2, 0), (0, 9)], 3, "point 0 appears in two cycles"),
+            ([(3, 5), (5, 7)], 4, "point 5 out of range for degree 4"),
+            ([(-1, 0)], 3, "point -1 out of range for degree 3"),
+            ([(0, 10**30)], 3, f"point {10**30} out of range for degree 3"),
+        ],
+    )
+    def test_from_cycles(self, cycles, degree, message):
+        with pytest.raises(ValueError) as exc:
+            from_cycles(degree, cycles)
+        assert str(exc.value) == message
+
+    def test_empty_cycles_are_skipped(self):
+        assert from_cycles(5, [(0, 1), (), (2, 3, 4)]) == parse_cycles("(0 1)(2 3 4)")
+        assert from_cycles(3, [()]).is_identity()
