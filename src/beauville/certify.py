@@ -21,7 +21,7 @@ from .atlas import basic_map
 from .construct import ConstructionPlan, MapPair, build_pair, with_free_stock_handles
 from .compose import pick_handle, self_join, CompositionError
 from .maps import new_map
-from .perm import an_conjugate, group_order, is_prime, is_transitive, parse_cycles
+from .perm import an_conjugate, group_order, is_prime, parse_cycles
 
 __all__ = [
     "CertificationError",
@@ -74,12 +74,13 @@ def jordan_certify(m, p):
 
     Hypotheses: (i) <x, y> transitive; (ii) some w-cycle has prime length
     p <= n-3; (iii) p is coprime to every other cycle length of w;
-    (iv) that cycle is useful (witnesses for x and y recorded).
+    (iv) that cycle is useful (witnesses for x and y recorded).  (i) holds
+    for every map, so it is not re-checked: a map is only built after it
+    passes `HurwitzMap._validate`, which refuses an intransitive <x, y>, or
+    relabels one that has.
     """
     if not is_prime(p):
         raise CertificationError(f"hypothesis (ii): {p} is not prime")
-    if not is_transitive([m.x, m.y], m.n):
-        raise CertificationError("hypothesis (i): <x, y> is not transitive")
     lengths = list(m.w_cycles.lengths())
     candidates = [c for c in m.w_cycles if len(c) == p]
     if not candidates:

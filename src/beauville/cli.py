@@ -172,11 +172,21 @@ def cmd_cover(args):
     return 0 if payload["verified"] else 1
 
 
+def _count_max(text):
+    """`--count-max`: one bound for all three fixed point counts, or three."""
+    try:
+        counts = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        counts = ()
+    if len(counts) not in (1, 3):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not one integer or three comma-separated integers"
+        )
+    return counts[0] if len(counts) == 1 else counts
+
+
 def cmd_min_degree(args):
-    count_max = tuple(int(v) for v in args.count_max.split(","))
-    if len(count_max) == 1:
-        count_max = count_max[0]
-    res = min_degree_search(g_max=args.g_max, count_max=count_max)
+    res = min_degree_search(g_max=args.g_max, count_max=args.count_max)
     payload = {
         "n": res.n,
         "witnesses": [[list(a), list(b)] for a, b in res.witnesses],
@@ -294,7 +304,7 @@ def build_parser():
 
     p = sub.add_parser("min-degree")
     p.add_argument("--g-max", type=int, default=3)
-    p.add_argument("--count-max", default="16,12,14")
+    p.add_argument("--count-max", type=_count_max, default="16,12,14")
     p.add_argument("--out")
     p.set_defaults(func=cmd_min_degree)
 

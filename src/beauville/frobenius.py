@@ -4,21 +4,29 @@ element-enumeration oracle for small permutation groups.
 The count n(X, Y, Z) of solutions of xyz = 1 with x, y, z in prescribed
 conjugacy classes comes from the classical character formula
 
-    (|X| |Y| |Z| / |G|) * sum over irreducibles of chi(x)chi(y)chi(z)/chi(1),
+    (|X| |Y| |Z| / |G|) * sum over irreducibles of chi(x)chi(y)chi(z)/chi(1).
 
-evaluated exactly in rational arithmetic when the needed values are
-rational and in floats (against a declared tolerance) otherwise.  Tables
-ship as data files; the parser validates the class equation, the table
-shape and row orthogonality at load.
+Character values are cyclotomic integers in GAP notation, integer
+combinations of the roots of unity E(n) = exp(2 pi i / n).  A table holds
+them over one conductor m, the lcm of its n, as sparse (exponent mod m,
+coefficient) pairs: products add exponents, sums add coefficients and
+conjugation negates exponents.  A sum that must be rational is
+reduced modulo the cyclotomic polynomial Phi_m and must come out
+constant, so every check and count is exact.  Tables ship as data files;
+the parser validates the class equation, the table shape, the degrees
+and row orthogonality at load.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
-from .perm import parse_cycles
+from .perm import identity, parse_cycles
 
 __all__ = [
     "TableError",
@@ -33,9 +41,10 @@ __all__ = [
     "conjugacy_classes",
 ]
 
-TABLE_FORMAT_VERSION = "beauville-table v1"
-INTEGRALITY_TOL = 1e-6
-ORTHOGONALITY_TOL = 1e-9
+TABLE_FORMAT_VERSION = "beauville-table v2"
+# Largest conductor accepted, for a single E(n) and for a whole table; the
+# reduction modulo Phi_m allocates m coefficients.
+MAX_CONDUCTOR = 1000
 
 BUNDLED_TABLES = ("s3", "s4", "a4", "a5", "l2_13")
 
@@ -56,16 +65,24 @@ class ClassInfo:
 class CharacterTable:
     """Class data plus the matrix of irreducible character values.
 
-    Values are stored as (Fraction, Fraction) pairs when exactly
-    rational, else as complex floats; mixed rows are allowed.
+    `characters` holds `parse_value` results.  The conductor is the lcm of
+    their n, and each value is kept as (exponent mod conductor,
+    coefficient) pairs.
     """
 
     def __init__(self, group_name, order, classes, characters):
         self.group_name = group_name
         self.order = order
         self.classes = list(classes)
-        self.characters = [list(row) for row in characters]
         self.index = {c.name: i for i, c in enumerate(self.classes)}
+        m = math.lcm(1, *(n for row in characters for v in row for n, _, _ in v))
+        if m > MAX_CONDUCTOR:
+            raise TableError(f"the values need conductor {m}, above {MAX_CONDUCTOR}")
+        self.conductor = m
+        self.characters = [
+            [tuple((k * (m // n) % m, c) for n, k, c in v) for v in row]
+            for row in characters
+        ]
         self._validate()
 
     def _validate(self):
@@ -81,20 +98,32 @@ class CharacterTable:
         for c in self.classes:
             if c.inverse not in self.index:
                 raise TableError(f"inverse class {c.inverse!r} of {c.name!r} unknown")
-        # row orthogonality: sum |C| chi(C) conj(psi(C)) = |G| [chi == psi]
+        m = self.conductor
+        ident = self.index[_identity_class(self)]
+        degrees = []
+        for i, row in enumerate(self.characters):
+            rem = _reduce(row[ident], m)
+            if any(rem[1:]) or rem[0] <= 0:
+                raise TableError(f"character {i} has degree {_format(rem, m)}")
+            degrees.append(rem[0])
+        # frobenius_count weighs row i by lcm(degrees) / degree i
+        self.degree_lcm = math.lcm(*degrees)
+        self.weights = [self.degree_lcm // d for d in degrees]
+        # row orthogonality: sum |C| chi(C) conj(psi(C)) = |G| [chi == psi];
+        # the (j, i) sum is the conjugate of the (i, j) one
         for i, chi in enumerate(self.characters):
-            for j, psi in enumerate(self.characters):
-                total = 0j
-                for c, a, b in zip(self.classes, chi, psi):
-                    total += c.size * _to_complex(a) * _to_complex(b).conjugate()
-                want = self.order if i == j else 0
-                if abs(total - want) > ORTHOGONALITY_TOL * self.order:
+            for j, psi in enumerate(self.characters[: i + 1]):
+                rem = _reduce(
+                    ((ea - eb, c.size * ca * cb)
+                     for c, a, b in zip(self.classes, chi, psi)
+                     for ea, ca in a for eb, cb in b),
+                    m,
+                )
+                if rem != [self.order if i == j else 0] + [0] * (len(rem) - 1):
                     raise TableError(
-                        f"row orthogonality fails for characters {i}, {j}: {total}"
+                        f"row orthogonality fails for characters {i}, {j}: "
+                        f"{_format(rem, m)}"
                     )
-
-    def degree(self, row):
-        return self.characters[row][self.index[_identity_class(self)]]
 
     def class_named(self, name):
         try:
@@ -104,11 +133,7 @@ class CharacterTable:
 
     def representatives(self, degree=None):
         """Permutation representatives, when the table carries them."""
-        out = {}
-        for c in self.classes:
-            if c.rep:
-                out[c.name] = parse_cycles(c.rep, degree=degree)
-        return out
+        return {c.name: parse_cycles(c.rep, degree=degree) for c in self.classes if c.rep}
 
 
 def _identity_class(table):
@@ -118,64 +143,88 @@ def _identity_class(table):
     raise TableError("no identity class")
 
 
-def _to_complex(v):
-    if isinstance(v, tuple):
-        return complex(float(v[0]), float(v[1]))
-    return complex(v)
+# -- cyclotomic arithmetic ------------------------------------------------------
 
 
-def _all_rational(values):
-    return all(isinstance(v, tuple) for v in values)
+@lru_cache(maxsize=None)
+def _cyclotomic(m):
+    """Phi_m as its degree and its nonzero (power, coefficient) terms below
+    the leading 1: x^m - 1 divided by Phi_d for every proper divisor d."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _divide(poly, d)[0]
+    return len(poly) - 1, tuple((k, c) for k, c in enumerate(poly[:-1]) if c)
 
 
-def _cmul(a, b):
-    """Exact complex product of (re, im) Fraction pairs."""
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _divide(poly, m):
+    """Quotient and remainder of an integer polynomial (coefficients from
+    the constant term up) by Phi_m."""
+    deg, terms = _cyclotomic(m)
+    poly = list(poly)
+    quotient = [0] * max(len(poly) - deg, 0)
+    for top in range(len(poly) - 1, deg - 1, -1):
+        c = poly[top]
+        if c:
+            quotient[top - deg] = c
+            for k, ck in terms:
+                poly[top - deg + k] -= c * ck
+    return quotient, poly[:deg]
+
+
+def _reduce(terms, m):
+    """The canonical coefficients of sum c E(m)^e over (e, c) terms: its
+    remainder modulo Phi_m, rational iff only the constant one is nonzero."""
+    acc = [0] * m
+    for e, c in terms:
+        acc[e % m] += c
+    return _divide(acc, m)[1]
+
+
+def _format(coeffs, m):
+    """GAP notation for sum coeffs[k] E(m)^k."""
+    terms = [f"{c}*E({m})^{k}" if k else str(c) for k, c in enumerate(coeffs) if c]
+    # drop unit coefficients and first powers: 1*E(7)^1 -> E(7)
+    return re.sub(r"\b1\*|\^1\b", "", "+".join(terms).replace("+-", "-")) or "0"
 
 
 # -- file format ---------------------------------------------------------------
 
+_TERM = re.compile(r"([+-]?)(?:(?:(\d+)\*)?E\((\d+)\)(?:\^(\d+))?|(\d+))")
+
 
 def parse_value(tok):
-    """Parse `a/b`, `a/b+c/d i`, or decimal forms of a character value."""
-    tok = tok.strip()
-    if tok.endswith("i"):
-        body = tok[:-1]
-        # split real and imaginary at the last +/- not at position 0
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "eE/":
-                re_part, im_part = body[:pos], body[pos:]
-                break
-        else:
-            re_part, im_part = "0", body
-        if im_part in ("+", "-"):
-            im_part += "1"
-        re_v = _parse_real(re_part)
-        im_v = _parse_real(im_part)
-        if isinstance(re_v, Fraction) and isinstance(im_v, Fraction):
-            return (re_v, im_v)
-        return complex(float(re_v), float(im_v))
-    v = _parse_real(tok)
-    return (v, Fraction(0)) if isinstance(v, Fraction) else complex(v, 0.0)
+    """Parse a value in GAP notation (`3`, `E(3)^2`, `-E(7)-E(7)^6`,
+    `2*E(5)+1`) into its terms (n, k, c), each standing for c E(n)^k; an
+    integer c is the term (1, 0, c)."""
+    terms = []
+    pos = 0
+    while not terms or pos < len(tok):
+        mt = _TERM.match(tok, pos)
+        if mt is None or (terms and not mt.group(1)):
+            raise TableError(f"bad value {tok!r}: expected terms like 3, -E(5), 2*E(7)^3")
+        sign, coef, n, k, const = mt.groups()
+        if n is not None and not 0 < int(n) <= MAX_CONDUCTOR:
+            raise TableError(f"bad value {tok!r}: E({n}) is not in E(1)..E({MAX_CONDUCTOR})")
+        c = int(const or coef or 1) * (-1 if sign == "-" else 1)
+        terms.append((int(n or 1), int(k or 1) if n else 0, c))
+        pos = mt.end()
+    return tuple(terms)
 
 
-def _parse_real(tok):
-    tok = tok.strip()
-    if not tok:
-        raise TableError("empty value")
-    if "." in tok or "e" in tok.lower():
-        return float(tok)
-    if "/" in tok:
-        num, den = tok.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(tok))
+def _int(tok, line):
+    try:
+        return int(tok)
+    except ValueError:
+        raise TableError(f"bad integer {tok!r} in line {line!r}") from None
 
 
 def parse_table(text):
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != TABLE_FORMAT_VERSION:
-        raise TableError(f"expected header {TABLE_FORMAT_VERSION!r}")
+        got = f", got {lines[0]!r}" if lines else ""
+        raise TableError(f"expected header {TABLE_FORMAT_VERSION!r}{got}")
     group_name = None
     order = None
     classes = []
@@ -185,14 +234,16 @@ def parse_table(text):
         if key == "group":
             group_name = rest.strip()
         elif key == "order":
-            order = int(rest)
+            order = _int(rest, ln)
         elif key == "class":
             parts = rest.split()
             if len(parts) not in (4, 5):
                 raise TableError(f"bad class line: {ln!r}")
             name, size, rep_order, inverse = parts[:4]
             rep = parts[4] if len(parts) == 5 else ""
-            classes.append(ClassInfo(name, int(size), int(rep_order), inverse, rep))
+            classes.append(
+                ClassInfo(name, _int(size, ln), _int(rep_order, ln), inverse, rep)
+            )
         elif key == "char":
             characters.append([parse_value(tok) for tok in rest.split()])
         else:
@@ -203,8 +254,14 @@ def parse_table(text):
 
 
 def load_table(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_table(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise TableError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise TableError(f"cannot read {path}: not UTF-8 text") from None
+    return parse_table(text)
 
 
 def bundled_table(name):
@@ -220,45 +277,26 @@ def bundled_table(name):
 def frobenius_count(table, x_name, y_name, z_name):
     """The number of solutions of xyz = 1 in the three named classes.
 
-    Rounded to the nearest integer; a pre-rounding deviation beyond the
-    tolerance signals a bad table and raises.
+    Each character's term is weighed by lcm(degrees) / chi(1), so the sum
+    is a cyclotomic integer; it must reduce to a rational integer s, and
+    |X| |Y| |Z| s / (|G| lcm(degrees)) must be an integer.
     """
-    cx = table.class_named(x_name)
-    cy = table.class_named(y_name)
-    cz = table.class_named(z_name)
+    cx, cy, cz = (table.class_named(nm) for nm in (x_name, y_name, z_name))
     ix, iy, iz = (table.index[c.name] for c in (cx, cy, cz))
-    id_idx = table.index[_identity_class(table)]
-
-    exact = (Fraction(0), Fraction(0))
-    approx = 0j
-    all_exact = True
-    for row in table.characters:
-        vx, vy, vz, deg = row[ix], row[iy], row[iz], row[id_idx]
-        if _all_rational((vx, vy, vz, deg)):
-            num = _cmul(_cmul(vx, vy), vz)
-            # degrees are rational reals
-            term = (num[0] / deg[0], num[1] / deg[0])
-            exact = (exact[0] + term[0], exact[1] + term[1])
-            approx += complex(float(term[0]), float(term[1]))
-        else:
-            all_exact = False
-            approx += (
-                _to_complex(vx) * _to_complex(vy) * _to_complex(vz) / _to_complex(deg)
-            )
-    scale = Fraction(cx.size * cy.size * cz.size, table.order)
-    if all_exact:
-        if exact[1] != 0:
-            raise TableError(f"count has a residual imaginary part {exact[1]}")
-        value = scale * exact[0]
-        if value.denominator != 1:
-            raise TableError(f"non-integral count {value} from an exact table")
-        return int(value)
-    value = float(scale) * approx
-    if abs(value.imag) > INTEGRALITY_TOL or abs(value.real - round(value.real)) > INTEGRALITY_TOL:
-        raise TableError(
-            f"count {value} deviates from an integer beyond {INTEGRALITY_TOL}"
-        )
-    return int(round(value.real))
+    m = table.conductor
+    terms = (
+        (ex + ey + ez, w * ax * ay * az)
+        for row, w in zip(table.characters, table.weights)
+        for ex, ax in row[ix] for ey, ay in row[iy] for ez, az in row[iz]
+    )
+    rem = _reduce(terms, m)
+    triple = f"({x_name}, {y_name}, {z_name})"
+    if any(rem[1:]):
+        raise TableError(f"the character sum for {triple} is {_format(rem, m)}, not rational")
+    count = Fraction(cx.size * cy.size * cz.size * rem[0], table.order * table.degree_lcm)
+    if count.denominator != 1:
+        raise TableError(f"non-integral count {count} for {triple}")
+    return int(count)
 
 
 def class_sum_coefficient(table, x_name, y_name, z_name):
@@ -277,11 +315,8 @@ def enumerate_group(gens, cap=10_000):
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    n = gens[0].degree
-    from .perm import identity
-
-    seen = {identity(n)}
-    frontier = [identity(n)]
+    seen = {identity(gens[0].degree)}
+    frontier = list(seen)
     while frontier:
         nxt = []
         for p in frontier:
@@ -329,22 +364,9 @@ def brute_count(gens, x_rep, y_rep, z_rep, cap=10_000):
     conjugate (inside <gens>) to the given representative."""
     elements = enumerate_group(gens, cap=cap)
     classes = conjugacy_classes(elements, list(gens))
-    class_of = {}
-    for idx, cl in enumerate(classes):
-        for p in cl:
-            class_of[p] = idx
+    class_of = {p: idx for idx, cl in enumerate(classes) for p in cl}
     try:
-        cx = class_of[x_rep]
-        cy = class_of[y_rep]
-        cz = class_of[z_rep]
+        cx, cy, cz = (class_of[r] for r in (x_rep, y_rep, z_rep))
     except KeyError as exc:
         raise ValueError(f"representative {exc} is not in the group") from None
-    count = 0
-    xs = classes[cx]
-    ys = classes[cy]
-    for x in xs:
-        for y in ys:
-            z = (x * y).inverse()
-            if class_of[z] == cz:
-                count += 1
-    return count
+    return sum(class_of[(x * y).inverse()] == cz for x in classes[cx] for y in classes[cy])

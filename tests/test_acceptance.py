@@ -250,7 +250,7 @@ def test_criterion_9_frobenius_cross_oracle():
     a = basic_map("A")
     gens["l2_13"] = [a.x, a.y]
     for name in BUNDLED_TABLES:
-        table = bundled_table(name)  # load re-checks orthogonality at 1e-9
+        table = bundled_table(name)  # load re-checks orthogonality exactly
         _cross_oracle(table, gens[name])
     report(9, t0, 120)
 

@@ -8,6 +8,7 @@ from beauville.certify import (
     CertificationError,
     alternating_order_oracle,
     beauville_check,
+    certificate_maps,
     certificate_to_json,
     certify_cover,
     certify_dhb,
@@ -17,6 +18,7 @@ from beauville.certify import (
 )
 from beauville.compose import eval_expr, self_join
 from beauville.construct import ConstructionPlan, build_pair, minimal_plan
+from beauville.perm import from_cycles
 
 
 class TestJordan:
@@ -125,6 +127,24 @@ class TestDHB:
         imgs = doc["w1"]["x_images"]
         imgs[0], imgs[1] = imgs[1], imgs[0]
         assert not verify_certificate(json.dumps(doc))
+
+    def test_intransitive_member_rejected(self):
+        # 21 disjoint copies of map A have degree 294 and satisfy every
+        # relation; only the transitivity check of map validation stops them
+        doc = json.loads(certificate_to_json(certify_dhb(minimal_plan(0))))
+        a = basic_map("A")
+        for gen in ("x", "y", "t"):
+            cycles = [
+                tuple(14 * k + p for p in c)
+                for k in range(21)
+                for c in getattr(a, gen).cycles()
+            ]
+            perm = from_cycles(294, cycles)
+            doc["w1"][gen] = perm.cycle_string()
+            doc["w1"][f"{gen}_images"] = list(perm.images)
+        with pytest.raises(CertificationError, match="w1: <x, y> is not transitive"):
+            certificate_maps(doc)
+        assert verify_certificate(doc) is False
 
     MISSING = ("w1", "w2", "n", "prime", "jordan1", "jordan2", "v_difference")
 

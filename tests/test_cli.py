@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from beauville.cli import main
 
 
@@ -142,6 +144,37 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "1000000000000000003" in err and "3037000499" in err, err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("beauville-table v2\ngroup X\norder abc\n", "'order abc'"),
+            ("beauville-table v2\ngroup X\norder 1\nclass 1A one 1 1A\nchar 1\n", "'one'"),
+            ("beauville-table v2\ngroup X\norder 1\nclass 1A 1 1 1A\nchar 1/0\n", "'1/0'"),
+            ("beauville-table v1\ngroup X\norder 1\nclass 1A 1 1 1A\nchar 1\n", "v2"),
+            (b"\xff\xfe", "not UTF-8"),
+            (None, "cannot read"),
+        ],
+        ids=["order", "class-size", "value", "v1-header", "binary", "missing"],
+    )
+    def test_malformed_table(self, tmp_path, capsys, text, named):
+        path = tmp_path / "t.tbl"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
+            path.write_text(text)
+        code = main(["frobenius", "--table", str(path), "--classes", "1A,1A,1A"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err, err
+
+    @pytest.mark.parametrize("value", ["abc", "1,2"])
+    def test_min_degree_bad_count_max(self, capsys, value):
+        code = main(["min-degree", "--count-max", value])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"error: argument --count-max: {value!r}" in err, err
 
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2

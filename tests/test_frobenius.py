@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,6 +8,7 @@ import pytest
 from beauville.atlas import basic_map
 from beauville.frobenius import (
     BUNDLED_TABLES,
+    MAX_CONDUCTOR,
     TableError,
     brute_count,
     bundled_table,
@@ -22,62 +26,104 @@ def s3_gens():
     return [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)")]
 
 
+C3_TABLE = (
+    "beauville-table v2\ngroup C3\norder 3\n"
+    "class 1A 1 1 1A id\n"
+    "class 3A 1 3 3B (0,1,2)\n"
+    "class 3B 1 3 3A (0,2,1)\n"
+    "char 1 1 1\n"
+    "char 1 E(3) E(3)^2\n"
+    "char 1 E(3)^2 E(3)\n"
+)
+
+
 class TestParsing:
     def test_values(self):
-        assert parse_value("3") == (Fraction(3), Fraction(0))
-        assert parse_value("-1/2") == (Fraction(-1, 2), Fraction(0))
-        assert parse_value("1/2+3/4i") == (Fraction(1, 2), Fraction(3, 4))
-        v = parse_value("-0.5+0.8660254037844386i")
-        assert isinstance(v, complex) and abs(v - complex(-0.5, 0.8660254037844386)) < 1e-15
+        assert parse_value("3") == ((1, 0, 3),)
+        assert parse_value("-1") == ((1, 0, -1),)
+        assert parse_value("E(3)^2") == ((3, 2, 1),)
+        assert parse_value("-E(7)-E(7)^6") == ((7, 1, -1), (7, 6, -1))
+        assert parse_value("2*E(4)+E(6)^3") == ((4, 1, 2), (6, 3, 1))
+        assert parse_value("+5-3*E(5)^11") == ((1, 0, 5), (5, 11, -3))
+        # float input is gone with the v1 format
+        with pytest.raises(TableError, match="bad value"):
+            parse_value("-0.5+0.8660254037844386i")
+
+    @pytest.mark.parametrize(
+        "tok",
+        ["E(0)", "1.5", "1/2", "1/0", "E(3)^", "2E", "E(3)E(3)", "", "+", "2*3", "i"],
+    )
+    def test_malformed_values(self, tok):
+        with pytest.raises(TableError) as exc:
+            parse_value(tok)
+        assert repr(tok) in str(exc.value)
+
+    def test_conductor_bound(self):
+        t0 = time.perf_counter()
+        with pytest.raises(TableError, match=r"E\(1000000007\)"):
+            parse_value("E(1000000007)")
+        with pytest.raises(TableError, match=rf"E\({MAX_CONDUCTOR + 1}\)"):
+            parse_value(f"E({MAX_CONDUCTOR + 1})")
+        assert parse_value(f"E({MAX_CONDUCTOR})") == ((MAX_CONDUCTOR, 1, 1),)
+        # each root is within the bound, their lcm 3 * 997 * 991 is not
+        text = C3_TABLE.replace("char 1 1 1\n", "char 1 E(997)-E(997)+1 E(991)-E(991)+1\n")
+        with pytest.raises(TableError, match="conductor 2964081, above 1000"):
+            parse_table(text)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_bad_header(self):
         with pytest.raises(TableError):
             parse_table("nope\n")
+        with pytest.raises(TableError, match="beauville-table v2"):
+            parse_table(C3_TABLE.replace("v2", "v1"))
+
+    def test_bad_integer_fields(self):
+        with pytest.raises(TableError, match="'abc' in line 'order abc'"):
+            parse_table(C3_TABLE.replace("order 3", "order abc"))
+        with pytest.raises(TableError, match="'one'"):
+            parse_table(C3_TABLE.replace("class 1A 1 1", "class 1A one 1"))
 
     def test_orthogonality_enforced(self):
         bad = (
-            "beauville-table v1\ngroup X\norder 2\n"
+            "beauville-table v2\ngroup X\norder 2\n"
             "class 1A 1 1 1A\nclass 2A 1 2 2A\n"
             "char 1 1\nchar 1 1\n"
         )
         with pytest.raises(TableError, match="orthogonality"):
             parse_table(bad)
 
-    def test_exact_complex_values(self):
-        # cyclic group of order 3 with exact Eisenstein-rational entries is
-        # beyond the bundled data but legal in the format; counts must come
-        # out exactly (here every value is rational-complex)
-        import math
+    def test_orthogonality_names_characters_of_irrational_sum(self):
+        # against the trivial row, 1 + E(3)^2 + E(3)^2 = -1 - 2 E(3)
+        text = C3_TABLE.replace("char 1 E(3)^2 E(3)\n", "char 1 E(3)^2 E(3)^2\n")
+        with pytest.raises(TableError, match=r"characters 2, 0: -1-2\*E\(3\)$"):
+            parse_table(text)
 
-        s = math.sqrt(3) / 2
-        text = (
-            "beauville-table v1\ngroup C3\norder 3\n"
-            "class 1A 1 1 1A id\n"
-            "class 3A 1 3 3B (0,1,2)\n"
-            "class 3B 1 3 3A (0,2,1)\n"
-            "char 1 1 1\n"
-            f"char 1 -1/2+{s!r}i -1/2-{s!r}i\n"
-            f"char 1 -1/2-{s!r}i -1/2+{s!r}i\n"
-        )
-        t = parse_table(text)
+    def test_degree_must_be_a_positive_integer(self):
+        text = C3_TABLE.replace("char 1 E(3) E(3)^2", "char E(3) E(3)^2 1")
+        with pytest.raises(TableError, match=r"character 1 has degree E\(3\)"):
+            parse_table(text)
+
+    def test_exact_complex_values(self):
+        # cyclic group of order 3, values the primitive cube roots of unity
+        t = parse_table(C3_TABLE)
+        assert t.conductor == 3
         # x * y = identity forces y = x^-1
         assert frobenius_count(t, "3A", "3B", "1A") == 1
         assert frobenius_count(t, "3A", "3A", "3A") == 1
         assert frobenius_count(t, "3A", "3A", "1A") == 0
 
     def test_exact_gaussian_values(self):
-        # cyclic group of order 4: character values are exact Gaussian
-        # rationals, driving the exact-complex arithmetic end to end
+        # cyclic group of order 4: character values are Gaussian integers
         text = (
-            "beauville-table v1\ngroup C4\norder 4\n"
+            "beauville-table v2\ngroup C4\norder 4\n"
             "class 1A 1 1 1A id\n"
             "class 4A 1 4 4B (0,1,2,3)\n"
             "class 2A 1 2 2A (0,2)(1,3)\n"
             "class 4B 1 4 4A (0,3,2,1)\n"
             "char 1 1 1 1\n"
-            "char 1 0+1i -1 0-1i\n"
+            "char 1 E(4) -1 -E(4)\n"
             "char 1 -1 1 -1\n"
-            "char 1 0-1i -1 0+1i\n"
+            "char 1 E(4)^3 -1 E(4)\n"
         )
         t = parse_table(text)
         assert frobenius_count(t, "4A", "4A", "2A") == 1
@@ -85,9 +131,24 @@ class TestParsing:
         assert frobenius_count(t, "4A", "4A", "1A") == 0
         assert frobenius_count(t, "2A", "2A", "1A") == 1
 
+    def test_irrational_count_refused(self):
+        # rows orthonormal over weight-1 classes, but not the character
+        # table of any group: the (1A, 2A, 2A) sum is 2 - 2 E(8)^2
+        text = (
+            "beauville-table v2\ngroup F\norder 4\n"
+            "class 1A 1 1 1A\nclass 2A 1 2 2A\nclass 2B 1 2 2B\nclass 2C 1 2 2C\n"
+            "char 1 1 1 1\n"
+            "char 1 E(8)^3 -1 E(8)^7\n"
+            "char 1 -1 1 -1\n"
+            "char 1 E(8)^7 -1 E(8)^3\n"
+        )
+        t = parse_table(text)
+        with pytest.raises(TableError, match=r"\(1A, 2A, 2A\) is 2-2\*E\(8\)\^2, not rational"):
+            frobenius_count(t, "1A", "2A", "2A")
+
     def test_class_sum_mismatch(self):
         bad = (
-            "beauville-table v1\ngroup X\norder 3\n"
+            "beauville-table v2\ngroup X\norder 3\n"
             "class 1A 1 1 1A\nclass 2A 1 2 2A\n"
             "char 1 1\nchar 1 -1\n"
         )
@@ -151,6 +212,29 @@ class TestCounts:
                 assert cz.size * class_sum_coefficient(t4, x, x, z) == frobenius_count(
                     t4, x, x, cz.inverse
                 )
+
+
+# SHA-256 of "X,Y,Z count" lines over every class triple (class names
+# sorted) of each bundled table; taken from the float-valued tables that
+# preceded the exact cyclotomic format, so any count that moved fails here.
+COUNT_DIGESTS = {
+    "s3": "4b9db51bc309bb8ef220baaf938ac299005792878a7a6eb3c5262e042e97fe6d",
+    "s4": "d41e9af94175ff96a66b1fb75e40a3f9696fe57a83ad518bee4e09c5faf3cd7e",
+    "a4": "0b1c96bf5f445d5f3b37152f9e63f806adb6c6125e8f0de0fb03fd3c6868c60f",
+    "a5": "d04f6363f53d999e925855596416cf387698204c9b5c7146d53274b46d131472",
+    "l2_13": "dcbab84c3845570cf59c5d1200670fb24477f9c200b043a686671883d42e8e65",
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED_TABLES)
+def test_every_count_pinned(name):
+    table = bundled_table(name)
+    names = sorted(c.name for c in table.classes)
+    text = "".join(
+        f"{x},{y},{z} {frobenius_count(table, x, y, z)}\n"
+        for x, y, z in itertools.product(names, repeat=3)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == COUNT_DIGESTS[name]
 
 
 class TestEnumeration:

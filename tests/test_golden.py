@@ -166,6 +166,10 @@ GOLDEN = {
         "0eb34e4f9e388217ed43ff903e21f534d64500d472a1861e52836580ae5e6df4",
     "cover --r 9 --s 3":
         "9afddabe3014c05995cb4525195aa4c2446f1117d1d7030101fcf8e2cec2dfc2",
+    "frobenius --table a5 --classes 2A,3A,5A":
+        "2ab32c2ebb80cee3570015b4534b25cd7ab3c84b6a0000629472b6a28408a4a8",
+    "frobenius --table l2_13 --classes 2A,3A,7A":
+        "a51ad388c3d10d5a23ba580d36f950bcb930b9b2ca6e317e41ed90e1b57b552a",
     "lift --r 0 --s 3 --p 7 --t1 3":
         "eacc908738a155e86ae0bae2bae2706af528e89f692c2958bd2d1cc26f4aa459",
     "lift --r 1 --s 3 --p 7 --t1 3":
