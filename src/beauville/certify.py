@@ -21,7 +21,7 @@ from .atlas import basic_map
 from .construct import ConstructionPlan, MapPair, build_pair, with_free_stock_handles
 from .compose import pick_handle, self_join, CompositionError
 from .maps import new_map
-from .perm import an_conjugate, group_order, is_prime, parse_cycles
+from .perm import an_conjugate, chain_row_bytes, group_order, is_prime, parse_cycles
 
 __all__ = [
     "CertificationError",
@@ -207,14 +207,25 @@ def certify_dhb(plan):
     return DHBCertificate(plan, pair, j1, j2, ev, dv)
 
 
-def alternating_order_oracle(m, max_degree=400):
+# Memory ceiling of the oracle's chain rows: 256 MiB covers every minimal,
+# small and shortcut pair, the largest (n = 589) needing about 205 MB.
+ORACLE_MAX_BYTES = 2**28
+
+
+def alternating_order_oracle(m, max_bytes=ORACLE_MAX_BYTES):
     """Independent stabilizer-chain check that |<x, y>| = n!/2.
 
     The generators are even, so n!/2 is a proven upper bound and reaching
-    it makes the chain order exact.  Degrees above the cap raise.
+    it makes the chain order exact.  A chain for A_n stores about n^3/2
+    row entries of 1 or 2 bytes (`perm.chain_row_bytes`); a degree whose
+    rows would exceed max_bytes raises before any work.
     """
-    if m.n > max_degree:
-        raise CertificationError(f"degree {m.n} above the oracle cap {max_degree}")
+    need = chain_row_bytes(m.n)
+    if need > max_bytes:
+        raise CertificationError(
+            f"degree {m.n} needs about {need} bytes of chain rows, "
+            f"above the oracle ceiling of {max_bytes} bytes"
+        )
     if not (m.x.is_even and m.y.is_even):
         raise CertificationError("oracle needs even generators")
     target = math.factorial(m.n) // 2
@@ -237,11 +248,16 @@ def min_degree_search(g_max=3, count_max=(16, 12, 14)):
     Degrees satisfy n = 84(g-1) + 21a + 28b + 36c; two signatures of
     equal degree automatically have a1 = a2 mod 4, b1 = b2 mod 3 and
     c1 = c2 mod 7, and the Beauville condition forces all three
-    differences to be non-zero.  Search bounds too small to contain any
-    solution raise rather than returning silently.
+    differences to be non-zero.  Negative bounds raise ValueError, and
+    bounds too small to contain any solution raise CertificationError
+    rather than returning silently.
     """
     if isinstance(count_max, int):
         count_max = (count_max, count_max, count_max)
+    if g_max < 0 or min(count_max) < 0:
+        raise ValueError(
+            f"search bounds must be non-negative: g_max={g_max}, count_max={count_max}"
+        )
     a_max, b_max, c_max = count_max
     by_degree = {}
     for g in range(g_max + 1):

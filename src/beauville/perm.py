@@ -25,6 +25,7 @@ __all__ = [
     "is_transitive",
     "orbit",
     "group_order",
+    "chain_row_bytes",
     "OrderInconclusive",
     "is_prime",
     "prime_divisors",
@@ -410,106 +411,147 @@ class OrderInconclusive(RuntimeError):
     """Raised when the randomized stabilizer chain fails to settle."""
 
 
+def _row_dtype(n):
+    # the narrowest unsigned dtype that holds every point 0..n-1
+    return np.min_scalar_type(n - 1)
+
+
+def chain_row_bytes(n):
+    """Bytes of the transversal rows group_order stores for a group whose
+    basic orbits have n, n - 1, ... points, as A_n and S_n do: n(n+1)/2
+    rows of n entries, about n^3/2."""
+    return n * n * (n + 1) // 2 * np.dtype(_row_dtype(n)).itemsize
+
+
 class _Level:
-    __slots__ = ("base", "gens", "invs", "uinv")
+    __slots__ = ("base", "uinv", "gens")
 
     def __init__(self, base, degree):
         self.base = base
+        # point -> inverse of a coset representative u with base^u = point
+        self.uinv = {base: np.arange(degree, dtype=_row_dtype(degree))}
+        # (image list, inverse array) of each generator of S^(i), shared
+        # with the other levels; None once the orbit is full
         self.gens = []
-        self.invs = []
-        # point -> inverse of a coset representative u with base^u = point,
-        # stored in the narrowest unsigned dtype that holds every point
-        self.uinv = {base: np.arange(degree, dtype=np.min_scalar_type(degree - 1))}
 
-    def add_gen(self, arr):
-        self.gens.append(arr)
-        inv = np.empty_like(arr)
-        inv[arr] = np.arange(arr.size, dtype=np.intp)
-        self.invs.append(inv)
-        self._grow()
-
-    def _grow(self):
-        images = [g.tolist() for g in self.gens]
-        frontier = list(self.uinv)
+    def extend(self, gen):
+        """Add a generator of S^(i) and close the orbit again."""
+        self.gens.append(gen)
+        uinv = self.uinv
+        images, inv = gen
+        # the old points need only the new generator, the new ones all
+        frontier = []
+        for pt in list(uinv):
+            img = images[pt]
+            if img not in uinv:
+                # u_img = u_pt * g, so u_img^-1 = g^-1 * u_pt^-1
+                uinv[img] = uinv[pt][inv]
+                frontier.append(img)
         while frontier:
             nxt = []
             for pt in frontier:
-                base_uinv = self.uinv[pt]
-                for g, ginv in zip(images, self.invs):
-                    img = g[pt]
-                    if img not in self.uinv:
-                        # u_img = u_pt * g, so u_img^-1 = g^-1 * u_pt^-1
-                        self.uinv[img] = base_uinv[ginv]
+                row = uinv[pt]
+                for images, inv in self.gens:
+                    img = images[pt]
+                    if img not in uinv:
+                        uinv[img] = row[inv]
                         nxt.append(img)
             frontier = nxt
 
-    def strip(self, arr):
-        """Multiply arr by the inverse coset representative of base^arr.
-
-        Returns None when base^arr is outside the basic orbit.  The result
-        is an intp array: numpy gathers indexed by a narrow array are
-        about three times slower.
-        """
-        pt = int(arr[self.base])
-        u = self.uinv.get(pt)
-        if u is None:
-            return None
-        if pt == self.base:
-            return arr
-        return u[arr].astype(np.intp)
-
 
 class _Chain:
+    """Stabilizer chain on one strong generating set S.
+
+    Each strong generator is tagged with the level i where it entered: it
+    fixes the bases b_0..b_{i-1} and moves b_i.  S^(i), the generators of
+    level i or deeper, is thus S intersected with the stabilizer of
+    b_0..b_{i-1}, and level i's orbit is closed under S^(i).
+    """
+
     def __init__(self, n):
         self.n = n
         self.levels = []
+        self.strong = []  # (entry level, image array) per strong generator
+        self.open = []  # indices of the levels whose orbit is not yet full
         self.order = 1  # product of the basic orbit sizes, kept by add
         self._id = np.arange(n, dtype=np.intp)
+        self._id_bytes = self._id.tobytes()
+
+    def is_identity(self, arr):
+        # ten times faster than np.array_equal for one intp array
+        return arr.tobytes() == self._id_bytes
 
     def sift(self, arr, start=0):
         """Strip arr through the levels from `start` on; return (residue,
-        level index where it dropped out)."""
-        for i in range(start, len(self.levels)):
-            nxt = self.levels[i].strip(arr)
-            if nxt is None:
-                return arr, i
-            arr = nxt
-        return arr, len(self.levels)
+        level index where it dropped out).
+
+        Each strip multiplies by the inverse coset representative of the
+        base image.  The residue is an intp array: numpy gathers indexed
+        by a narrow array are about three times slower.
+        """
+        levels = self.levels
+        for i in range(start, len(levels)):
+            lv = levels[i]
+            pt = arr.item(lv.base)
+            if pt != lv.base:
+                u = lv.uinv.get(pt)
+                if u is None:
+                    return arr, i
+                arr = u[arr].astype(np.intp)
+        return arr, len(levels)
 
     def add(self, arr):
         """Sift and, if a nontrivial residue remains, extend the chain."""
         res, i = self.sift(arr)
-        while not np.array_equal(res, self._id):
+        while not self.is_identity(res):
             if i == len(self.levels):
                 moved = int(np.flatnonzero(res != self._id)[0])
                 self.levels.append(_Level(moved, self.n))
-            lv = self.levels[i]
-            before = len(lv.uinv)
-            lv.add_gen(res)
-            self.order = self.order // before * len(lv.uinv)
+                self.open.append(i)
+            self._enter(res, i)
             # res fixes the bases of the levels before i, so its re-sift
-            # starts at level i and goes on from i + 1 only if that strip
-            # leaves more than the identity.
-            res = lv.strip(res)
-            if not np.array_equal(res, self._id):
-                res, i = self.sift(res, i + 1)
+            # starts at level i, where base^res is now in the orbit
+            res, i = self.sift(res, i)
+
+    def _enter(self, res, i):
+        """Make res a strong generator of level i: extend every open level
+        k <= i, and close the levels whose orbit reaches n - k points,
+        the most any group fixing b_0..b_{k-1} can have."""
+        self.strong.append((i, res))
+        inv = np.empty_like(res)
+        inv[res] = self._id
+        gen = (res.tolist(), inv)
+        still_open = []
+        for k in self.open:
+            if k <= i:
+                lv = self.levels[k]
+                before = len(lv.uinv)
+                lv.extend(gen)
+                self.order = self.order // before * len(lv.uinv)
+                if len(lv.uinv) == self.n - k:
+                    lv.gens = None
+                    continue
+            still_open.append(k)
+        self.open = still_open
 
     def verify(self):
         """Deterministic Schreier generator closure, bottom-up.
 
-        Returns True if the chain was already complete, False if it had to
-        be extended (in which case call again).
+        Every Schreier generator u * g * rep((b_i)^(u*g))^-1 of level i,
+        for u a coset representative and g in S^(i), must sift to the
+        identity; by Schreier's lemma this is complete.  Returns True if
+        the chain was already complete, False if it had to be extended
+        (in which case call again).
         """
         for i in reversed(range(len(self.levels))):
-            lv = self.levels[i]
-            for pt in list(lv.uinv):
+            gens = [g for k, g in self.strong if k >= i]
+            for row in list(self.levels[i].uinv.values()):
                 u = np.empty(self.n, dtype=np.intp)
-                u[lv.uinv[pt]] = self._id
-                for g in lv.gens:
-                    # Sifting u*g from level i strips the Schreier
-                    # generator u * g * rep((b_i)^(u*g))^-1.
-                    res, j = self.sift(g[u], i)
-                    if not np.array_equal(res, self._id):
+                u[row] = self._id
+                for g in gens:
+                    # sifting u*g from level i strips the Schreier generator
+                    res, _ = self.sift(g[u], i)
+                    if not self.is_identity(res):
                         self.add(res)
                         return False
         return True
@@ -518,16 +560,30 @@ class _Chain:
 def group_order(gens, upper_bound=None, rng=None, max_rounds=4096):
     """Exact order of the group generated by gens (stabilizer chain).
 
-    Without upper_bound the randomized chain is finished off with a full
-    deterministic Schreier-generator verification, so the result is exact.
+    The chain keeps one strong generating set S.  Each strong generator
+    enters at some level i: it fixes the base points b_0..b_{i-1} and
+    moves b_i.  S^(i) is the set of strong generators that entered at
+    level i or deeper, that is S intersected with the stabilizer of
+    b_0..b_{i-1}, and level i's basic orbit is the orbit of b_i under
+    S^(i).
+
     With upper_bound (a proven bound such as n!/2 for even generators) the
     computation stops as soon as the chain order reaches the bound: the
     orbit product never exceeds the true order, so equality is a proof.
+    Without upper_bound the same holds for the bound n! (n!/2 when every
+    generator is even); a chain that stops short of it is finished off
+    with the deterministic Schreier-generator verification, which is
+    complete because it runs over all of S^(i) at each level i, so the
+    result is exact.
 
     Memory: each chain level keeps one inverse coset representative, a row
     of n points, per point of its basic orbit.  For A_n that is about
-    n^3/2 row entries, 1 byte each up to degree 256 and 2 bytes above:
-    about 7.5 MB at n = 246 and 200 MB at n = 589.
+    n^3/2 row entries, 1 byte each up to degree 256 and 2 bytes above
+    (`chain_row_bytes`): about 7.5 MB at n = 246 and 205 MB at n = 589.
+    Each strong generator keeps its image array, 8n bytes, for the life
+    of the chain (about 1.5n of them for A_n, 4.2 MB at n = 589), and an
+    image list and inverse array, about 20n bytes, only while some level
+    k no deeper than its entry level has fewer than n - k orbit points.
     """
     gens = [g for g in gens if not g.is_identity()]
     if not gens:
@@ -536,16 +592,23 @@ def group_order(gens, upper_bound=None, rng=None, max_rounds=4096):
     if any(g.degree != n for g in gens):
         raise ValueError("generator degree mismatch")
     rng = rng or random.Random(0x237)
+    bound = upper_bound
+    if bound is None:
+        # |<gens>| <= n!, or n!/2 if every generator is even: a chain
+        # reaching it is complete, with no verification
+        bound = math.factorial(n) // (2 if all(g.is_even for g in gens) else 1)
     chain = _Chain(n)
-    for g in gens:
-        chain.add(g.array)
-        if upper_bound is not None and chain.order == upper_bound:
+    # intp arrays, the dtype the chain's identity test compares against
+    arrays = [g.array.astype(np.intp, copy=False) for g in gens]
+    for arr in arrays:
+        chain.add(arr)
+        if chain.order == bound:
             return chain.order
 
     # Product-replacement state for pseudo-random elements.
-    state = [g.array for g in gens]
+    state = list(arrays)
     while len(state) < 6:
-        state.append(state[len(state) % len(gens)])
+        state.append(state[len(state) % len(arrays)])
     acc = state[0]
 
     def random_element():
@@ -562,12 +625,11 @@ def group_order(gens, upper_bound=None, rng=None, max_rounds=4096):
 
     streak = 0
     for _ in range(max_rounds):
-        if upper_bound is not None:
-            got = chain.order
-            if got == upper_bound:
-                return got
-            if got > upper_bound:
-                raise ValueError("upper_bound exceeded; the bound was not valid")
+        got = chain.order
+        if got == bound:
+            return got
+        if got > bound:
+            raise ValueError("upper_bound exceeded; the bound was not valid")
         w = random_element()
         before = chain.order
         chain.add(w)
@@ -576,7 +638,7 @@ def group_order(gens, upper_bound=None, rng=None, max_rounds=4096):
             while not chain.verify():
                 pass
             return chain.order
-    if upper_bound is not None and chain.order == upper_bound:
+    if chain.order == bound:
         return chain.order
     if upper_bound is None:
         while not chain.verify():

@@ -18,7 +18,7 @@ from beauville.certify import (
 )
 from beauville.compose import eval_expr, self_join
 from beauville.construct import ConstructionPlan, build_pair, minimal_plan
-from beauville.perm import from_cycles
+from beauville.perm import chain_row_bytes, from_cycles
 
 
 class TestJordan:
@@ -191,6 +191,12 @@ class TestMinDegree:
     def test_default_bounds(self):
         assert min_degree_search().n == 168
 
+    @pytest.mark.parametrize("g_max, count_max", [(-5, 12), (2, -1), (2, (16, -12, 14))])
+    def test_negative_bounds_are_input_errors(self, g_max, count_max):
+        with pytest.raises(ValueError, match="non-negative") as exc:
+            min_degree_search(g_max=g_max, count_max=count_max)
+        assert not isinstance(exc.value, CertificationError)
+
 
 class TestCover:
     @pytest.mark.parametrize("r", [0, 2])
@@ -235,7 +241,12 @@ class TestOracle:
         assert alternating_order_oracle(pair.w1)
         assert alternating_order_oracle(pair.w2)
 
-    def test_degree_cap(self):
-        pair = build_pair(minimal_plan(8))  # n = 540
-        with pytest.raises(CertificationError, match="cap"):
-            alternating_order_oracle(pair.w1)
+    def test_byte_ceiling(self):
+        pair = build_pair(ConstructionPlan(8, 3, "small_n"))  # n = 246
+        need = chain_row_bytes(246)
+        with pytest.raises(CertificationError, match=f"needs about {need} bytes"):
+            alternating_order_oracle(pair.w1, max_bytes=need - 1)
+
+    def test_default_ceiling_covers_every_pair(self):
+        # the largest minimal, small and shortcut pair has degree 589
+        assert chain_row_bytes(589) <= certify.ORACLE_MAX_BYTES

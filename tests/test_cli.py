@@ -169,12 +169,21 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert named in err, err
 
-    @pytest.mark.parametrize("value", ["abc", "1,2"])
+    @pytest.mark.parametrize("value", ["abc", "1,2", "-1", "16,-12,14"])
     def test_min_degree_bad_count_max(self, capsys, value):
-        code = main(["min-degree", "--count-max", value])
+        code = main(["min-degree", f"--count-max={value}"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert f"error: argument --count-max: {value!r}" in err, err
+        assert err.count("error:") == 1, err
+
+    @pytest.mark.parametrize("value", ["-5", "abc"])
+    def test_min_degree_bad_g_max(self, capsys, value):
+        code = main(["min-degree", "--g-max", value])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"error: argument --g-max: {value!r}" in err, err
+        assert err.count("error:") == 1, err
 
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from beauville import perm
@@ -290,6 +291,103 @@ class TestGroupOrder:
         gens = [from_cycles(n, [(0, 1, 2)]), from_cycles(n, [cycle])]
         target = math.factorial(n) // 2
         assert group_order(gens, upper_bound=target) == target
+
+    def test_verification_is_complete(self):
+        # S_6; a check of each level's own generators only stops at 600,
+        # which does not divide 720
+        gens = [
+            parse_cycles("(0 1 3)(4 5)"),
+            parse_cycles("(0 1 3 4)(2 5)"),
+            parse_cycles("(0 4 3)", 6),
+        ]
+        assert group_order(gens) == 720
+
+    def test_matches_enumeration_sweep(self):
+        # group_order, and a bare chain finished by verify() alone, with
+        # no random elements to fill it first
+        rng = random.Random(2017)
+        for _ in range(300):
+            n = rng.randrange(3, 8)
+            gens = [perm.random_permutation(n, rng) for _ in range(rng.randrange(1, 4))]
+            want = len(brute_enumerate(gens))
+            assert group_order(gens) == want, gens
+            chain = chain_of(gens)
+            while not chain.verify():
+                pass
+            assert chain.order == want, gens
+
+
+def chain_of(gens):
+    chain = perm._Chain(gens[0].degree)
+    for g in gens:
+        chain.add(g.array)
+    return chain
+
+
+class TestChain:
+    def test_deeper_generator_extends_upper_orbits(self):
+        # (1 2) fixes the base 0, so it enters at level 1; level 0's orbit
+        # must still close under it
+        chain = chain_of([parse_cycles("(0 1)", 3), parse_cycles("(1 2)", 3)])
+        assert chain.order == 6
+        assert chain.verify()
+
+    def test_verify_runs_over_deeper_generators(self):
+        # S_4: both levels are full, so the chain sits at 4 * 3 = 12.  The
+        # Schreier generators of level 0 built from its own generator
+        # (0 3 2 1) all sift; one built from (1 3 2), which entered at
+        # level 1, does not
+        chain = chain_of([parse_cycles("(0 3 2 1)"), parse_cycles("(1 3 2)", 4)])
+        assert chain.order == 12
+        assert not chain.verify()
+        while not chain.verify():
+            pass
+        assert chain.order == 24
+
+    def test_strong_generating_set_invariants(self, monkeypatch):
+        # the A_257 generators of test_alternating_at_row_dtype_switch; the
+        # invariants are checked every 8 additions, while levels still open
+        n = 257
+        chains = []
+
+        class Checked(perm._Chain):
+            def __init__(self, degree):
+                super().__init__(degree)
+                self.adds = 0
+                chains.append(self)
+
+            def add(self, arr):
+                super().add(arr)
+                self.adds += 1
+                if self.adds % 8 == 0:
+                    check_strong_generating_set(self)
+
+        monkeypatch.setattr(perm, "_Chain", Checked)
+        gens = [from_cycles(n, [(0, 1, 2)]), from_cycles(n, [tuple(range(n))])]
+        target = math.factorial(n) // 2
+        assert group_order(gens, upper_bound=target) == target
+        (chain,) = chains
+        assert chain.adds > 8
+        check_strong_generating_set(chain)
+
+
+def check_strong_generating_set(chain):
+    """Each strong generator fixes the bases above its entry level j and
+    moves b_j; each level's orbit is closed under S^(i) and its rows map
+    their point back to the base."""
+    bases = [lv.base for lv in chain.levels]
+    for j, g in chain.strong:
+        assert (g[bases[:j]] == bases[:j]).all()
+        assert g[bases[j]] != bases[j]
+    tags = np.array([j for j, _ in chain.strong])
+    strong = np.array([g for _, g in chain.strong])
+    for i, lv in enumerate(chain.levels):
+        points = list(lv.uinv)
+        in_orbit = np.zeros(chain.n, dtype=bool)
+        in_orbit[points] = True
+        assert in_orbit[strong[tags >= i][:, points]].all(), f"level {i} not closed"
+        for pt, row in lv.uinv.items():
+            assert row[pt] == lv.base
 
 
 # -- kernels against a pure-Python reference ----------------------------------
