@@ -3,11 +3,12 @@
 The permutations act as matrices on F_p^n; replacing the involution by a
 rank-2 modification anchored at two free stock handles keeps all the
 (2,3,7) relations and pushes the group into SL_n(p).  The Beauville
-comparison survives as a fixed-subspace dimension count: dimensions are
-cycle counts, and the pair was built so that those differ position-wise.
+comparison survives as a fixed-subspace dimension count: each dimension
+is computed from its own matrix, it comes out as a cycle count of the map,
+and the pair was built so that those differ position-wise.
 """
 
-from beauville.construct import minimal_plan
+from beauville.construct import build_pair, minimal_plan
 from beauville.linlift import fixed_space_dim, lift_pair
 
 for p, t1 in ((2, 1), (3, 2), (5, 2)):
@@ -21,9 +22,13 @@ for p, t1 in ((2, 1), (3, 2), (5, 2)):
 
 rep = lift_pair(minimal_plan(0), 5, 2)
 tri = rep.triple1
+w1 = build_pair(rep.plan).w1
 print("structured arithmetic check for one member over F_5:")
 print("  dim fix(y) =", fixed_space_dim(tri.y),
-      "= cycle count of y =", len(tri.y_perm.cycles(include_fixed=True)))
+      "= cycle count of y =", len(w1.y.cycles(include_fixed=True)))
 print("  dim fix(x) =", fixed_space_dim(tri.x),
       "= cycle count of the involution minus 2 =",
-      len(tri.xi.cycles(include_fixed=True)) - 2)
+      len(w1.x.cycles(include_fixed=True)) - 2)
+print("  dim fix(z) =", fixed_space_dim(tri.z),
+      "= cycle count of the permutation x y =",
+      len((w1.x * w1.y).cycles(include_fixed=True)))

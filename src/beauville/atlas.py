@@ -8,6 +8,7 @@ row field from the permutations and compares.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -138,8 +139,6 @@ def validate_atlas(check_group_order=True):
 
 
 def _multiset_contains(big, small):
-    from collections import Counter
-
     return not (Counter(small) - Counter(big))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .atlas import basic_map
 from .construct import ConstructionPlan, MapPair, build_pair, with_free_stock_handles
-from .compose import pick_handle, self_join, CompositionError
+from .compose import k_compose, pick_handle, self_join, CompositionError
 from .maps import new_map
 from .perm import an_conjugate, chain_row_bytes, group_order, is_prime, parse_cycles
 
@@ -380,8 +380,6 @@ def _handle_at(m, points):
 
 def k_compose_at(m, points, other):
     """Join `other` by (1)-handles, the left side at the given point pair."""
-    from .compose import k_compose
-
     return k_compose(m, _handle_at(m, points), other, pick_handle(other, 1))
 
 
@@ -439,11 +437,15 @@ def _dhb_doc(cert):
         "w2": _map_doc(cert.pair.w2),
         "jordan1": _jordan_doc(cert.jordan1),
         "jordan2": _jordan_doc(cert.jordan2),
-        "beauville": {
-            k: {"method": m, "ok": ok, "detail": d}
-            for k, (m, ok, d) in cert.beauville.positions.items()
-        },
+        "beauville": _beauville_doc(cert.beauville),
         "v_difference": list(cert.v_difference),
+    }
+
+
+def _beauville_doc(ev):
+    return {
+        k: {"method": m, "ok": ok, "detail": d}
+        for k, (m, ok, d) in ev.positions.items()
     }
 
 
@@ -504,22 +506,26 @@ def verify_certificate(text_or_doc):
     """Re-verify a serialized certificate from its own payload alone.
 
     Rebuilds the maps from the embedded permutations, re-runs both Jordan
-    certifications and the Beauville comparison, and re-checks the stated
-    tau values for cover certificates.  No access to the construction
-    pipeline is needed.
+    certifications and the Beauville comparison, and requires the stated
+    jordan1, jordan2 and beauville sections to equal the recomputed ones
+    as serialized (types included); re-checks the v-difference, and the
+    tau values of cover certificates.  Any defect, a malformed document
+    included, gives False.  No access to the construction pipeline is
+    needed.
     """
-    doc = (
-        certificate_from_json(text_or_doc)
-        if isinstance(text_or_doc, str)
-        else text_or_doc
-    )
     try:
+        doc = (
+            certificate_from_json(text_or_doc)
+            if isinstance(text_or_doc, str)
+            else text_or_doc
+        )
+        if doc.get("schema") != SCHEMA:
+            return False
         w1, w2 = certificate_maps(doc)
         n, p, v_difference = doc["n"], doc["prime"], list(doc["v_difference"])
-        types1 = doc["jordan1"]["w_cycle_type"]
-        types2 = doc["jordan2"]["w_cycle_type"]
+        stated = [doc["jordan1"], doc["jordan2"], doc["beauville"]]
         tau = doc["tau"] if doc.get("kind") == "cover" else None
-    except (CertificationError, KeyError, TypeError):
+    except (AttributeError, CertificationError, KeyError, TypeError):
         return False
     if w1.n != n or w2.n != n:
         return False
@@ -542,4 +548,10 @@ def verify_certificate(text_or_doc):
         tau1, tau2 = w1.tau(), w2.tau()
         if [tau1, tau2] != tau or tau1 % 4 or tau2 % 4:
             return False
-    return list(j1.w_cycle_type) == types1 and list(j2.w_cycle_type) == types2
+    # compared as JSON text, which tells true from 1 and 7 from 7.0
+    evidence = [_jordan_doc(j1), _jordan_doc(j2), _beauville_doc(ev)]
+    try:
+        stated = json.dumps(stated, sort_keys=True)
+    except (TypeError, ValueError):
+        return False
+    return stated == json.dumps(evidence, sort_keys=True)

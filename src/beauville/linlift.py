@@ -9,20 +9,21 @@ group; x' is an involution commuting with xi, and the triple
 (x = x' xi, y, z = (xy)^-1) satisfies the (2,3,7) relations with all
 determinants 1.  Matrices are kept in a permutation-plus-sparse-columns
 form so products, determinants and fixed-space dimensions run in time
-linear in n; a dense mod-p Gaussian elimination validates the structured
-arithmetic on small instances.
+linear in n; one mod-p forward elimination serves every rank and
+determinant, and a dense fixed-space count validates the structured one
+on small instances.
 
-Beauville evidence at the matrix level compares fixed-subspace
-dimensions: the dimension for y is the number of cycles of y, for
-x = x' xi it is the number of cycles of xi minus 2, and for z it equals
-the number of cycles of the permutation xi y (whose conjugacy with xy
-the construction relies on).  The two members of a pair have different
-cycle counts in all three positions, so no position can be conjugate.
+Beauville evidence at the matrix level compares the fixed-subspace
+dimensions of x, y and z, each computed from its matrix.  They come out
+as cycle counts: that of y, that of xi minus 2 for x, and that of the
+permutation xi y for z.  The two members of a pair have different cycle
+counts in all three positions, so no position can be conjugate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -140,20 +141,7 @@ class PrimeFieldMatrix:
         return out % self.p
 
     def is_identity(self):
-        ident = np.arange(self.n)
-        touched = set(self.cor)
-        for j in range(self.n):
-            if j not in touched:
-                if self.perm[j] != j:
-                    return False
-        e = np.zeros(self.n, dtype=np.int64)
-        for j in touched:
-            col = self.column(j)
-            e[:] = 0
-            e[j] = 1
-            if not np.array_equal(col, e):
-                return False
-        return True
+        return self == identity_matrix(self.p, self.n)
 
     def __eq__(self, other):
         if not isinstance(other, PrimeFieldMatrix):
@@ -183,21 +171,13 @@ class PrimeFieldMatrix:
         """Exact determinant mod p via the low-rank determinant lemma:
         det(P + C) = det(P) det(I + P^-1 C), and the second factor is the
         determinant of a small matrix on the correction columns."""
-        sign = _as_permutation(self.perm).parity() % self.p
-        if not self.cor:
-            return sign
         cols = sorted(self.cor)
-        k = len(cols)
-        pos = {j: i for i, j in enumerate(cols)}
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.perm] = np.arange(self.n)
-        small = np.zeros((k, k), dtype=np.int64)
+        # I + P^-1 C on the correction columns, where (P^-1 v)[i] = v[g[i]]
+        small = np.eye(len(cols), dtype=np.int64)
         for i, j in enumerate(cols):
-            v = self.cor[j][self.perm]  # P^-1 applied to the correction
-            for jj, ii in pos.items():
-                small[ii, i] = v[jj] % self.p
-            small[i, i] = (small[i, i] + 1) % self.p
-        return (sign * _small_det_mod(small, self.p)) % self.p
+            small[:, i] += self.cor[j][self.perm[cols]]
+        sign = _as_permutation(self.perm).parity()
+        return sign * _eliminate(small, self.p)[1] % self.p
 
 
 def _as_permutation(perm):
@@ -206,25 +186,29 @@ def _as_permutation(perm):
     return Permutation._trusted(perm.copy())
 
 
-def _small_det_mod(mat, p):
-    m = mat.copy() % p
-    k = m.shape[0]
-    det = 1
-    for col in range(k):
-        nz = np.flatnonzero(m[col:, col])
+def _eliminate(m, p):
+    """Forward elimination mod p: (rank, det), det being 0 unless m is
+    square of full rank.  Residues stay below p, so every product of two
+    fits int64 for p <= P_MAX."""
+    m = m % p
+    rows, cols = m.shape
+    rank, det = 0, 1
+    for col in range(cols):
+        if rank == rows:
+            break
+        nz = np.flatnonzero(m[rank:, col])
         if not nz.size:
-            return 0
-        piv = col + int(nz[0])
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            m[[rank, piv]] = m[[piv, rank]]
             det = -det
-        det = (det * m[col, col]) % p
-        inv = pow(int(m[col, col]), p - 2, p) if p > 2 else int(m[col, col])
-        m[col] = (m[col] * inv) % p
-        for row in range(col + 1, k):
-            if m[row, col]:
-                m[row] = (m[row] - m[row, col] * m[col]) % p
-    return det % p
+        pivot = int(m[rank, col])
+        det = det * pivot % p
+        factors = m[rank + 1 :, col] * pow(pivot, -1, p) % p
+        m[rank + 1 :] = (m[rank + 1 :] - np.outer(factors, m[rank])) % p
+        rank += 1
+    return rank, (det % p if rank == rows == cols else 0)
 
 
 def identity_matrix(p, n):
@@ -241,82 +225,50 @@ def permutation_matrix(g, p):
 
 def dense_fixed_space_dim(matrix):
     """dim ker(M - I) by dense Gaussian elimination mod p."""
-    p = matrix.p
-    m = (matrix.dense() - np.eye(matrix.n, dtype=np.int64)) % p
-    return matrix.n - _rank_mod(m, p)
-
-
-def _rank_mod(m, p):
-    m = m.copy() % p
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        nz = np.flatnonzero(m[rank:, col])
-        if not nz.size:
-            continue
-        piv = rank + int(nz[0])
-        m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, col]), p - 2, p) if p > 2 else int(m[rank, col])
-        m[rank] = (m[rank] * inv) % p
-        nz = np.flatnonzero(m[:, col])
-        nz = nz[nz != rank]
-        if nz.size:
-            m[nz] = (m[nz] - np.outer(m[nz, col], m[rank])) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    m = matrix.dense() - np.eye(matrix.n, dtype=np.int64)
+    return matrix.n - _eliminate(m, matrix.p)[0]
 
 
 def fixed_space_dim(matrix):
-    """dim ker(M - I), exact mod p.
+    """dim ker(M - I), exact mod p, from component sums.
 
-    For the structured form the kernel is solved by propagating unknowns
-    along the cycles of the permutation part: writing lam for the vector
-    of values at the correction columns, every coordinate of a solution
-    is a start value for its cycle plus a known linear form in lam, and
-    closing each cycle plus matching lam against its own expression gives
-    a small linear system whose kernel dimension equals the answer.
-    Equivalent to (and cross-checked against) dense elimination.
+    Off the correction columns J, column j of M - I is e_{g[j]} - e_j, an
+    edge j -- g[j] of a graph whose components are the cycles of g that
+    miss J and the paths the other cycles break into after each point of
+    J.  Those columns span exactly the vectors that sum to 0 on every
+    component, so dim ker(M - I) = (#components) - rank(Q), where Q holds
+    the component sums of the columns of M - I at J.  Equivalent to (and
+    cross-checked against) dense elimination.
     """
-    p = matrix.p
     n = matrix.n
     cols = sorted(matrix.cor)
-    k = len(cols)
     cycles = _as_permutation(matrix.perm).cycles(include_fixed=True)
-    c = len(cycles)
-    if k == 0:
-        # permutation matrix: one dimension per cycle
-        return c
-
-    # v[g[m]] = v[m] + sum_j lam_j * cor_j[g[m]]  (from (P + C) v = v).
-    # Walking a cycle from its first point, each step adds the corrections
-    # at the point it lands on: a point's lam coefficients sum the steps
-    # up to it, and the cycle's closure sums all of its steps.  run[:, i]
-    # sums the first i steps of the walk; every sum is below n * p, far
-    # inside int64.
-    lengths = np.array([len(cyc) for cyc in cycles])
+    lengths = np.fromiter(map(len, cycles), dtype=np.int64, count=len(cycles))
     ends = np.cumsum(lengths)
     starts = ends - lengths
-    walk = np.array([pt for cyc in cycles for pt in cyc])
-    cycle_id = np.empty(n, dtype=np.int64)
-    cycle_id[walk] = np.repeat(np.arange(c), lengths)
-    position = np.empty(n, dtype=np.int64)
-    position[walk] = np.arange(n)
-    cor = np.array([matrix.cor[j] for j in cols])
-    run = np.zeros((k, n + 1), dtype=np.int64)
-    np.cumsum(cor[:, matrix.perm[walk]], axis=1, out=run[:, 1:])
+    walk = np.fromiter(chain.from_iterable(cycles), dtype=np.int64, count=n)
+    # number the paths along the walk: one starts at each cycle's first
+    # point and after each point of J; a cycle's last path runs on into its
+    # first unless the cycle's last point is in J
+    cut = np.zeros(n, dtype=bool)
+    cut[cols] = True
+    new_path = np.zeros(n, dtype=bool)
+    new_path[starts] = True
+    new_path[1:] |= cut[walk[:-1]]
+    path = np.cumsum(new_path) - 1
+    wraps = ~cut[walk[ends - 1]]
+    joined = np.arange(n)
+    joined[path[ends - 1][wraps]] = path[starts][wraps]
+    _, component = np.unique(joined[path], return_inverse=True)
 
-    # unknowns: s_0..s_{c-1} (cycle start values) then lam_0..lam_{k-1};
-    # one row closes each cycle, one matches each lam_i to its expression
-    system = np.zeros((c + k, c + k), dtype=np.int64)
-    system[:c, c:] = (run[:, ends] - run[:, starts]).T
+    # the columns of M - I at J, in walk order, summed per component
+    diff = np.zeros((len(cols), n), dtype=np.int64)
     for i, j in enumerate(cols):
-        row = system[c + i]
-        row[cycle_id[j]] = 1
-        row[c:] = run[:, position[j]] - run[:, starts[cycle_id[j]]]
-        row[c + i] -= 1
-    return (c + k) - _rank_mod(system % p, p)
+        diff[i] = matrix.column(j)
+        diff[i, j] -= 1
+    sums = np.zeros((component.max() + 1, len(cols)), dtype=np.int64)
+    np.add.at(sums, component, diff[:, walk].T)
+    return sums.shape[0] - _eliminate(sums, matrix.p)[0]
 
 
 # -- the lift --------------------------------------------------------------------
@@ -324,15 +276,14 @@ def fixed_space_dim(matrix):
 
 @dataclass(frozen=True)
 class LinearTriple:
-    """Verified (2,3,7) matrix triple over F_p, with its permutation source."""
+    """Verified (2,3,7) matrix triple over F_p, with the four points its
+    modification is anchored at."""
 
     p: int
     t1: int
     x: PrimeFieldMatrix
     y: PrimeFieldMatrix
     z: PrimeFieldMatrix
-    xi: Permutation
-    y_perm: Permutation
     handle_points: tuple  # (a, b, a2, b2)
 
     @property
@@ -383,13 +334,13 @@ def build_linear_triple(m, p, t1, handle_points=None):
     if not (ymat @ ymat @ ymat).is_identity():
         raise LiftError("relation y^3 = 1 fails")
     xy = x @ ymat
-    if not xy.power(7).is_identity():
+    z = xy.power(6)
+    if not (z @ xy).is_identity():
         raise LiftError("relation (xy)^7 = 1 fails")
-    z = xy.power(6)  # (xy)^-1 since (xy)^7 = 1
     for name, mat in (("x", x), ("y", ymat), ("z", z)):
         if mat.det() != 1 % p:
             raise LiftError(f"det({name}) != 1")
-    return LinearTriple(p, t1 % p, x, ymat, z, xi, y, tuple(handle_points))
+    return LinearTriple(p, t1 % p, x, ymat, z, tuple(handle_points))
 
 
 def _x_modification(p, n, t1, a, b, a2, b2):
@@ -417,11 +368,11 @@ class BeauvilleDims:
 
 
 def beauville_dims(t1, t2):
-    """Position-wise fixed-space dimensions must all differ.
+    """Position-wise fixed-space dimensions of x, y and z must all differ.
 
-    x and y dimensions come from the structured kernel solver; the z
-    dimension equals the cycle count of xi*y (xy is conjugate to xi*y, a
-    fact of the underlying construction this evidence relies on).
+    Each dimension is computed from its own matrix by `fixed_space_dim`;
+    conjugate matrices have equal fixed-space dimensions, so a difference
+    rules conjugacy out.
     """
     if t1.p != t2.p or t1.n != t2.n:
         raise LiftError("triples must live over the same field and degree")
@@ -432,10 +383,7 @@ def beauville_dims(t1, t2):
 
 
 def _dims(t):
-    dim_x = fixed_space_dim(t.x)
-    dim_y = fixed_space_dim(t.y)
-    dim_z = len((t.xi * t.y_perm).cycles(include_fixed=True))
-    return (dim_x, dim_y, dim_z)
+    return (fixed_space_dim(t.x), fixed_space_dim(t.y), fixed_space_dim(t.z))
 
 
 # -- pair-level driver ------------------------------------------------------------

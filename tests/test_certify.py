@@ -171,6 +171,92 @@ class TestDHB:
         assert cert.n == 246
 
 
+def _leaves(node, path=()):
+    """(path, value) for every scalar under a JSON node."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _leaves(node[key], (*path, key))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _leaves(item, (*path, i))
+    else:
+        yield path, node
+
+
+def _tampered(value):
+    """A changed value of the same type, and a value of another type (one
+    that Python calls equal, for a bool or an int)."""
+    if isinstance(value, bool):
+        return not value, int(value)
+    if isinstance(value, int):
+        return value + 1, float(value)
+    return value + "!", None
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+class TestVerifyEvidence:
+    """Every field of the stated evidence must equal the recomputed one."""
+
+    EVIDENCE = ("jordan1", "jordan2", "beauville")
+
+    @pytest.fixture(scope="class")
+    def dhb_doc(self):
+        return json.loads(certificate_to_json(certify_dhb(minimal_plan(0))))
+
+    @pytest.mark.parametrize("kind", ["dhb", "cover"])
+    def test_every_evidence_leaf_is_checked(self, kind, dhb_doc):
+        if kind == "dhb":
+            doc = dhb_doc
+        else:
+            doc = json.loads(certificate_to_json(certify_cover(minimal_plan(2))))
+        assert verify_certificate(doc)
+        paths = [p for p, _ in _leaves({k: doc[k] for k in self.EVIDENCE})]
+        assert len(paths) > 40
+        for path in paths:
+            for value in _tampered(_get(doc, path)):
+                bad = json.loads(json.dumps(doc))
+                _set(bad, path, value)
+                assert verify_certificate(bad) is False, (path, value)
+
+    TAMPER = {
+        "jordan1.cycle": lambda d: d["jordan1"]["cycle"].reverse(),
+        "jordan1.x_witness": lambda d: _set(d, ("jordan1", "x_witness"), 0),
+        "jordan1.conclusion": lambda d: _set(d, ("jordan1", "conclusion"), "<x,y> = A_5"),
+        "jordan2.n": lambda d: _set(d, ("jordan2", "n"), d["n"] + 1),
+        "jordan2.prime": lambda d: _set(d, ("jordan2", "prime"), 2),
+        "beauville.x.ok": lambda d: _set(d, ("beauville", "x", "ok"), False),
+        "beauville.x.ok_as_int": lambda d: _set(d, ("beauville", "x", "ok"), 1),
+        "beauville.z.method": lambda d: _set(d, ("beauville", "z", "method"), "an_conjugate"),
+        "schema": lambda d: _set(d, ("schema",), "beauville-certificate-v0"),
+    }
+
+    @pytest.mark.parametrize("field", sorted(TAMPER))
+    def test_named_tampering_rejected(self, field, dhb_doc):
+        doc = json.loads(json.dumps(dhb_doc))
+        before = json.dumps(doc, sort_keys=True)
+        self.TAMPER[field](doc)
+        assert json.dumps(doc, sort_keys=True) != before
+        assert verify_certificate(doc) is False
+        assert verify_certificate(json.dumps(doc)) is False
+
+    @pytest.mark.parametrize(
+        "bad", ["", "not json", "[1, 2]", "7", '{"schema": "other"}', [], None, 7]
+    )
+    def test_malformed_input_is_false(self, bad):
+        assert verify_certificate(bad) is False
+
+
 class TestMinDegree:
     def test_published_bound(self):
         res = min_degree_search(g_max=2, count_max=12)

@@ -4,10 +4,13 @@ Each digest covers the exit code, stdout and stderr of one in-process
 `cli.main` call, so any change to a report's bytes fails here and has to
 be made on purpose.  The construct cases are every valid (r, variant) at
 s = 3 and s = 4; every other (r, variant) pair at those stocks is a
-refusal, and their messages are pinned together by one digest.
+refusal, and their messages are pinned together by one digest.  The lift
+cases cover every residue class over F_2, F_3, F_5 and F_7, and one lift
+reads its pair from a certificate file.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -170,35 +173,121 @@ GOLDEN = {
         "2ab32c2ebb80cee3570015b4534b25cd7ab3c84b6a0000629472b6a28408a4a8",
     "frobenius --table l2_13 --classes 2A,3A,7A":
         "a51ad388c3d10d5a23ba580d36f950bcb930b9b2ca6e317e41ed90e1b57b552a",
+    "lift --r 0 --s 3 --p 2 --t1 1":
+        "b944793ce42a584e357739603ae8568a5ec854761967a69799ffc18d6b8c046d",
+    "lift --r 0 --s 3 --p 3 --t1 2":
+        "ae2e865fe51ec8254917148ed01e0c1e78439c6cfce22d1ba3db2622741cd5cb",
+    "lift --r 0 --s 3 --p 5 --t1 2":
+        "4b75760abf6086004ecc079256acd9a545575a5d7c6cf4d96c729e8ab695bd1a",
     "lift --r 0 --s 3 --p 7 --t1 3":
         "eacc908738a155e86ae0bae2bae2706af528e89f692c2958bd2d1cc26f4aa459",
+    "lift --r 1 --s 3 --p 2 --t1 1":
+        "bbfdab28559e079a4c06977888a9dc0fdb338d3166ea565063c990e6619b69b1",
+    "lift --r 1 --s 3 --p 3 --t1 2":
+        "291da3768b88ceb867e98dc98b11648000cfa5a24d6be08aaa8ba167b7a80791",
+    "lift --r 1 --s 3 --p 5 --t1 2":
+        "c15e049d3c447e399201bc6f8eb37ad64897b4adf6708476c55dcd35c30a6ca2",
     "lift --r 1 --s 3 --p 7 --t1 3":
         "0906be8e1797f3c1432bbdda636f1f070152f6494cd3c8983c17cf42b0fd684e",
+    "lift --r 10 --s 3 --p 2 --t1 1":
+        "b0babd8ef0eb0a741d41a6d0842e652e172487e6aae4d46f689c4550ec81f82b",
+    "lift --r 10 --s 3 --p 3 --t1 2":
+        "35667a65a22d32d029f16185af881e3fbf3d2d2b4a594a0b26c0c49f18b24a7f",
+    "lift --r 10 --s 3 --p 5 --t1 2":
+        "219037e37a8b641a564d75f968b1efd077455c13b167aa8fcd1e7eb600f80d17",
     "lift --r 10 --s 3 --p 7 --t1 3":
         "b06bd96dba53111de4beb19d8abcb6d45abd23a6c752e1c503f8df7f00ce502d",
+    "lift --r 11 --s 3 --p 2 --t1 1":
+        "4b20c06fcee786457761ace1e6a7832f061888708549eff7d54206c8c9d81940",
+    "lift --r 11 --s 3 --p 3 --t1 2":
+        "7433881ffcb6a972bb1e1d394758e7508db9447eeadc7c62179a7cbe0cc6e6db",
+    "lift --r 11 --s 3 --p 5 --t1 2":
+        "2216da21aafed96b04a962d90407d480a5e94e21a083874b22364c22d089abfe",
     "lift --r 11 --s 3 --p 7 --t1 3":
         "b398ad9b119a8741548083c7961b715b60c3320e8252ba24eeaf07f396a747c9",
+    "lift --r 12 --s 3 --p 2 --t1 1":
+        "286f2de2b01ddce2ed3fafb8f42c9dad70013d9020eb8f66c32fc0ea5a9052ac",
+    "lift --r 12 --s 3 --p 3 --t1 2":
+        "dd96d84d1cb50ad082f18986b8f71d7c1d2e7fad3d34b68cf097d61504633bf3",
+    "lift --r 12 --s 3 --p 5 --t1 2":
+        "7cea5dae29d86a668362ec8ab3a0a1168800beb3dc5a6bbfbe3aa3e1f20fd172",
     "lift --r 12 --s 3 --p 7 --t1 3":
         "6a5df320651a45c488c09fc032874fc9b3fb455ab93706fab660245ced25cfc4",
+    "lift --r 13 --s 3 --p 2 --t1 1":
+        "d18ff33f400c69a87ef938d08fa840c83810f4b04ef7f0fd9a263a8a61f1de26",
+    "lift --r 13 --s 3 --p 3 --t1 2":
+        "e33cbd387770d953ce2caaba81c254571c5b95b9c20a1f09dc9424bd44b9cb78",
+    "lift --r 13 --s 3 --p 5 --t1 2":
+        "1ac7997dd7723781f6810c119996ff934dbb509970a4d716588a493515d7f474",
     "lift --r 13 --s 3 --p 7 --t1 3":
         "8b94eb6096f010e0879bb1707f5aa0ec9ee4cdb46d73fce91f9cd8d909ba7e16",
+    "lift --r 2 --s 3 --p 2 --t1 1":
+        "5b0edd8ceda5bdcbca812490c208b352fe439f5a1585f5daedf6a51e20284263",
+    "lift --r 2 --s 3 --p 3 --t1 2":
+        "57b67f2edc5c28693b0fd80ec9476052e535de48d2943d6e03a36027a2465c42",
+    "lift --r 2 --s 3 --p 5 --t1 2":
+        "7b7f898f69839678bf64e8e5f50d912532a86392f2d56319e516b9b3689eec5b",
     "lift --r 2 --s 3 --p 7 --t1 3":
         "b9edc285a0f18000f19ad4265d445f9e4176e883c0767623be1eb1eb5691e9f0",
+    "lift --r 3 --s 3 --p 2 --t1 1":
+        "de2b98f56c7a67c66a2f5216f9c7b7a7123feb914400c8eaee70e4b09d998c50",
+    "lift --r 3 --s 3 --p 3 --t1 2":
+        "8e6eba17e5f8ec2b1ce8a8570a3c6d15b94f3459646d1fca294f20cf25b59db0",
+    "lift --r 3 --s 3 --p 5 --t1 2":
+        "227e71906d27247af7735c81102bd9db959bc912953621e9e0bcfad202291105",
     "lift --r 3 --s 3 --p 7 --t1 3":
         "d902dacaad7e7d2b7d7df39c98ab3a630a81c89ea8068ceda8fc73dcd0c77248",
+    "lift --r 4 --s 3 --p 2 --t1 1":
+        "b0211aae02b09761d03975da223c7312c0534aee6910666571a898c4b21d01dc",
+    "lift --r 4 --s 3 --p 3 --t1 2":
+        "a35de36a3b74bbea5a1596e7b65911e4dba8350a4d1d1bddd21ce02f14fff8d7",
+    "lift --r 4 --s 3 --p 5 --t1 2":
+        "d660c6cf934ecf3e80c89122e088be008d32a82deae88106a01b87560f89341a",
     "lift --r 4 --s 3 --p 7 --t1 3":
         "cf6e72eed3f2d4b649ff27a230d4adc0ac269854bad00b94179ac5c466c3858f",
+    "lift --r 5 --s 3 --p 2 --t1 1":
+        "b8450dcd496c992b915f32e897e699227624f030f2ae71a125078f5a8e6e5ec5",
+    "lift --r 5 --s 3 --p 3 --t1 2":
+        "131f616825216ea32399947785064bfd461f4ba0e556f6c886ab197667044df2",
+    "lift --r 5 --s 3 --p 5 --t1 2":
+        "714998dbfc87bec3535d2fb7e3d3564ec8546ba5f62a248caacd6b36e5ea3d68",
     "lift --r 5 --s 3 --p 7 --t1 3":
         "e9b5ade7c94930e96ff2ad0900536d0988191156db0688cbddf0b42c9ca2eed4",
+    "lift --r 6 --s 3 --p 2 --t1 1":
+        "2a5ecbf6c8027e8f48c764621a85aa34db334e12751f6f16645fd6d01a211b0e",
+    "lift --r 6 --s 3 --p 3 --t1 2":
+        "bfee7dc95de8f08ca08f3af84b6559028d39731b417a3801d7289681e2741422",
+    "lift --r 6 --s 3 --p 5 --t1 2":
+        "dd36704d709b4d99c7b35c94cb266ccf1d3e15e0fa617c752b9e806c75593a9a",
     "lift --r 6 --s 3 --p 7 --t1 3":
         "2f0db9a712f1ec1d56be039376b6665993a36bbe3c5463f5fffade5ad8113374",
+    "lift --r 7 --s 3 --p 2 --t1 1":
+        "68bcfab3e41373a1d7218ec699f5c71d9d70459fd8a165aace6c113156c1d044",
+    "lift --r 7 --s 3 --p 3 --t1 2":
+        "006552b3d8d9eba63dcb83b9ea9562bfccc0fbe9a245bef7607763f0f8a565a8",
+    "lift --r 7 --s 3 --p 5 --t1 2":
+        "936f6fc2dc3e685e74c2b3d0344e57a1bdca0d7e1895519d07794eed3e99bfbb",
     "lift --r 7 --s 3 --p 7 --t1 3":
         "045640bdd6b23aedcf2c0e3b76b06e361b2da7f8897ca19355691aa2b26bdfb4",
+    "lift --r 8 --s 3 --p 2 --t1 1":
+        "07f48b8f422c7883a651208b29fe4bbde7af02f30216febe80e6551ede196e36",
+    "lift --r 8 --s 3 --p 3 --t1 2":
+        "c4bb275528376477ad82d9db3a515274f4a5a042e2377bc44a3bec98d3e46f50",
+    "lift --r 8 --s 3 --p 5 --t1 2":
+        "757a39412147b8b02b311d03cfce1bd689c749b897affd0688a4387123542d53",
     "lift --r 8 --s 3 --p 7 --t1 3":
         "ba87a1ec1e784fc1baab541262deb3a106e919b2b48d82acb2d0aa4eb53ba457",
+    "lift --r 9 --s 3 --p 2 --t1 1":
+        "4dfbf2187475d164fcee8b5cf5e5753ac637c1fc5eb16b5f9e2311028984565a",
+    "lift --r 9 --s 3 --p 3 --t1 2":
+        "1bf632cf764d4fb5d07458ef50f8a7c9c5b1d252597375a88bf337065fd0121a",
+    "lift --r 9 --s 3 --p 5 --t1 2":
+        "ead1cf58f346432345c75e4f5064fdb51f6cc5e1226b572974a657e3cc013c51",
     "lift --r 9 --s 3 --p 7 --t1 3":
         "114ba9963501017ae22b530e0841694ed7e5031e3f9bb284edaf0846cac94315",
 }
+
+LIFT_FROM_FILE = "641a42c82a13ebc5b8c9958a08bc4d75cefffadab03ff0eecfbf4c4246d716d2"
 
 REFUSALS = "97536816b456d8f8f70750f561c588107ecbf16949252d453b01d9376fd30b13"
 
@@ -235,3 +324,13 @@ def test_construct_refusals(capsys):
                 lines.append(f"{argv}: {err}")
     assert len(lines) == 2 * (14 * len(VARIANTS) - 30)
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == REFUSALS
+
+
+def test_lift_from_certificate_file(capsys, tmp_path, monkeypatch):
+    # a relative path keeps the report's "source" field the same on every run
+    monkeypatch.chdir(tmp_path)
+    assert _run(capsys, "certify --r 0 --s 6 --out c.json")[0] == 0
+    cert = json.loads((tmp_path / "c.json").read_text())["result"][0]["certificate"]
+    (tmp_path / "pair.json").write_text(json.dumps(cert))
+    report = _run(capsys, "lift --p 3 --t1 2 --pair pair.json")
+    assert _digest(*report) == LIFT_FROM_FILE

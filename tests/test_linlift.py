@@ -6,7 +6,7 @@ import pytest
 
 from beauville import perm
 from beauville.atlas import basic_map
-from beauville.construct import minimal_plan
+from beauville.construct import all_minimal_plans, build_pair, minimal_plan
 from beauville.linlift import (
     P_MAX,
     LiftError,
@@ -79,15 +79,43 @@ class TestFixedSpace:
             assert fixed_space_dim(m) == want
 
     def test_structured_matches_dense(self):
+        # 0..12 correction columns, each at a random point, at a fixed point
+        # of g or in g's longest cycle; columns sparse or dense, with
+        # entries 1 and p - 1 among them so that components can cancel
         rng = random.Random(23)
-        for _ in range(30):
+        at_fixed = same_cycle = 0
+        for _ in range(240):
             n = rng.randrange(3, 40)
-            p = rng.choice([2, 3, 5])
+            p = rng.choice([2, 3, 5, 3037000493])
+            g = _random_with_fixed_points(n, rng)
+            fixed = g.fixed_points()
+            longest = max(g.cycles(include_fixed=True), key=len)
             cor = {}
-            for _ in range(rng.randrange(0, 3)):
-                cor[rng.randrange(n)] = np.array([rng.randrange(p) for _ in range(n)])
-            m = PrimeFieldMatrix(p, perm.random_permutation(n, rng).array, cor)
+            for _ in range(rng.randrange(0, 13)):
+                j = rng.choice(rng.choice([range(n), fixed or range(n), longest]))
+                v = np.zeros(n, dtype=np.int64)
+                support = range(n) if rng.random() < 0.5 else rng.sample(range(n), 2)
+                for i in support:
+                    v[i] = rng.choice([0, 1, p - 1, rng.randrange(p)])
+                cor[j] = v
+            m = PrimeFieldMatrix(p, g.array, cor)
             assert fixed_space_dim(m) == dense_fixed_space_dim(m)
+            at_fixed += any(j in fixed for j in m.cor)
+            same_cycle += sum(j in longest for j in m.cor) >= 2
+        assert at_fixed >= 50 and same_cycle >= 50
+
+
+def _random_with_fixed_points(n, rng):
+    """A random permutation of degree n fixing about a third of the points."""
+    points = list(range(n))
+    rng.shuffle(points)
+    moved = points[: n - n // 3]
+    cycles, i = [], 0
+    while i < len(moved):
+        size = rng.randrange(2, 9)
+        cycles.append(moved[i : i + size])
+        i += size
+    return perm.from_cycles(n, cycles)
 
 
 class TestTripleConstruction:
@@ -205,11 +233,21 @@ class TestBeauvilleDims:
 
     def test_dims_track_cycle_counts(self):
         rep = lift_pair(minimal_plan(0), 5, 2)
-        t1 = rep.triple1
-        n = t1.n
-        v1 = rep.triple1
-        assert fixed_space_dim(v1.y) == len(v1.y_perm.cycles(include_fixed=True))
-        assert fixed_space_dim(v1.x) == len(v1.xi.cycles(include_fixed=True)) - 2
+        w1 = build_pair(rep.plan).w1
+        tri = rep.triple1
+        assert fixed_space_dim(tri.y) == len(w1.y.cycles(include_fixed=True))
+        assert fixed_space_dim(tri.x) == len(w1.x.cycles(include_fixed=True)) - 2
+
+    def test_z_dims_are_cycle_counts_of_xy(self):
+        # dim fix(z) of the lift equals the cycle count of the permutation
+        # x y of the map, for both members of every minimal plan
+        for plan in all_minimal_plans():
+            rep = lift_pair(plan, 2, 1)
+            pair = build_pair(rep.plan)
+            for w, tri, dims in ((pair.w1, rep.triple1, rep.dims.dims1),
+                                 (pair.w2, rep.triple2, rep.dims.dims2)):
+                want = len((w.x * w.y).cycles(include_fixed=True))
+                assert fixed_space_dim(tri.z) == dims[2] == want, plan
 
     def test_degree_penalty(self):
         rep = lift_pair(minimal_plan(0), 2, 1)
