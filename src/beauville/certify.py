@@ -7,6 +7,10 @@ length, forces <x, y, t> >= A_n; since x and y are even and <x, y> has
 index at most 2, <x, y> = A_n.  Certificates carry the raw permutations
 and every hypothesis needed to re-verify them offline.
 
+One derivation defines a certificate: the issuers run it on the pairs
+they build, and `verify_certificate` on the maps a document embeds,
+comparing the document it would issue with the stated one.
+
 An independent stabilizer-chain oracle cross-checks |<x, y>| = n!/2 for
 moderate degrees; production certificates never depend on it.
 """
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 from .atlas import basic_map
 from .construct import ConstructionPlan, MapPair, build_pair, with_free_stock_handles
 from .compose import k_compose, pick_handle, self_join, CompositionError
-from .maps import new_map
-from .perm import an_conjugate, chain_row_bytes, group_order, is_prime, parse_cycles
+from .maps import MapError, new_map
+from .perm import an_conjugate, chain_row_bytes, group_order, parse_cycles
 
 __all__ = [
     "CertificationError",
@@ -64,52 +68,30 @@ class JordanCertificate:
     w_cycle_type: tuple
     conclusion: str = ""
 
-    def __post_init__(self):
-        if not is_prime(self.prime):
-            raise CertificationError(f"{self.prime} is not prime")
-
 
 def jordan_certify(m, p):
     """Issue a generation certificate, or raise naming the failed hypothesis.
 
-    Hypotheses: (i) <x, y> transitive; (ii) some w-cycle has prime length
-    p <= n-3; (iii) p is coprime to every other cycle length of w;
-    (iv) that cycle is useful (witnesses for x and y recorded).  (i) holds
-    for every map, so it is not re-checked: a map is only built after it
-    passes `HurwitzMap._validate`, which refuses an intransitive <x, y>, or
+    Hypotheses: (i) <x, y> transitive; (ii)-(iv) a useful w-cycle of prime
+    length p <= n-3, coprime to every other cycle length, as checked by
+    `HurwitzMap.jordan_cycle`.  (i) holds for every map, so it is not
+    re-checked: a map is only built after it passes
+    `HurwitzMap._validate`, which refuses an intransitive <x, y>, or
     relabels one that has.
     """
-    if not is_prime(p):
-        raise CertificationError(f"hypothesis (ii): {p} is not prime")
-    lengths = list(m.w_cycles.lengths())
-    candidates = [c for c in m.w_cycles if len(c) == p]
-    if not candidates:
-        raise CertificationError(
-            f"hypothesis (ii): no w-cycle of length {p} (cycle type {lengths})"
-        )
-    if p > m.n - 3:
-        raise CertificationError(f"hypothesis (ii): p = {p} > n - 3 = {m.n - 3}")
-    others = list(lengths)
-    others.remove(p)
-    bad = [l for l in others if math.gcd(l, p) != 1]
-    if bad:
-        raise CertificationError(
-            f"hypothesis (iii): p = {p} not coprime to cycle length {bad[0]}"
-        )
-    cycle = candidates[0]
-    useful = {u.cycle: u for u in m.useful_cycles()}
-    if cycle not in useful:
-        raise CertificationError(f"hypothesis (iv): the {p}-cycle is not useful")
-    u = useful[cycle]
+    try:
+        u = m.jordan_cycle(p)
+    except MapError as exc:
+        raise CertificationError(str(exc)) from None
     if not (m.x.is_even and m.y.is_even):
         raise CertificationError("x and y must be even permutations")
     return JordanCertificate(
         n=m.n,
         prime=p,
-        cycle=cycle,
+        cycle=u.cycle,
         x_witness=u.x_witness,
         y_witness=u.y_witness,
-        w_cycle_type=tuple(lengths),
+        w_cycle_type=m.w_cycles.lengths(),
         conclusion=(
             f"<x,y,t> >= A_{m.n}; x, y even and [<x,y,t>:<x,y>] <= 2, "
             f"so <x,y> = A_{m.n}"
@@ -183,7 +165,6 @@ def beauville_check(m1, m2):
 
 @dataclass(frozen=True)
 class DHBCertificate:
-    plan: ConstructionPlan
     pair: MapPair
     jordan1: JordanCertificate
     jordan2: JordanCertificate
@@ -191,20 +172,29 @@ class DHBCertificate:
     v_difference: tuple
 
     @property
+    def plan(self):
+        return self.pair.plan
+
+    @property
     def n(self):
         return self.pair.degree
 
 
-def certify_dhb(plan):
-    """Build the plan's pair and certify both generation and Beauville."""
-    pair = build_pair(plan)
+def _dhb_certificate(pair):
+    """Certify generation of both members by the plan's prime, and the
+    Beauville condition; raise naming what fails."""
     j1 = jordan_certify(pair.w1, pair.prime)
     j2 = jordan_certify(pair.w2, pair.prime)
     ev = beauville_check(pair.w1, pair.w2)
     if not ev:
         raise CertificationError(f"Beauville condition failed: {ev.positions}")
     dv = (pair.w1.fixed_point_vector() - pair.w2.fixed_point_vector()).as_tuple()
-    return DHBCertificate(plan, pair, j1, j2, ev, dv)
+    return DHBCertificate(pair, j1, j2, ev, dv)
+
+
+def certify_dhb(plan):
+    """Build the plan's pair and certify both generation and Beauville."""
+    return _dhb_certificate(build_pair(plan))
 
 
 # Memory ceiling of the oracle's chain rows: 256 MiB covers every minimal,
@@ -294,6 +284,11 @@ def min_degree_search(g_max=3, count_max=(16, 12, 14)):
 # -- double cover --------------------------------------------------------------
 
 
+# Per parity fix: the v-difference it leaves and how much it adds to the
+# degree (a copy of E on one side, two copies of A on the other).
+COVER_BRANCHES = {"adjoin_E_2A": ((8, 3, -7), 28), "internal_join": ((8, 6, -7), 0)}
+
+
 @dataclass(frozen=True)
 class CoverCertificate:
     """Certifies the lifting conditions to the double cover: both tau(x_i)
@@ -304,11 +299,26 @@ class CoverCertificate:
     extra_g_copies: int
     tau1: int
     tau2: int
-    v_difference: tuple
 
     @property
     def n(self):
         return self.base.n
+
+    @property
+    def v_difference(self):
+        return self.base.v_difference
+
+
+def _cover_certificate(base, branch, extra_g):
+    """Add the double-cover conditions to a certified pair: both tau
+    values divisible by 4 and the v-difference the branch leaves."""
+    tau1, tau2 = base.pair.w1.tau(), base.pair.w2.tau()
+    if tau1 % 4 or tau2 % 4:
+        raise CertificationError(f"tau values not divisible by 4: {tau1}, {tau2}")
+    expected = COVER_BRANCHES[branch][0]
+    if base.v_difference != expected:
+        raise CertificationError(f"v-difference {base.v_difference}, expected {expected}")
+    return CoverCertificate(base, branch, extra_g, tau1, tau2)
 
 
 def certify_cover(plan):
@@ -340,7 +350,7 @@ def certify_cover(plan):
             "could not provision enough unused stock handles "
             f"for variant {plan.variant!r}"
         )
-    eff, pair, extra_g, shared = found
+    pair, extra_g, shared = found
 
     if branch == "adjoin_E_2A":
         w1 = k_compose_at(pair.w1, shared[-1], basic_map("E"))
@@ -354,21 +364,8 @@ def certify_cover(plan):
         )
         w1 = pair.w1
         # W_1 keeps the same two handles unused; degrees stay equal.
-    fixed = MapPair(w1, w2, plan=plan, prime=plan.prime)
-    j1 = jordan_certify(fixed.w1, plan.prime)
-    j2 = jordan_certify(fixed.w2, plan.prime)
-    ev = beauville_check(fixed.w1, fixed.w2)
-    if not ev:
-        raise CertificationError(f"Beauville failed after parity fix: {ev.positions}")
-    tau1, tau2 = fixed.w1.tau(), fixed.w2.tau()
-    if tau1 % 4 or tau2 % 4:
-        raise CertificationError(f"tau values not divisible by 4: {tau1}, {tau2}")
-    dv = (fixed.w1.fixed_point_vector() - fixed.w2.fixed_point_vector()).as_tuple()
-    expected = (8, 3, -7) if branch == "adjoin_E_2A" else (8, 6, -7)
-    if dv != expected:
-        raise CertificationError(f"v-difference {dv}, expected {expected}")
-    base = DHBCertificate(eff, fixed, j1, j2, ev, dv)
-    return CoverCertificate(base, branch, extra_g, tau1, tau2, dv)
+    base = _dhb_certificate(MapPair(w1, w2, pair.plan))
+    return _cover_certificate(base, branch, extra_g)
 
 
 def _handle_at(m, points):
@@ -388,12 +385,10 @@ def k_compose_at(m, points, other):
 
 def certificate_to_json(cert):
     """Deterministic JSON document embedding the raw permutations."""
-    if isinstance(cert, CoverCertificate):
-        doc = _cover_doc(cert)
-    elif isinstance(cert, DHBCertificate):
-        doc = _dhb_doc(cert)
-    else:
+    if not isinstance(cert, (DHBCertificate, CoverCertificate)):
         raise TypeError(f"cannot serialize {type(cert).__name__}")
+    pair = cert.base.pair if isinstance(cert, CoverCertificate) else cert.pair
+    doc = {**_claims(cert), "w1": _map_doc(pair.w1), "w2": _map_doc(pair.w2)}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -410,36 +405,7 @@ def _map_doc(m):
     }
 
 
-def _jordan_doc(j):
-    return {
-        "n": j.n,
-        "prime": j.prime,
-        "cycle": list(j.cycle),
-        "x_witness": j.x_witness,
-        "y_witness": j.y_witness,
-        "w_cycle_type": list(j.w_cycle_type),
-        "conclusion": j.conclusion,
-    }
-
-
-def _dhb_doc(cert):
-    return {
-        "schema": SCHEMA,
-        "kind": "dhb",
-        "plan": {
-            "r": cert.plan.r,
-            "s": cert.plan.s,
-            "variant": cert.plan.variant,
-        },
-        "n": cert.n,
-        "prime": cert.pair.prime,
-        "w1": _map_doc(cert.pair.w1),
-        "w2": _map_doc(cert.pair.w2),
-        "jordan1": _jordan_doc(cert.jordan1),
-        "jordan2": _jordan_doc(cert.jordan2),
-        "beauville": _beauville_doc(cert.beauville),
-        "v_difference": list(cert.v_difference),
-    }
+MAP_FIELDS = frozenset(("degree", "x", "y", "t", "x_images", "y_images", "t_images"))
 
 
 def _beauville_doc(ev):
@@ -449,12 +415,35 @@ def _beauville_doc(ev):
     }
 
 
-def _cover_doc(cert):
-    doc = _dhb_doc(cert.base)
-    doc["kind"] = "cover"
-    doc["branch"] = cert.branch
-    doc["extra_g_copies"] = cert.extra_g_copies
-    doc["tau"] = [cert.tau1, cert.tau2]
+def _plan_claims(plan, kind, n):
+    """The fields of a certificate that its plan, kind and degree fix."""
+    return {
+        "schema": SCHEMA,
+        "kind": kind,
+        "plan": {"r": plan.r, "s": plan.s, "variant": plan.variant},
+        "n": n,
+        "prime": plan.prime,
+    }
+
+
+def _claims(cert):
+    """Every field of a certificate's document except the maps w1, w2."""
+    cover = cert if isinstance(cert, CoverCertificate) else None
+    base = cover.base if cover else cert
+    doc = _plan_claims(base.plan, "cover" if cover else "dhb", base.n)
+    doc.update(
+        # a Jordan certificate's document is its fields
+        jordan1=vars(base.jordan1),
+        jordan2=vars(base.jordan2),
+        beauville=_beauville_doc(base.beauville),
+        v_difference=list(base.v_difference),
+    )
+    if cover:
+        doc.update(
+            branch=cover.branch,
+            extra_g_copies=cover.extra_g_copies,
+            tau=[cover.tau1, cover.tau2],
+        )
     return doc
 
 
@@ -463,7 +452,7 @@ def certificate_from_json(text):
     from certificate_maps."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CertificationError(f"not a JSON document: {exc}") from None
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA:
@@ -483,8 +472,7 @@ def certificate_maps(doc):
             perms = []
             for gen in ("x", "y", "t"):
                 perm = parse_cycles(raw[gen], degree=n)
-                images = raw.get(f"{gen}_images")
-                if images is not None and tuple(images) != perm.images:
+                if tuple(raw[f"{gen}_images"]) != perm.images:
                     raise CertificationError(
                         f"{key}.{gen}_images disagree with {key}.{gen}"
                     )
@@ -502,16 +490,22 @@ def certificate_maps(doc):
     return maps
 
 
-def verify_certificate(text_or_doc):
-    """Re-verify a serialized certificate from its own payload alone.
+def _canonical(node):
+    # JSON text tells true from 1 and 7 from 7.0, which == does not
+    return json.dumps(node, sort_keys=True)
 
-    Rebuilds the maps from the embedded permutations, re-runs both Jordan
-    certifications and the Beauville comparison, and requires the stated
-    jordan1, jordan2 and beauville sections to equal the recomputed ones
-    as serialized (types included); re-checks the v-difference, and the
-    tau values of cover certificates.  Any defect, a malformed document
-    included, gives False.  No access to the construction pipeline is
-    needed.
+
+def verify_certificate(text_or_doc):
+    """Re-verify a serialized certificate by deriving it again and comparing.
+
+    Stage 1, before any map is parsed: the stated plan (integer r and s, a
+    known variant) fixes the schema, the prime and the degree of the
+    certificate and of each member; for a cover the branch adds to the
+    degree, and extra_g_copies must lie in 0..4 and leave a valid stock.
+    Stage 2: the certificate is derived from the embedded maps by the
+    issuing code, and every field but the maps must equal the derived one
+    as serialized, key sets included; each map section must have exactly
+    the issued fields.  Any defect, malformed input included, gives False.
     """
     try:
         doc = (
@@ -519,39 +513,26 @@ def verify_certificate(text_or_doc):
             if isinstance(text_or_doc, str)
             else text_or_doc
         )
-        if doc.get("schema") != SCHEMA:
+        plan = ConstructionPlan(**doc["plan"])
+        n = plan.degree
+        kind = "cover" if doc["kind"] == "cover" else "dhb"
+        if kind == "cover":
+            extra_g = doc["extra_g_copies"]
+            if not 0 <= extra_g <= 4:
+                return False
+            # the plan before the extra copies of G must be valid too
+            ConstructionPlan(plan.r, plan.s - 3 * extra_g, plan.variant)
+            n += COVER_BRANCHES[doc["branch"]][1]
+        fixed = _plan_claims(plan, kind, n)
+        if any(_canonical(doc[k]) != _canonical(v) for k, v in fixed.items()):
             return False
-        w1, w2 = certificate_maps(doc)
-        n, p, v_difference = doc["n"], doc["prime"], list(doc["v_difference"])
-        stated = [doc["jordan1"], doc["jordan2"], doc["beauville"]]
-        tau = doc["tau"] if doc.get("kind") == "cover" else None
-    except (AttributeError, CertificationError, KeyError, TypeError):
-        return False
-    if w1.n != n or w2.n != n:
-        return False
-    # no w-cycle is longer than n; the bound also keeps trial division off
-    # a huge stated prime
-    if type(p) is not int or p > n:
-        return False
-    try:
-        j1 = jordan_certify(w1, p)
-        j2 = jordan_certify(w2, p)
-        ev = beauville_check(w1, w2)
-    except CertificationError:
-        return False
-    if not ev:
-        return False
-    dv = (w1.fixed_point_vector() - w2.fixed_point_vector()).as_tuple()
-    if list(dv) != v_difference:
-        return False
-    if tau is not None:
-        tau1, tau2 = w1.tau(), w2.tau()
-        if [tau1, tau2] != tau or tau1 % 4 or tau2 % 4:
+        # the plan fixes each member's degree too: no huge array gets parsed
+        if any(set(doc[k]) != MAP_FIELDS or doc[k]["degree"] != n for k in ("w1", "w2")):
             return False
-    # compared as JSON text, which tells true from 1 and 7 from 7.0
-    evidence = [_jordan_doc(j1), _jordan_doc(j2), _beauville_doc(ev)]
-    try:
-        stated = json.dumps(stated, sort_keys=True)
-    except (TypeError, ValueError):
+        cert = _dhb_certificate(MapPair(*certificate_maps(doc), plan))
+        if kind == "cover":
+            cert = _cover_certificate(cert, doc["branch"], extra_g)
+        stated = {k: v for k, v in doc.items() if k not in ("w1", "w2")}
+        return _canonical(stated) == _canonical(_claims(cert))
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError):
         return False
-    return stated == json.dumps(evidence, sort_keys=True)

@@ -48,10 +48,17 @@ def _report(command, payload, passed):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+class OutputError(Exception):
+    """The report file cannot be written."""
+
+
 def _emit(args, text):
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -336,7 +343,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (PlanError, CompositionError, MapError, TableError, LiftError) as exc:
+    except (PlanError, CompositionError, MapError, TableError, LiftError, OutputError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except CertificationError as exc:

@@ -43,18 +43,6 @@ class CompositionError(MapError):
     """A join cannot be performed as requested."""
 
 
-def _shifted(p, offset, total):
-    arr = np.arange(total, dtype=np.int64)
-    arr[offset : offset + p.degree] = p.array + offset
-    return Permutation._trusted(arr)
-
-
-def _extended(p, total):
-    arr = np.arange(total, dtype=np.int64)
-    arr[: p.degree] = p.array
-    return Permutation._trusted(arr)
-
-
 def _check_handle(m, h):
     if h not in m.find_handles(h.k):
         raise CompositionError(f"handle {h} does not belong to the map")
@@ -78,15 +66,14 @@ def k_compose(d1, h1, d2, h2):
         raise CompositionError(f"handle kinds differ: ({h1.k}) vs ({h2.k})")
     _check_handle(d1, h1)
     _check_handle(d2, h2)
-    n = d1.n + d2.n
-    x = _extended(d1.x, n) * _shifted(d2.x, d1.n, n)
-    y = _extended(d1.y, n) * _shifted(d2.y, d1.n, n)
-    t = _extended(d1.t, n) * _shifted(d2.t, d1.n, n)
-    xa = np.array(x.array)
+    xa, ya, ta = (
+        np.concatenate((g1.array, g2.array + d1.n))
+        for g1, g2 in ((d1.x, d2.x), (d1.y, d2.y), (d1.t, d2.t))
+    )
     a2, b2 = h2.a + d1.n, h2.b + d1.n
     xa[h1.a], xa[a2] = a2, h1.a
     xa[h1.b], xa[b2] = b2, h1.b
-    return HurwitzMap(n, Permutation._trusted(xa), y, t)
+    return HurwitzMap(d1.n + d2.n, *map(Permutation._trusted, (xa, ya, ta)))
 
 
 def self_join(d, h1, h2):

@@ -161,6 +161,8 @@ class ConstructionPlan:
     variant: str = None  # default picked from r
 
     def __post_init__(self):
+        if type(self.r) is not int or type(self.s) is not int:
+            raise PlanError(f"r and s must be integers, got {self.r!r} and {self.s!r}")
         if not 0 <= self.r <= 13:
             raise PlanError(f"r must be 0..13, got {self.r}")
         if self.variant is None:
@@ -243,8 +245,7 @@ class MapPair:
 
     w1: object
     w2: object
-    plan: ConstructionPlan = None
-    prime: int = None
+    plan: ConstructionPlan
 
     def __post_init__(self):
         if self.w1.n != self.w2.n:
@@ -258,6 +259,10 @@ class MapPair:
     @property
     def degree(self):
         return self.w1.n
+
+    @property
+    def prime(self):
+        return self.plan.prime
 
 
 # -- ingredients ------------------------------------------------------------
@@ -329,22 +334,6 @@ def x_map(i):
 # -- pair assembly -----------------------------------------------------------
 
 
-def _check_prime_cycle(m, p, label):
-    """The certifying prime must divide exactly one cycle length, that
-    cycle must have length exactly p, be useful, and satisfy p <= n-3."""
-    lengths = list(m.w_cycles.lengths())
-    divisible = [l for l in lengths if l % p == 0]
-    if divisible != [p]:
-        raise PlanError(
-            f"{label}: certifying prime {p} divides cycle lengths {divisible}, "
-            f"need exactly one cycle of length {p}"
-        )
-    if p > m.n - 3:
-        raise PlanError(f"{label}: prime {p} exceeds n-3 = {m.n - 3}")
-    if p not in [len(c) for c in m.useful_cycles()]:
-        raise PlanError(f"{label}: the {p}-cycle is not useful")
-
-
 def build_pair(plan):
     """Assemble the pair of maps for a plan and validate it."""
     pieces, chain = plan._layout
@@ -363,9 +352,12 @@ def build_pair(plan):
     if tail:
         w1 = join(w1, 2, basic_map(tail))
         w2 = join(w2, 2, basic_map(tail))
-    pair = MapPair(w1, w2, plan=plan, prime=plan.prime)
+    pair = MapPair(w1, w2, plan)
     for which, m in (("W_1", pair.w1), ("W_2", pair.w2)):
-        _check_prime_cycle(m, plan.prime, which)
+        try:
+            m.jordan_cycle(plan.prime)
+        except MapError as exc:
+            raise PlanError(f"{which}: {exc}") from None
     if pair.degree != plan.degree:
         raise PlanError(f"assembled degree {pair.degree} != planned {plan.degree}")
     return pair
@@ -387,20 +379,19 @@ def with_free_stock_handles(pair, labels):
     two shared free (1)-handles inside the stock, or inside its first
     `labels` labels.
 
-    Returns (enlarged plan, pair, extra copies, shared handles), or None
-    when four extra copies do not suffice.
+    Returns (pair, extra copies, shared handles), the pair carrying the
+    enlarged plan, or None when four extra copies do not suffice.
     """
     plan = pair.plan
     for extra_g in range(5):
-        eff = ConstructionPlan(plan.r, plan.s + 3 * extra_g, plan.variant)
         if extra_g:
-            pair = build_pair(eff)
-        lo, hi = eff.stock_range
+            pair = build_pair(ConstructionPlan(plan.r, plan.s + 3 * extra_g, plan.variant))
+        lo, hi = pair.plan.stock_range
         if labels is not None:
             hi = lo + labels
         shared = shared_handles(pair.w1, pair.w2, lo, hi)
         if len(shared) >= 2:
-            return eff, pair, extra_g, shared
+            return pair, extra_g, shared
     return None
 
 

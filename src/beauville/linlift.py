@@ -413,9 +413,9 @@ def lift_pair(plan, p, t1):
     found = with_free_stock_handles(build_pair(plan), 42)
     if found is None:
         raise LiftError("could not free two stock handles for the lift")
-    eff, pair, extra_g, shared = found
+    pair, extra_g, shared = found
     lift1, lift2, dims = _lift_at(pair.w1, pair.w2, p, t1, shared)
-    return LiftReport(eff, p, t1 % p, pair.degree, extra_g, lift1, lift2, dims)
+    return LiftReport(pair.plan, p, t1 % p, pair.degree, extra_g, lift1, lift2, dims)
 
 
 def lift_maps(w1, w2, p, t1):

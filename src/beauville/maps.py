@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .perm import is_transitive, parse_cycles, prime_divisors
+from .perm import is_prime, is_transitive, parse_cycles, prime_divisors
 
 __all__ = [
     "MapError",
@@ -30,7 +30,6 @@ __all__ = [
     "UsefulCycle",
     "HurwitzMap",
     "new_map",
-    "tau",
     "map_to_text",
     "map_from_text",
 ]
@@ -300,6 +299,31 @@ class HurwitzMap:
                 out.append(UsefulCycle(cyc, x_wit, y_wit))
         return out
 
+    def jordan_cycle(self, p):
+        """The useful w-cycle of prime length p that Jordan's theorem needs.
+
+        Hypotheses: (ii) some w-cycle has prime length p <= n-3; (iii) p
+        is coprime to every other cycle length of w; (iv) that cycle is
+        useful.  Raises MapError naming the first that fails.
+        """
+        lengths = self.w_cycles.lengths()
+        if not is_prime(p):
+            raise MapError(f"hypothesis (ii): {p} is not prime")
+        if p not in lengths:
+            raise MapError(
+                f"hypothesis (ii): no w-cycle of length {p} (cycle type {list(lengths)})"
+            )
+        if p > self.n - 3:
+            raise MapError(f"hypothesis (ii): p = {p} > n - 3 = {self.n - 3}")
+        # p is the least multiple of p, so the sorted lengths list it first
+        bad = [l for l in lengths if l % p == 0][1:]
+        if bad:
+            raise MapError(f"hypothesis (iii): p = {p} not coprime to cycle length {bad[0]}")
+        useful = [u for u in self.useful_cycles() if len(u) == p]
+        if not useful:
+            raise MapError(f"hypothesis (iv): the {p}-cycle is not useful")
+        return useful[0]
+
     def useful_lengths(self):
         return tuple(sorted(len(c) for c in self.useful_cycles()))
 
@@ -307,15 +331,11 @@ class HurwitzMap:
         """Primes dividing the cycle lengths of w."""
         return frozenset(q for l in self.w_cycles.lengths() for q in prime_divisors(l))
 
-    def tau(self, g=None):
-        """Number of transpositions (n - |Fix g|) / 2 of an involution.
-
-        Defaults to this map's x.  The identity counts as a degenerate
-        involution with tau = 0.
-        """
-        if g is None:
-            g = self.x
-        return tau(self, g)
+    def tau(self):
+        """Number of transpositions (n - |Fix x|) / 2 of the involution x."""
+        if not (self.x * self.x).is_identity():
+            raise MapError("tau needs an involution (or the identity)")
+        return (self.n - len(self.x.fixed_points())) // 2
 
     def relabel(self, sigma):
         """The isomorphic map with every point renamed through sigma."""
@@ -331,15 +351,6 @@ class HurwitzMap:
 def new_map(n, x, y, t):
     """Validate and build a map; errors name the failing relation."""
     return HurwitzMap(n, x, y, t)
-
-
-def tau(m, g):
-    """(n - |Fix g|)/2 for an involution g on m's points."""
-    if g.degree != m.n:
-        raise MapError("degree mismatch")
-    if not (g * g).is_identity():
-        raise MapError("tau needs an involution (or the identity)")
-    return (m.n - len(g.fixed_points())) // 2
 
 
 # -- text serialization ------------------------------------------------------

@@ -381,7 +381,7 @@ def _odd_centralizer_element(p):
     return None
 
 
-def an_conjugate(p, q, n=None):
+def an_conjugate(p, q):
     """Decide conjugacy of two even permutations inside A_n.
 
     Constructive: build one S_n conjugator; if it is odd, try to repair it
@@ -389,8 +389,6 @@ def an_conjugate(p, q, n=None):
     and they are pairwise distinct no repair exists (the class splits) and
     the answer is the parity of the conjugator found.
     """
-    if n is not None and (p.degree != n or q.degree != n):
-        raise ValueError("degree does not match n")
     if not p.is_even or not q.is_even:
         raise ValueError("an_conjugate needs even permutations")
     g = conjugator_in_sn(p, q)
@@ -557,7 +555,7 @@ class _Chain:
         return True
 
 
-def group_order(gens, upper_bound=None, rng=None, max_rounds=4096):
+def group_order(gens, upper_bound=None, max_rounds=4096):
     """Exact order of the group generated by gens (stabilizer chain).
 
     The chain keeps one strong generating set S.  Each strong generator
@@ -591,7 +589,7 @@ def group_order(gens, upper_bound=None, rng=None, max_rounds=4096):
     n = gens[0].degree
     if any(g.degree != n for g in gens):
         raise ValueError("generator degree mismatch")
-    rng = rng or random.Random(0x237)
+    rng = random.Random(0x237)
     bound = upper_bound
     if bound is None:
         # |<gens>| <= n!, or n!/2 if every generator is even: a chain

@@ -40,6 +40,13 @@ class TestJordan:
         with pytest.raises(CertificationError, match="not prime"):
             jordan_certify(basic_map("A"), 6)
 
+    @pytest.mark.parametrize("r", range(14))
+    def test_jordan_cycle_matches_useful_cycles(self, r):
+        pair = build_pair(minimal_plan(r))
+        for m in (pair.w1, pair.w2):
+            useful = [u for u in m.useful_cycles() if len(u) == pair.prime]
+            assert useful == [m.jordan_cycle(pair.prime)]
+
     def test_issues_on_construction(self):
         pair = build_pair(minimal_plan(0))
         cert = jordan_certify(pair.w1, 17)
@@ -206,23 +213,23 @@ def _set(doc, path, value):
 
 
 class TestVerifyEvidence:
-    """Every field of the stated evidence must equal the recomputed one."""
-
-    EVIDENCE = ("jordan1", "jordan2", "beauville")
+    """Every stated field must equal the one derived again."""
 
     @pytest.fixture(scope="class")
     def dhb_doc(self):
         return json.loads(certificate_to_json(certify_dhb(minimal_plan(0))))
 
+    @pytest.fixture(scope="class")
+    def cover_doc(self):
+        # r = 2 takes the internal join, which keeps the degree
+        return json.loads(certificate_to_json(certify_cover(minimal_plan(2))))
+
     @pytest.mark.parametrize("kind", ["dhb", "cover"])
-    def test_every_evidence_leaf_is_checked(self, kind, dhb_doc):
-        if kind == "dhb":
-            doc = dhb_doc
-        else:
-            doc = json.loads(certificate_to_json(certify_cover(minimal_plan(2))))
+    def test_every_evidence_leaf_is_checked(self, kind, dhb_doc, cover_doc):
+        doc = dhb_doc if kind == "dhb" else cover_doc
         assert verify_certificate(doc)
-        paths = [p for p, _ in _leaves({k: doc[k] for k in self.EVIDENCE})]
-        assert len(paths) > 40
+        paths = [p for p, _ in _leaves({k: v for k, v in doc.items() if k not in ("w1", "w2")})]
+        assert len(paths) > 50
         for path in paths:
             for value in _tampered(_get(doc, path)):
                 bad = json.loads(json.dumps(doc))
@@ -239,13 +246,29 @@ class TestVerifyEvidence:
         "beauville.x.ok_as_int": lambda d: _set(d, ("beauville", "x", "ok"), 1),
         "beauville.z.method": lambda d: _set(d, ("beauville", "z", "method"), "an_conjugate"),
         "schema": lambda d: _set(d, ("schema",), "beauville-certificate-v0"),
+        "plan.r": lambda d: _set(d, ("plan", "r"), 5),
+        "plan.variant": lambda d: _set(d, ("plan", "variant"), "small_n"),
+        "plan.s_as_text": lambda d: _set(d, ("plan", "s"), "3"),
+        "unknown_top_level_key": lambda d: _set(d, ("note",), "extra"),
+        "unknown_key_in_w1": lambda d: _set(d, ("w1", "note"), "extra"),
+        "missing_x_images": lambda d: d["w1"].pop("x_images"),
+        # refused before a parse would allocate an array of 10^15 points
+        "w1.degree_huge": lambda d: _set(d, ("w1", "degree"), 10**15),
+        "kind_unknown": lambda d: _set(d, ("kind",), "whatever"),
     }
 
-    @pytest.mark.parametrize("field", sorted(TAMPER))
-    def test_named_tampering_rejected(self, field, dhb_doc):
-        doc = json.loads(json.dumps(dhb_doc))
+    COVER_TAMPER = {
+        "extra_g_copies": lambda d: _set(d, ("extra_g_copies",), 5),
+        "branch_swapped": lambda d: _set(d, ("branch",), "adjoin_E_2A"),
+        "kind_dhb": lambda d: _set(d, ("kind",), "dhb"),
+    }
+
+    @pytest.mark.parametrize("field", sorted(TAMPER) + sorted(COVER_TAMPER))
+    def test_named_tampering_rejected(self, field, dhb_doc, cover_doc):
+        tamper = self.TAMPER.get(field) or self.COVER_TAMPER[field]
+        doc = json.loads(json.dumps(dhb_doc if field in self.TAMPER else cover_doc))
         before = json.dumps(doc, sort_keys=True)
-        self.TAMPER[field](doc)
+        tamper(doc)
         assert json.dumps(doc, sort_keys=True) != before
         assert verify_certificate(doc) is False
         assert verify_certificate(json.dumps(doc)) is False
@@ -255,6 +278,10 @@ class TestVerifyEvidence:
     )
     def test_malformed_input_is_false(self, bad):
         assert verify_certificate(bad) is False
+
+    def test_deeply_nested_text_is_false(self):
+        # deeper than the JSON decoder's recursion limit
+        assert verify_certificate("[" * 10**5) is False
 
 
 class TestMinDegree:
@@ -314,6 +341,16 @@ class TestCover:
         monkeypatch.setattr(construct, "build_pair", counting)
         assert certify_cover(minimal_plan(0)).extra_g_copies == 1
         assert built == [(0, 3), (0, 6)]
+
+    @pytest.mark.parametrize("s", [3, 5])
+    def test_every_class_verifies(self, s):
+        seen = set()
+        for r in range(14):
+            cov = certify_cover(ConstructionPlan(r, s, construct.default_variant(r)))
+            seen.add((cov.branch, cov.extra_g_copies))
+            assert verify_certificate(certificate_to_json(cov)) is True, r
+        assert {branch for branch, _ in seen} == {"adjoin_E_2A", "internal_join"}
+        assert max(extra for _, extra in seen) == {3: 2, 5: 3}[s]
 
     def test_nonminimal_stock(self):
         cov = certify_cover(ConstructionPlan(0, 6, "standard"))

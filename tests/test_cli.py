@@ -137,6 +137,13 @@ class TestErrors:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert str(path) in err and problem in err, err
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "no_such_dir" / "x.json"
+        code = main(["construct", "--r", "0", "--out", str(target)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: cannot write {target}: No such file or directory\n", err
+
     def test_lift_prime_above_int64_bound(self, capsys):
         # refused before the trial division that would run for minutes
         code = main(["lift", "--r", "0", "--p", "1000000000000000003", "--t1", "3"])

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from beauville import construct
 from beauville.construct import (
     MINIMAL_DEGREES,
     S3_SHORTCUT_DEGREES,
@@ -106,6 +109,10 @@ class TestPlans:
             ConstructionPlan(0, 2, "standard")
         with pytest.raises(PlanError):
             ConstructionPlan(14, 3)
+        with pytest.raises(PlanError, match="integers"):
+            ConstructionPlan(True, 3)
+        with pytest.raises(PlanError, match="integers"):
+            ConstructionPlan(0, 3.0)
 
     def test_minimal_degrees_match_published_table(self):
         for r in range(14):
@@ -136,6 +143,13 @@ class TestBuildPair:
             divisible = [l for l in m.w_cycles.lengths() if l % pair.prime == 0]
             assert divisible == [pair.prime]
             assert pair.prime <= m.n - 3
+
+    def test_missing_prime_cycle_names_member(self, monkeypatch):
+        # r8_special merges the 47-cycle into one of length 83
+        recipe = dataclasses.replace(construct.RECIPES["r8_special"], prime=47)
+        monkeypatch.setitem(construct.RECIPES, "r8_special", recipe)
+        with pytest.raises(PlanError, match=r"^W_1: hypothesis \(ii\): no w-cycle of length 47"):
+            build_pair(minimal_plan(8))
 
     def test_nonminimal_stock(self):
         pair = build_pair(ConstructionPlan(0, 6, "standard"))

@@ -12,7 +12,6 @@ from beauville.maps import (
     map_from_text,
     map_to_text,
     new_map,
-    tau,
 )
 from beauville.perm import identity
 
@@ -135,8 +134,10 @@ class TestTau:
     def test_map_a(self, map_a):
         assert map_a.tau() == 6
 
-    def test_identity_accepted(self, map_a):
-        assert tau(map_a, identity(14)) == 0
+    def test_identity_accepted(self):
+        # the one-point map: x is the identity, a degenerate involution
+        one = identity(1)
+        assert new_map(1, one, one, one).tau() == 0
 
     def test_map_c_parity(self):
         m = basic_map("C")
@@ -144,8 +145,10 @@ class TestTau:
         assert (m.tau() // 2) % 2 == 0  # one of the four even-tau/2 maps
 
     def test_rejects_non_involution(self, map_a):
-        with pytest.raises(MapError):
-            tau(map_a, map_a.y)
+        # an unvalidated quadruple whose x has order 3
+        bad = HurwitzMap(14, map_a.y, map_a.x, map_a.t, _validated=True)
+        with pytest.raises(MapError, match="involution"):
+            bad.tau()
 
 
 class TestRelabeling:
