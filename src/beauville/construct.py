@@ -380,12 +380,18 @@ def with_free_stock_handles(pair, labels):
     `labels` labels.
 
     Returns (pair, extra copies, shared handles), the pair carrying the
-    enlarged plan, or None when four extra copies do not suffice.
+    enlarged plan, or None when four extra copies do not suffice.  An
+    enlarged plan with the s*, degree and stock range of the plan just
+    tried gives the same pair, so it is skipped: at s = 3 the shifted and
+    r1_special plans already have s* = 6.
     """
     plan = pair.plan
     for extra_g in range(5):
         if extra_g:
-            pair = build_pair(ConstructionPlan(plan.r, plan.s + 3 * extra_g, plan.variant))
+            bigger = ConstructionPlan(plan.r, plan.s + 3 * extra_g, plan.variant)
+            if _assembly(bigger) == _assembly(pair.plan):
+                continue
+            pair = build_pair(bigger)
         lo, hi = pair.plan.stock_range
         if labels is not None:
             hi = lo + labels
@@ -393,6 +399,11 @@ def with_free_stock_handles(pair, labels):
         if len(shared) >= 2:
             return pair, extra_g, shared
     return None
+
+
+def _assembly(plan):
+    """What the maps built from a plan depend on beyond r and the variant."""
+    return plan.s_star, plan.degree, plan.stock_range
 
 
 def small_case(r):

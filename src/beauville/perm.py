@@ -479,16 +479,25 @@ class _Chain:
         # ten times faster than np.array_equal for one intp array
         return arr.tobytes() == self._id_bytes
 
-    def sift(self, arr, start=0):
-        """Strip arr through the levels from `start` on; return (residue,
-        level index where it dropped out).
+    def top(self):
+        """The first level whose orbit is not full (the number of levels
+        if all are): levels 0..top-1 are closed, so any element of the
+        group strips through them."""
+        return self.open[0] if self.open else len(self.levels)
+
+    def sift(self, arr, start=0, stop=None):
+        """Strip arr through levels start..stop-1 (to the last level by
+        default); return (residue, level index where it dropped out, or
+        stop).
 
         Each strip multiplies by the inverse coset representative of the
         base image.  The residue is an intp array: numpy gathers indexed
         by a narrow array are about three times slower.
         """
         levels = self.levels
-        for i in range(start, len(levels)):
+        if stop is None:
+            stop = len(levels)
+        for i in range(start, stop):
             lv = levels[i]
             pt = arr.item(lv.base)
             if pt != lv.base:
@@ -496,11 +505,13 @@ class _Chain:
                 if u is None:
                     return arr, i
                 arr = u[arr].astype(np.intp)
-        return arr, len(levels)
+        return arr, stop
 
-    def add(self, arr):
-        """Sift and, if a nontrivial residue remains, extend the chain."""
-        res, i = self.sift(arr)
+    def add(self, arr, start=0):
+        """Sift from level `start` and, if a nontrivial residue remains,
+        extend the chain.  arr must fix the bases of the levels before
+        `start`."""
+        res, i = self.sift(arr, start)
         while not self.is_identity(res):
             if i == len(self.levels):
                 moved = int(np.flatnonzero(res != self._id)[0])
@@ -555,6 +566,33 @@ class _Chain:
         return True
 
 
+class _Walk:
+    """Product-replacement walk with an accumulator (Celler et al., 1995):
+    a list of group elements and a running product, as intp arrays."""
+
+    __slots__ = ("state", "acc")
+
+    def __init__(self, state, acc):
+        self.state = state
+        self.acc = acc
+
+    def step(self, rng):
+        state = self.state
+        for _ in range(3):
+            i, j = rng.randrange(len(state)), rng.randrange(len(state))
+            if i != j:
+                state[i] = state[i][state[j]]
+        self.acc = self.acc[state[rng.randrange(len(state))]]
+
+    def stripped(self, chain, start, stop):
+        """A new walk: every element stripped through levels
+        start..stop-1, all of them closed."""
+        return _Walk(
+            [chain.sift(x, start, stop)[0] for x in self.state],
+            chain.sift(self.acc, start, stop)[0],
+        )
+
+
 def group_order(gens, upper_bound=None, max_rounds=4096):
     """Exact order of the group generated by gens (stabilizer chain).
 
@@ -574,6 +612,21 @@ def group_order(gens, upper_bound=None, max_rounds=4096):
     complete because it runs over all of S^(i) at each level i, so the
     result is exact.
 
+    Random elements come from two product-replacement walks (Celler,
+    Leedham-Green, Murray, Niemeyer and O'Brien, 1995).  The chain's
+    leading levels 0..top-1 close first, their orbits full, so every
+    element of G strips through them; the walk that feeds the chain runs
+    in G_top, the stabilizer of their bases, and each time top rises
+    its elements are stripped through the newly closed levels only
+    (random Schreier-Sims in the point stabilizer, Seress 2003, 4.3).  A
+    random element then costs a few strips instead of one per closed
+    level.  Stripped repeatedly, that walk can be caught in a proper
+    subgroup of G_top, so after every 8 rounds without growth it is
+    re-derived from a second walk, in G and never stripped.  Exactness
+    never depends on the walks: every element fed in is a product of
+    elements of G, so the chain order stays a lower bound on |G|, and
+    the result is proved by reaching the bound or by the verification.
+
     Memory: each chain level keeps one inverse coset representative, a row
     of n points, per point of its basic orbit.  For A_n that is about
     n^3/2 row entries, 1 byte each up to degree 256 and 2 bytes above
@@ -582,6 +635,7 @@ def group_order(gens, upper_bound=None, max_rounds=4096):
     of the chain (about 1.5n of them for A_n, 4.2 MB at n = 589), and an
     image list and inverse array, about 20n bytes, only while some level
     k no deeper than its entry level has fewer than n - k orbit points.
+    The two walks hold 14 image arrays of 8n bytes.
     """
     gens = [g for g in gens if not g.is_identity()]
     if not gens:
@@ -603,23 +657,17 @@ def group_order(gens, upper_bound=None, max_rounds=4096):
         if chain.order == bound:
             return chain.order
 
-    # Product-replacement state for pseudo-random elements.
+    # Product replacement: `walk` runs in G and is never stripped; `low`
+    # runs in G_top, the stabilizer of the bases of the closed levels
+    # 0..top-1, and is what feeds the chain.
     state = list(arrays)
     while len(state) < 6:
         state.append(state[len(state) % len(arrays)])
-    acc = state[0]
-
-    def random_element():
-        nonlocal acc
-        for _ in range(3):
-            i, j = rng.randrange(len(state)), rng.randrange(len(state))
-            if i != j:
-                state[i] = state[i][state[j]]
-        acc = acc[state[rng.randrange(len(state))]]
-        return acc
-
+    walk = _Walk(state, state[0])
     for _ in range(30):
-        random_element()
+        walk.step(rng)
+    low = _Walk(list(state), walk.acc)
+    top = 0
 
     streak = 0
     for _ in range(max_rounds):
@@ -628,14 +676,27 @@ def group_order(gens, upper_bound=None, max_rounds=4096):
             return got
         if got > bound:
             raise ValueError("upper_bound exceeded; the bound was not valid")
-        w = random_element()
+        # step before stripping: the accumulator just added now strips
+        # to the identity through the levels it closed
+        low.step(rng)
+        closed = chain.top()
+        if closed > top:
+            low = low.stripped(chain, top, closed)
+            top = closed
         before = chain.order
-        chain.add(w)
+        chain.add(low.acc, top)
         streak = streak + 1 if chain.order == before else 0
         if upper_bound is None and streak >= 24:
             while not chain.verify():
                 pass
             return chain.order
+        if streak and streak % 8 == 0:
+            # the stripped walk may be caught in a proper subgroup of
+            # G_top; fresh elements of G stripped down spread over all
+            # of G_top again
+            for _ in range(len(walk.state)):
+                walk.step(rng)
+            low = walk.stripped(chain, 0, top)
     if chain.order == bound:
         return chain.order
     if upper_bound is None:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from beauville import certify, construct
+from beauville import certify, construct, linlift
 from beauville.atlas import basic_map
 from beauville.certify import (
     CertificationError,
@@ -341,6 +341,24 @@ class TestCover:
         monkeypatch.setattr(construct, "build_pair", counting)
         assert certify_cover(minimal_plan(0)).extra_g_copies == 1
         assert built == [(0, 3), (0, 6)]
+
+    def test_skips_a_stock_it_already_built(self, monkeypatch):
+        # the shifted plan at s = 3 already has s* = 6, so one extra copy
+        # of G (s = 6) would assemble the degree-510 pair again; the cover
+        # and the lift both go on to s = 9
+        built = []
+
+        def counting(plan):
+            built.append((plan.s, plan.degree))
+            return build_pair(plan)
+
+        for module in (certify, construct, linlift):
+            monkeypatch.setattr(module, "build_pair", counting)
+        assert certify_cover(minimal_plan(6)).extra_g_copies == 2
+        assert built == [(3, 510), (9, 552)]
+        built.clear()
+        assert linlift.lift_pair(minimal_plan(6), 3, 2).extra_g_copies == 2
+        assert built == [(3, 510), (9, 552)]
 
     @pytest.mark.parametrize("s", [3, 5])
     def test_every_class_verifies(self, s):

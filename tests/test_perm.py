@@ -1,12 +1,13 @@
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from beauville import perm
-from beauville.construct import ConstructionPlan, build_pair
+from beauville.construct import ConstructionPlan, build_pair, v_map
 from beauville.perm import (
     CycleType,
     Permutation,
@@ -316,6 +317,37 @@ class TestGroupOrder:
                 pass
             assert chain.order == want, gens
 
+    def test_random_phase_strips_below_closed_levels(self, monkeypatch):
+        # the levels each sift passes in all; stripping every random
+        # element from level 0 passes 33,812 on this map, one per closed
+        # level on top of the few open ones
+        passed = []
+        sift = perm._Chain.sift
+
+        def counting(chain, arr, start=0, stop=None):
+            res, i = sift(chain, arr, start, stop)
+            passed.append(i - start)
+            return res, i
+
+        monkeypatch.setattr(perm._Chain, "sift", counting)
+        m = v_map(6)
+        target = math.factorial(m.n) // 2
+        assert m.n == 216
+        assert group_order([m.x, m.y], upper_bound=target) == target
+        assert sum(passed) < 5000
+
+    def test_random_walk_never_stalls_on_other_seeds(self, monkeypatch):
+        # the walk below the closed levels can be caught in a proper
+        # subgroup; without the reseed from the walk in G, 56 of these
+        # 280 runs stop with OrderInconclusive
+        maps = [v_map(r) for r in range(14)]
+        for seed in range(20):
+            rng = SimpleNamespace(Random=lambda _, seed=seed: random.Random(seed))
+            monkeypatch.setattr(perm, "random", rng)
+            for m in maps:
+                target = math.factorial(m.n) // 2
+                assert group_order([m.x, m.y], upper_bound=target) == target, (seed, m.n)
+
 
 def chain_of(gens):
     chain = perm._Chain(gens[0].degree)
@@ -349,6 +381,7 @@ class TestChain:
         # invariants are checked every 8 additions, while levels still open
         n = 257
         chains = []
+        starts = []
 
         class Checked(perm._Chain):
             def __init__(self, degree):
@@ -356,8 +389,13 @@ class TestChain:
                 self.adds = 0
                 chains.append(self)
 
-            def add(self, arr):
-                super().add(arr)
+            def add(self, arr, start=0):
+                # an element fed in below the closed levels must already
+                # fix their bases
+                bases = [lv.base for lv in self.levels[:start]]
+                assert (arr[bases] == bases).all()
+                starts.append(start)
+                super().add(arr, start)
                 self.adds += 1
                 if self.adds % 8 == 0:
                     check_strong_generating_set(self)
@@ -368,6 +406,8 @@ class TestChain:
         assert group_order(gens, upper_bound=target) == target
         (chain,) = chains
         assert chain.adds > 8
+        # the random phase feeds the chain from below its closed levels
+        assert max(starts) > n // 2
         check_strong_generating_set(chain)
 
 
