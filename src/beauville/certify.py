@@ -11,8 +11,8 @@ One derivation defines a certificate: the issuers run it on the pairs
 they build, and `verify_certificate` on the maps a document embeds,
 comparing the document it would issue with the stated one.
 
-An independent stabilizer-chain oracle cross-checks |<x, y>| = n!/2 for
-moderate degrees; production certificates never depend on it.
+An independent stabilizer-chain oracle cross-checks |<x, y>| = n!/2;
+production certificates never depend on it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .atlas import basic_map
 from .construct import ConstructionPlan, MapPair, build_pair, with_free_stock_handles
 from .compose import k_compose, pick_handle, self_join, CompositionError
 from .maps import MapError, new_map
-from .perm import an_conjugate, chain_row_bytes, group_order, parse_cycles
+from .perm import an_conjugate, group_order, parse_cycles
 
 __all__ = [
     "CertificationError",
@@ -197,25 +197,12 @@ def certify_dhb(plan):
     return _dhb_certificate(build_pair(plan))
 
 
-# Memory ceiling of the oracle's chain rows: 256 MiB covers every minimal,
-# small and shortcut pair, the largest (n = 589) needing about 205 MB.
-ORACLE_MAX_BYTES = 2**28
-
-
-def alternating_order_oracle(m, max_bytes=ORACLE_MAX_BYTES):
+def alternating_order_oracle(m):
     """Independent stabilizer-chain check that |<x, y>| = n!/2.
 
     The generators are even, so n!/2 is a proven upper bound and reaching
-    it makes the chain order exact.  A chain for A_n stores about n^3/2
-    row entries of 1 or 2 bytes (`perm.chain_row_bytes`); a degree whose
-    rows would exceed max_bytes raises before any work.
+    it makes the chain order exact.
     """
-    need = chain_row_bytes(m.n)
-    if need > max_bytes:
-        raise CertificationError(
-            f"degree {m.n} needs about {need} bytes of chain rows, "
-            f"above the oracle ceiling of {max_bytes} bytes"
-        )
     if not (m.x.is_even and m.y.is_even):
         raise CertificationError("oracle needs even generators")
     target = math.factorial(m.n) // 2

@@ -25,7 +25,6 @@ __all__ = [
     "is_transitive",
     "orbit",
     "group_order",
-    "chain_row_bytes",
     "OrderInconclusive",
     "is_prime",
     "prime_divisors",
@@ -409,25 +408,21 @@ class OrderInconclusive(RuntimeError):
     """Raised when the randomized stabilizer chain fails to settle."""
 
 
-def _row_dtype(n):
-    # the narrowest unsigned dtype that holds every point 0..n-1
-    return np.min_scalar_type(n - 1)
-
-
-def chain_row_bytes(n):
-    """Bytes of the transversal rows group_order stores for a group whose
-    basic orbits have n, n - 1, ... points, as A_n and S_n do: n(n+1)/2
-    rows of n entries, about n^3/2."""
-    return n * n * (n + 1) // 2 * np.dtype(_row_dtype(n)).itemsize
+_ROW_CACHE_BYTES = 2**27  # a chain keeps rows for later strips up to this
+_MAX_ROUNDS = 4096  # random rounds before an unreached upper_bound gives up
 
 
 class _Level:
-    __slots__ = ("base", "uinv", "gens")
+    __slots__ = ("base", "tree", "rows", "gens")
 
     def __init__(self, base, degree):
         self.base = base
-        # point -> inverse of a coset representative u with base^u = point
-        self.uinv = {base: np.arange(degree, dtype=_row_dtype(degree))}
+        # Schreier tree: point -> (parent, inverse array of a generator g
+        # with parent^g = point); the base maps to None
+        self.tree = {base: None}
+        # point -> inverse of the tree's coset representative u with
+        # base^u = point, for the points the chain chose to keep
+        self.rows = {base: np.arange(degree, dtype=np.intp)}
         # (image list, inverse array) of each generator of S^(i), shared
         # with the other levels; None once the orbit is full
         self.gens = []
@@ -435,26 +430,31 @@ class _Level:
     def extend(self, gen):
         """Add a generator of S^(i) and close the orbit again."""
         self.gens.append(gen)
-        uinv = self.uinv
-        images, inv = gen
+        tree = self.tree
         # the old points need only the new generator, the new ones all
-        frontier = []
-        for pt in list(uinv):
-            img = images[pt]
-            if img not in uinv:
-                # u_img = u_pt * g, so u_img^-1 = g^-1 * u_pt^-1
-                uinv[img] = uinv[pt][inv]
-                frontier.append(img)
+        frontier, gens = list(tree), [gen]
         while frontier:
             nxt = []
             for pt in frontier:
-                row = uinv[pt]
-                for images, inv in self.gens:
+                for images, inv in gens:
                     img = images[pt]
-                    if img not in uinv:
-                        uinv[img] = row[inv]
+                    if img not in tree:
+                        tree[img] = (pt, inv)
                         nxt.append(img)
-            frontier = nxt
+            frontier, gens = nxt, self.gens
+
+    def row(self, pt):
+        """The inverse coset row of a tree point, gathered down from its
+        nearest kept ancestor (u_pt = u_parent * g along each edge)."""
+        row = self.rows.get(pt)
+        path = []
+        while row is None:
+            pt, inv = self.tree[pt]
+            path.append(inv)
+            row = self.rows.get(pt)
+        for inv in reversed(path):
+            row = row[inv]
+        return row
 
 
 class _Chain:
@@ -472,6 +472,7 @@ class _Chain:
         self.strong = []  # (entry level, image array) per strong generator
         self.open = []  # indices of the levels whose orbit is not yet full
         self.order = 1  # product of the basic orbit sizes, kept by add
+        self.kept = 0  # bytes of the levels' kept rows, base rows aside
         self._id = np.arange(n, dtype=np.intp)
         self._id_bytes = self._id.tobytes()
 
@@ -490,9 +491,7 @@ class _Chain:
         default); return (residue, level index where it dropped out, or
         stop).
 
-        Each strip multiplies by the inverse coset representative of the
-        base image.  The residue is an intp array: numpy gathers indexed
-        by a narrow array are about three times slower.
+        Each strip multiplies by the inverse coset row of the base image.
         """
         levels = self.levels
         if stop is None:
@@ -501,10 +500,15 @@ class _Chain:
             lv = levels[i]
             pt = arr.item(lv.base)
             if pt != lv.base:
-                u = lv.uinv.get(pt)
+                u = lv.rows.get(pt)
                 if u is None:
-                    return arr, i
-                arr = u[arr].astype(np.intp)
+                    if pt not in lv.tree:
+                        return arr, i
+                    u = lv.row(pt)
+                    if self.kept < _ROW_CACHE_BYTES:
+                        lv.rows[pt] = u
+                        self.kept += u.nbytes
+                arr = u[arr]
         return arr, stop
 
     def add(self, arr, start=0):
@@ -534,10 +538,10 @@ class _Chain:
         for k in self.open:
             if k <= i:
                 lv = self.levels[k]
-                before = len(lv.uinv)
+                before = len(lv.tree)
                 lv.extend(gen)
-                self.order = self.order // before * len(lv.uinv)
-                if len(lv.uinv) == self.n - k:
+                self.order = self.order // before * len(lv.tree)
+                if len(lv.tree) == self.n - k:
                     lv.gens = None
                     continue
             still_open.append(k)
@@ -554,7 +558,9 @@ class _Chain:
         """
         for i in reversed(range(len(self.levels))):
             gens = [g for k, g in self.strong if k >= i]
-            for row in list(self.levels[i].uinv.values()):
+            rows = {}  # parents precede children: one gather per row
+            for pt, edge in list(self.levels[i].tree.items()):
+                rows[pt] = row = self._id if edge is None else rows[edge[0]][edge[1]]
                 u = np.empty(self.n, dtype=np.intp)
                 u[row] = self._id
                 for g in gens:
@@ -593,7 +599,7 @@ class _Walk:
         )
 
 
-def group_order(gens, upper_bound=None, max_rounds=4096):
+def group_order(gens, upper_bound=None):
     """Exact order of the group generated by gens (stabilizer chain).
 
     The chain keeps one strong generating set S.  Each strong generator
@@ -627,15 +633,15 @@ def group_order(gens, upper_bound=None, max_rounds=4096):
     elements of G, so the chain order stays a lower bound on |G|, and
     the result is proved by reaching the bound or by the verification.
 
-    Memory: each chain level keeps one inverse coset representative, a row
-    of n points, per point of its basic orbit.  For A_n that is about
-    n^3/2 row entries, 1 byte each up to degree 256 and 2 bytes above
-    (`chain_row_bytes`): about 7.5 MB at n = 246 and 205 MB at n = 589.
-    Each strong generator keeps its image array, 8n bytes, for the life
-    of the chain (about 1.5n of them for A_n, 4.2 MB at n = 589), and an
-    image list and inverse array, about 20n bytes, only while some level
-    k no deeper than its entry level has fewer than n - k orbit points.
-    The two walks hold 14 image arrays of 8n bytes.
+    Memory: each level keeps a Schreier tree, a parent and an edge per
+    orbit point, about n^2/2 entries for A_n.  Inverse coset rows, 8n
+    bytes each, are gathered down the tree when a strip first needs them
+    and kept up to _ROW_CACHE_BYTES (128 MiB); at n = 589 the strips use
+    5.2k of the 174k rows, 22 MB.  The verification builds one level's
+    rows at a time.  Each strong generator keeps its image and inverse
+    arrays, 16n bytes (about 1.5n generators for A_n), and an image list
+    while a level it extends is open.  The walks hold 14 arrays of 8n
+    bytes.
     """
     gens = [g for g in gens if not g.is_identity()]
     if not gens:
@@ -670,7 +676,7 @@ def group_order(gens, upper_bound=None, max_rounds=4096):
     top = 0
 
     streak = 0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         got = chain.order
         if got == bound:
             return got

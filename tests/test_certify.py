@@ -18,7 +18,7 @@ from beauville.certify import (
 )
 from beauville.compose import eval_expr, self_join
 from beauville.construct import ConstructionPlan, build_pair, minimal_plan
-from beauville.perm import chain_row_bytes, from_cycles
+from beauville.perm import from_cycles
 
 
 class TestJordan:
@@ -381,13 +381,3 @@ class TestOracle:
         pair = build_pair(ConstructionPlan(8, 3, "small_n"))  # n = 246
         assert alternating_order_oracle(pair.w1)
         assert alternating_order_oracle(pair.w2)
-
-    def test_byte_ceiling(self):
-        pair = build_pair(ConstructionPlan(8, 3, "small_n"))  # n = 246
-        need = chain_row_bytes(246)
-        with pytest.raises(CertificationError, match=f"needs about {need} bytes"):
-            alternating_order_oracle(pair.w1, max_bytes=need - 1)
-
-    def test_default_ceiling_covers_every_pair(self):
-        # the largest minimal, small and shortcut pair has degree 589
-        assert chain_row_bytes(589) <= certify.ORACLE_MAX_BYTES

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from beauville.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -35,6 +41,19 @@ class TestReports:
         assert doc["result"]["degree"] == 210
         assert doc["result"]["w_cycles"] == [1, 12, 14, 26, 42, 57, 58]
         assert doc["result"]["prime_set"] == [2, 3, 7, 13, 19, 29]
+
+    def test_python_m_runs_the_cli(self, capsys):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "beauville", "certify", "--r", "0"],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        _, out = run(capsys, "certify", "--r", "0")
+        assert proc.stdout == out.encode()
 
     def test_compose_deterministic(self, capsys):
         _, out1 = run(capsys, "compose", "B(3)C")

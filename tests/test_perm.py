@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from beauville import perm
-from beauville.construct import ConstructionPlan, build_pair, v_map
+from beauville.construct import ConstructionPlan, build_pair, minimal_plan, v_map
 from beauville.perm import (
     CycleType,
     Permutation,
@@ -263,7 +263,7 @@ class TestGroupOrder:
 
         gens = [parse_cycles("(0 1)", 3), parse_cycles("(1 2)", 3)]
         with pytest.raises(OrderInconclusive):
-            group_order(gens, upper_bound=12, max_rounds=50)
+            group_order(gens, upper_bound=12)
 
     def test_invalid_bound_detected(self):
         gens = [parse_cycles("(0 1 2 3 4)"), parse_cycles("(0 1 2)", 5)]
@@ -271,21 +271,39 @@ class TestGroupOrder:
             group_order(gens, upper_bound=30)  # |A_5| = 60 exceeds it
 
     def test_chain_memory_small_case(self):
-        # n = 246: the chain's rows take about 7.5 MB as uint8 and about
-        # 60 MB as int64.
+        # n = 246: every transversal row of the chain would take about
+        # 60 MB; the tree and the rows the strips use peak near 9 MB
         m = build_pair(ConstructionPlan(8, 3, "small_n")).w1
+        assert traced_peak_order(m) < 12 * 2**20
+
+    def test_chain_memory_largest_pair(self):
+        # n = 589, the largest minimal, small or shortcut pair: every row
+        # would take about 820 MB, and the tree alone about n^2/2 entries
+        m = build_pair(minimal_plan(1)).w1
+        assert m.n == 589
+        assert traced_peak_order(m) < 100 * 2**20
+
+    def test_rows_past_the_cache_are_not_kept(self, monkeypatch):
+        # with no room for rows, every strip builds its row from the tree
+        chains = []
+
+        class Recorded(perm._Chain):
+            def __init__(self, degree):
+                super().__init__(degree)
+                chains.append(self)
+
+        monkeypatch.setattr(perm, "_ROW_CACHE_BYTES", 0)
+        monkeypatch.setattr(perm, "_Chain", Recorded)
+        m = v_map(6)
         target = math.factorial(m.n) // 2
-        tracemalloc.start()
-        try:
-            assert group_order([m.x, m.y], upper_bound=target) == target
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * 2**20
+        assert group_order([m.x, m.y], upper_bound=target) == target
+        (chain,) = chains
+        assert chain.kept == 0
+        assert all(list(lv.rows) == [lv.base] for lv in chain.levels)
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_alternating_at_row_dtype_switch(self, n):
-        # Rows hold points 0..n-1: uint8 up to n = 256, uint16 from 257.
+        # A_256 and A_257, where the rows once changed from 1 to 2 bytes.
         # (0 1 2) with the cycle on 0..n-1 (n odd) or 1..n-1 (n even)
         # generates A_n.
         cycle = tuple(range(n % 2 == 0, n))
@@ -349,6 +367,17 @@ class TestGroupOrder:
                 assert group_order([m.x, m.y], upper_bound=target) == target, (seed, m.n)
 
 
+def traced_peak_order(m):
+    """The tracemalloc peak, in bytes, of proving |<x, y>| = n!/2 for m."""
+    target = math.factorial(m.n) // 2
+    tracemalloc.start()
+    try:
+        assert group_order([m.x, m.y], upper_bound=target) == target
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def chain_of(gens):
     chain = perm._Chain(gens[0].degree)
     for g in gens:
@@ -408,13 +437,15 @@ class TestChain:
         assert chain.adds > 8
         # the random phase feeds the chain from below its closed levels
         assert max(starts) > n // 2
-        check_strong_generating_set(chain)
+        check_strong_generating_set(chain, every_row=True)
 
 
-def check_strong_generating_set(chain):
+def check_strong_generating_set(chain, every_row=False):
     """Each strong generator fixes the bases above its entry level j and
-    moves b_j; each level's orbit is closed under S^(i) and its rows map
-    their point back to the base."""
+    moves b_j; each level's orbit, the points of its tree, is closed under
+    S^(i), every parent lies in the tree, and each point's row maps it
+    back to the base.  Without every_row only the kept rows are read: a
+    row built along a long tree path costs one gather per edge."""
     bases = [lv.base for lv in chain.levels]
     for j, g in chain.strong:
         assert (g[bases[:j]] == bases[:j]).all()
@@ -422,12 +453,16 @@ def check_strong_generating_set(chain):
     tags = np.array([j for j, _ in chain.strong])
     strong = np.array([g for _, g in chain.strong])
     for i, lv in enumerate(chain.levels):
-        points = list(lv.uinv)
+        points = list(lv.tree)
         in_orbit = np.zeros(chain.n, dtype=bool)
         in_orbit[points] = True
         assert in_orbit[strong[tags >= i][:, points]].all(), f"level {i} not closed"
-        for pt, row in lv.uinv.items():
-            assert row[pt] == lv.base
+        assert lv.tree[lv.base] is None
+        for pt, edge in lv.tree.items():
+            # the edge's inverse generator takes the point to its parent
+            assert edge is None or (edge[0] in lv.tree and edge[1][pt] == edge[0])
+        for pt in lv.tree if every_row else list(lv.rows):
+            assert lv.row(pt)[pt] == lv.base
 
 
 # -- kernels against a pure-Python reference ----------------------------------
