@@ -418,7 +418,8 @@ class _Level:
     def __init__(self, base, degree):
         self.base = base
         # Schreier tree: point -> (parent, inverse array of a generator g
-        # with parent^g = point); the base maps to None
+        # with parent^g = point); the base maps to None.  While the level
+        # is open the tree is breadth-first over all of its generators
         self.tree = {base: None}
         # point -> inverse of the tree's coset representative u with
         # base^u = point, for the points the chain chose to keep
@@ -428,11 +429,16 @@ class _Level:
         self.gens = []
 
     def extend(self, gen):
-        """Add a generator of S^(i) and close the orbit again."""
+        """Add a generator of S^(i) and rebuild the tree breadth-first
+        from the base over all the generators (Seress 2003, 4.4), so each
+        path is a shortest word in them; only extending the old tree
+        would keep its paths along the first generator's cycle.  Kept
+        rows stay valid, each the inverse of some element taking the
+        base to its point."""
         self.gens.append(gen)
-        tree = self.tree
-        # the old points need only the new generator, the new ones all
-        frontier, gens = list(tree), [gen]
+        gens = self.gens
+        self.tree = tree = {self.base: None}
+        frontier = [self.base]
         while frontier:
             nxt = []
             for pt in frontier:
@@ -441,7 +447,7 @@ class _Level:
                     if img not in tree:
                         tree[img] = (pt, inv)
                         nxt.append(img)
-            frontier, gens = nxt, self.gens
+            frontier = nxt
 
     def row(self, pt):
         """The inverse coset row of a tree point, gathered down from its
@@ -634,14 +640,16 @@ def group_order(gens, upper_bound=None):
     the result is proved by reaching the bound or by the verification.
 
     Memory: each level keeps a Schreier tree, a parent and an edge per
-    orbit point, about n^2/2 entries for A_n.  Inverse coset rows, 8n
-    bytes each, are gathered down the tree when a strip first needs them
-    and kept up to _ROW_CACHE_BYTES (128 MiB); at n = 589 the strips use
-    5.2k of the 174k rows, 22 MB.  The verification builds one level's
-    rows at a time.  Each strong generator keeps its image and inverse
-    arrays, 16n bytes (about 1.5n generators for A_n), and an image list
-    while a level it extends is open.  The walks hold 14 arrays of 8n
-    bytes.
+    orbit point, about n^2/2 entries for A_n.  An open level's tree is
+    rebuilt breadth-first over all its generators whenever it gains one,
+    so its paths are shortest words in them (Seress 2003, 4.4).  Inverse
+    coset rows, 8n bytes each, are gathered down the tree when a strip
+    first needs them and kept up to _ROW_CACHE_BYTES (128 MiB); at
+    n = 589 the strips use 5.4k of the 174k rows, 23 MB.  The
+    verification builds one level's rows at a time.  Each strong
+    generator keeps its image and inverse arrays, 16n bytes (about 1.5n
+    generators for A_n), and an image list while a level it extends is
+    open.  The walks hold 14 arrays of 8n bytes.
     """
     gens = [g for g in gens if not g.is_identity()]
     if not gens:
@@ -746,11 +754,3 @@ def random_permutation(n, rng=None):
     images = list(range(n))
     rng.shuffle(images)
     return Permutation(images)
-
-
-def random_even_permutation(n, rng=None):
-    p = random_permutation(n, rng)
-    if not p.is_even and n >= 2:
-        swap = from_cycles(n, [(0, 1)])
-        p = swap * p
-    return p

@@ -38,6 +38,14 @@ def brute_enumerate(gens):
     return seen
 
 
+def random_even_permutation(n, rng):
+    """A random permutation, times (0 1) when it is odd."""
+    p = perm.random_permutation(n, rng)
+    if not p.is_even:
+        p = from_cycles(n, [(0, 1)]) * p
+    return p
+
+
 def alternating_group(n):
     gens = [from_cycles(n, [(0, 1, 2)])]
     if n >= 4:
@@ -208,8 +216,8 @@ class TestAnConjugate:
         rng = random.Random(99)
         for _ in range(200):
             n = rng.randrange(3, 9)
-            p = perm.random_even_permutation(n, rng)
-            g = perm.random_even_permutation(n, rng)
+            p = random_even_permutation(n, rng)
+            g = random_even_permutation(n, rng)
             q = p.conjugate_by(g)
             assert an_conjugate(p, q)
 
@@ -253,7 +261,7 @@ class TestGroupOrder:
     def test_upper_bound_shortcut(self):
         n = 30
         rng = random.Random(11)
-        gens = [perm.random_even_permutation(n, rng) for _ in range(2)]
+        gens = [random_even_permutation(n, rng) for _ in range(2)]
         bound = math.factorial(n) // 2
         got = group_order(gens, upper_bound=bound)
         assert got <= bound
@@ -282,6 +290,30 @@ class TestGroupOrder:
         m = build_pair(minimal_plan(1)).w1
         assert m.n == 589
         assert traced_peak_order(m) < 100 * 2**20
+
+    def test_row_gathers_follow_short_paths(self, monkeypatch):
+        # n = 589: the strips build about 4.8k rows; trees grown along the
+        # first generator's cycle walked 170,473 edges for them, the
+        # breadth-first trees about 49k
+        walked = []
+        row = perm._Level.row
+
+        def counting(lv, pt):
+            # the edges from pt up to its nearest kept ancestor
+            edges, up = 0, pt
+            while up not in lv.rows:
+                up = lv.tree[up][0]
+                edges += 1
+            walked.append(edges)
+            return row(lv, pt)
+
+        monkeypatch.setattr(perm._Level, "row", counting)
+        m = build_pair(minimal_plan(1)).w1
+        target = math.factorial(m.n) // 2
+        assert m.n == 589
+        assert group_order([m.x, m.y], upper_bound=target) == target
+        assert len(walked) > 1000
+        assert sum(walked) < 80_000
 
     def test_rows_past_the_cache_are_not_kept(self, monkeypatch):
         # with no room for rows, every strip builds its row from the tree
@@ -443,15 +475,17 @@ class TestChain:
 def check_strong_generating_set(chain, every_row=False):
     """Each strong generator fixes the bases above its entry level j and
     moves b_j; each level's orbit, the points of its tree, is closed under
-    S^(i), every parent lies in the tree, and each point's row maps it
-    back to the base.  Without every_row only the kept rows are read: a
-    row built along a long tree path costs one gather per edge."""
+    S^(i), every parent lies in the tree, each open level's tree is
+    breadth-first over its generators, and each point's row maps it back
+    to the base.  Without every_row only the kept rows are read: a row
+    built from the tree costs one gather per edge of its path."""
     bases = [lv.base for lv in chain.levels]
     for j, g in chain.strong:
         assert (g[bases[:j]] == bases[:j]).all()
         assert g[bases[j]] != bases[j]
     tags = np.array([j for j, _ in chain.strong])
     strong = np.array([g for _, g in chain.strong])
+    open_levels = set(chain.open)
     for i, lv in enumerate(chain.levels):
         points = list(lv.tree)
         in_orbit = np.zeros(chain.n, dtype=bool)
@@ -461,8 +495,35 @@ def check_strong_generating_set(chain, every_row=False):
         for pt, edge in lv.tree.items():
             # the edge's inverse generator takes the point to its parent
             assert edge is None or (edge[0] in lv.tree and edge[1][pt] == edge[0])
+        if i in open_levels:
+            # an open level's tree is breadth-first over its generators:
+            # each point lies as deep as its distance from the base
+            distance = bfs_distances(lv.base, [images for images, _ in lv.gens])
+            depth = {pt: tree_depth(lv.tree, pt) for pt in lv.tree}
+            assert depth == distance, f"level {i} not breadth-first"
         for pt in lv.tree if every_row else list(lv.rows):
             assert lv.row(pt)[pt] == lv.base
+
+
+def bfs_distances(start, image_lists):
+    """Each point's distance from start in the graph of the image lists."""
+    distance = {start: 0}
+    queue = [start]
+    for pt in queue:
+        for images in image_lists:
+            if images[pt] not in distance:
+                distance[images[pt]] = distance[pt] + 1
+                queue.append(images[pt])
+    return distance
+
+
+def tree_depth(tree, pt):
+    """The number of edges from pt up to the root of the tree."""
+    depth = 0
+    while tree[pt] is not None:
+        pt = tree[pt][0]
+        depth += 1
+    return depth
 
 
 # -- kernels against a pure-Python reference ----------------------------------
