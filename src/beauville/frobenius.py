@@ -19,6 +19,7 @@ and row orthogonality at load.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -26,7 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .perm import identity, parse_cycles
+import numpy as np
+
+from .perm import Permutation, parse_cycles
 
 __all__ = [
     "TableError",
@@ -310,51 +313,82 @@ def class_sum_coefficient(table, x_name, y_name, z_name):
 
 
 def enumerate_group(gens, cap=10_000):
-    """All elements of <gens> as Permutations, breadth-first; raises if the
-    order exceeds the cap."""
+    """All elements of <gens> as Permutations, sorted by their images;
+    raises if the order exceeds the cap.
+
+    A breadth-first search from the identity on int64 image arrays, in
+    which a product is new when its image bytes are.  One Permutation is
+    made per element at the end, in np.lexsort order of the images.
+    """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    seen = {identity(gens[0].degree)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = p * g
-                if q not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError(f"group order exceeds the cap {cap}")
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return sorted(seen, key=lambda p: p.images)
+    n = gens[0].degree
+    for g in gens:
+        if g.degree != n:
+            raise ValueError(f"degree mismatch: {n} vs {g.degree}")
+    found = [np.arange(n, dtype=np.int64)]
+    seen = {found[0].tobytes()}
+    for p in found:  # the loop also visits what it appends: breadth-first
+        for g in gens:
+            q = g.array[p]
+            key = q.tobytes()
+            if key not in seen:
+                if len(seen) >= cap:
+                    raise ValueError(f"group order exceeds the cap {cap}")
+                seen.add(key)
+                found.append(q)
+    order = np.lexsort(np.stack(found).T[::-1])
+    return [Permutation._trusted(found[i]) for i in order.tolist()]
 
 
 def conjugacy_classes(elements, gens):
-    """Partition of the elements into conjugacy classes (orbit closure
-    under conjugation by the generators); classes sorted by (rep order,
-    size, min element)."""
-    element_set = set(elements)
-    unseen = set(elements)
-    classes = []
-    while unseen:
-        rep = min(unseen, key=lambda p: p.images)
-        orbit = {rep}
-        frontier = [rep]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    q = p.conjugate_by(g)
-                    if q not in orbit:
-                        orbit.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        if not orbit <= element_set:
-            raise ValueError("conjugation left the element set")
-        unseen -= orbit
-        classes.append(sorted(orbit, key=lambda p: p.images))
+    """Partition of the distinct elements into conjugacy classes under
+    <gens>; classes sorted by (rep order, size, min element), each sorted
+    by images.
+
+    The elements are indexed by their image bytes.  Conjugation by a
+    generator g maps all of them at once, as one scatter of their image
+    rows (g^-1 p g sends a^g to (a^p)^g), and then to element indices;
+    the classes are the orbits of these index maps.  Raises if a
+    conjugate is not among the elements.
+    """
+    perms = list(dict.fromkeys(elements))
+    if not perms:
+        return []
+    n = perms[0].degree
+    if any(p.degree != n for p in itertools.chain(perms, gens)):
+        raise ValueError("degree mismatch")
+    rows = np.stack([p.array for p in perms])
+    index = {p.array.tobytes(): i for i, p in enumerate(perms)}
+    conj = np.empty_like(rows)
+    maps = []
+    for g in gens:
+        conj[:, g.array] = g.array[rows]
+        try:
+            maps.append([index[row.tobytes()] for row in conj])
+        except KeyError:
+            raise ValueError("conjugation left the element set") from None
+    # label the orbits from the elements in images order, so that each
+    # class, listed in that order, starts at its least element
+    order = np.lexsort(rows.T[::-1]).tolist()
+    label = [-1] * len(perms)
+    count = 0
+    for start in order:
+        if label[start] >= 0:
+            continue
+        label[start] = count
+        orbit = [start]
+        for i in orbit:  # the loop also visits what it appends
+            for images in maps:
+                j = images[i]
+                if label[j] < 0:
+                    label[j] = count
+                    orbit.append(j)
+        count += 1
+    classes = [[] for _ in range(count)]
+    for i in order:
+        classes[label[i]].append(perms[i])
     classes.sort(key=lambda cl: (cl[0].order(), len(cl), cl[0].images))
     return classes
 

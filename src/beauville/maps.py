@@ -15,9 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .perm import is_prime, is_transitive, parse_cycles, prime_divisors
+from .perm import (
+    is_identity_array,
+    is_prime,
+    is_transitive,
+    parse_cycles,
+    prime_divisors,
+)
 
 __all__ = [
     "MapError",
@@ -162,10 +166,9 @@ class HurwitzMap:
 
     def _validate(self):
         x, y, t, n = self.x, self.y, self.t, self.n
-        ident = np.arange(n, dtype=np.int64)
 
         def check(arr, name):
-            if not np.array_equal(arr, ident):
+            if not is_identity_array(arr):
                 raise RelationError(f"relation {name} = 1 fails")
 
         if not is_transitive([x, y], n):
@@ -278,8 +281,13 @@ class HurwitzMap:
         """Cycles of w with an x-witness and a y-witness inside them.
 
         The x-witness must not be a fixed point of x lying in a handle, so
-        that usefulness survives composition.
+        that usefulness survives composition.  Found once per map; each
+        call returns a new list.
         """
+        return list(self._useful_cycles)
+
+    @cached_property
+    def _useful_cycles(self):
         xa, ya = self.x.array.tolist(), self.y.array.tolist()
         handle_pts = self.handle_points
         out = []
@@ -297,7 +305,7 @@ class HurwitzMap:
                     break
             if x_wit is not None and y_wit is not None:
                 out.append(UsefulCycle(cyc, x_wit, y_wit))
-        return out
+        return tuple(out)
 
     def jordan_cycle(self, p):
         """The useful w-cycle of prime length p that Jordan's theorem needs.

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +38,10 @@ class Permutation:
     Permutations are immutable, so each one memoizes its cycle
     decomposition: the first of `cycles`, `cycle_type`, `order`,
     `is_even` or `parity` walks the cycles once, and every later call
-    reads the stored walk.
+    reads the stored walk.  Every constructor stores an int64 array, and
+    equality and hash both read its bytes: two permutations are equal
+    when their stored hashes and image bytes are, so permutations of
+    different degrees never are.
     """
 
     __slots__ = ("_arr", "_hash", "_cycles")
@@ -93,9 +97,7 @@ class Permutation:
     def __eq__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self._arr.size == other._arr.size and bool(
-            np.array_equal(self._arr, other._arr)
-        )
+        return self._hash == other._hash and self._arr.tobytes() == other._arr.tobytes()
 
     def __mul__(self, other):
         """Left-to-right product: a^(p*q) = (a^p)^q."""
@@ -160,7 +162,7 @@ class Permutation:
         return 1 if self.is_even else -1
 
     def is_identity(self):
-        return bool(np.array_equal(self._arr, np.arange(self._arr.size)))
+        return is_identity_array(self._arr)
 
     def conjugate_by(self, g):
         """g^-1 * self * g under the right action: (a^g)^(self^g) = (a^self)^g."""
@@ -236,6 +238,18 @@ def _walk_cycles(images):
             pt = images[pt]
         out.append(tuple(cyc))
     return tuple(out)
+
+
+@lru_cache(maxsize=4)
+def _identity_bytes(n, itemsize):
+    # the bytes of 0..n-1 depend on the item size, not on the signedness
+    return np.arange(n, dtype=f"i{itemsize}").tobytes()
+
+
+def is_identity_array(arr):
+    """Whether an integer image array fixes every point: one comparison of
+    its bytes with those of the identity of its size and item size."""
+    return arr.tobytes() == _identity_bytes(arr.size, arr.itemsize)
 
 
 def identity(n):
@@ -480,11 +494,6 @@ class _Chain:
         self.order = 1  # product of the basic orbit sizes, kept by add
         self.kept = 0  # bytes of the levels' kept rows, base rows aside
         self._id = np.arange(n, dtype=np.intp)
-        self._id_bytes = self._id.tobytes()
-
-    def is_identity(self, arr):
-        # ten times faster than np.array_equal for one intp array
-        return arr.tobytes() == self._id_bytes
 
     def top(self):
         """The first level whose orbit is not full (the number of levels
@@ -522,7 +531,7 @@ class _Chain:
         extend the chain.  arr must fix the bases of the levels before
         `start`."""
         res, i = self.sift(arr, start)
-        while not self.is_identity(res):
+        while not is_identity_array(res):
             if i == len(self.levels):
                 moved = int(np.flatnonzero(res != self._id)[0])
                 self.levels.append(_Level(moved, self.n))
@@ -572,7 +581,7 @@ class _Chain:
                 for g in gens:
                     # sifting u*g from level i strips the Schreier generator
                     res, _ = self.sift(g[u], i)
-                    if not self.is_identity(res):
+                    if not is_identity_array(res):
                         self.add(res)
                         return False
         return True
@@ -747,10 +756,3 @@ def prime_divisors(m):
     if m > 1:
         out.add(m)
     return out
-
-
-def random_permutation(n, rng=None):
-    rng = rng or random
-    images = list(range(n))
-    rng.shuffle(images)
-    return Permutation(images)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -19,7 +20,9 @@ from beauville.frobenius import (
     parse_table,
     parse_value,
 )
-from beauville.perm import parse_cycles
+from beauville.perm import from_cycles, identity, parse_cycles
+
+from perm_helpers import brute_enumerate, random_permutation
 
 
 def s3_gens():
@@ -239,8 +242,6 @@ def test_every_count_pinned(name):
 
 class TestEnumeration:
     def test_trivial_group(self):
-        from beauville.perm import identity
-
         got = brute_count([identity(3)], identity(3), identity(3), identity(3))
         assert got == 1
 
@@ -263,6 +264,36 @@ class TestEnumeration:
                 parse_cycles("(0 1 2)"),
             )
 
+    def test_cap_equal_to_the_order_passes(self):
+        gens = ENUMERATED_GENS["l2_13"]()
+        assert len(enumerate_group(gens, cap=1092)) == 1092
+        with pytest.raises(ValueError, match="exceeds the cap 1091"):
+            enumerate_group(gens, cap=1091)
+
+    def test_mixed_degrees(self):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            enumerate_group([parse_cycles("(0 1 2)"), parse_cycles("(0 1)", 4)])
+        with pytest.raises(ValueError, match="degree mismatch"):
+            conjugacy_classes(enumerate_group(s3_gens()), [parse_cycles("(0 1)", 4)])
+
+    def test_elements_not_closed_under_conjugation(self):
+        elements = [identity(3), parse_cycles("(0 1)", 3)]
+        with pytest.raises(ValueError, match="left the element set"):
+            conjugacy_classes(elements, s3_gens())
+
+    def test_duplicate_elements_collapse(self):
+        gens = GROUP_GENS["a4"]()
+        elements = enumerate_group(gens)
+        classes = conjugacy_classes(elements, gens)
+        assert conjugacy_classes(elements[::-1] + elements[3:9], gens) == classes
+        assert sum(map(len, classes)) == len(elements) == 12
+
+    def test_no_elements_or_no_generators(self):
+        assert conjugacy_classes([], s3_gens()) == []
+        elements = enumerate_group(s3_gens())
+        singletons = conjugacy_classes(elements, [])
+        assert singletons == [[p] for p in sorted(elements, key=lambda p: (p.order(), p.images))]
+
 
 GROUP_GENS = {
     "s3": lambda: s3_gens(),
@@ -270,6 +301,76 @@ GROUP_GENS = {
     "a4": lambda: [parse_cycles("(0 1 2)", 4), parse_cycles("(0 1)(2 3)")],
     "a5": lambda: [parse_cycles("(0 1 2 3 4)"), parse_cycles("(0 1 2)", 5)],
 }
+
+
+def alternating_gens(n):
+    """The generators of A_n that acceptance criterion 11 enumerates."""
+    gens = [from_cycles(n, [(0, 1, 2)])]
+    if n >= 4:
+        gens.append(from_cycles(n, [tuple(range(n)) if n % 2 else tuple(range(1, n))]))
+    return gens
+
+
+ENUMERATED_GENS = {
+    **GROUP_GENS,
+    "l2_13": lambda: [basic_map("A").x, basic_map("A").y],
+    **{f"alt{n}": (lambda n=n: alternating_gens(n)) for n in range(3, 8)},
+}
+
+# SHA-256 of each group's element list (one line of images per element,
+# in the order enumerate_group returns them) followed by its class
+# partition (one line of element positions per class, in the order
+# conjugacy_classes returns them); taken from the enumeration that built
+# one Permutation per product and compared them with np.array_equal.
+ENUMERATION_DIGESTS = {
+    "a4": "36f8b6f0458ef713db92f8d3cd73d8fa9b1c8ddd187fa1d6c548600fd689d630",
+    "a5": "478ed10169f6604e9b00e55cbc43cdac072ed57152e47778b6552a07c01bd634",
+    "alt3": "a507822c850c6a3033314f31e31040303af5c60be091e447149156e59dcfc5df",
+    "alt4": "36f8b6f0458ef713db92f8d3cd73d8fa9b1c8ddd187fa1d6c548600fd689d630",
+    "alt5": "478ed10169f6604e9b00e55cbc43cdac072ed57152e47778b6552a07c01bd634",
+    "alt6": "1fedecc6a979cb18d47057b47046175c1a4055487547dca6237b87d4f6450f9d",
+    "alt7": "cfbf6e28ed803c5303d6d08bd7ccd647e04d9cf52283d9cd18415a33867a372f",
+    "l2_13": "cbaf8248f96f9c1cd9afba71be8eb5a59b123d13b9206bb23a7577da90033f9f",
+    "s3": "7b2ce71769c8ce3611d9ffe07e79d7e62bf29be805515f9f7ecdba646761c184",
+    "s4": "c7c6bd8f739faf3a607d4bd3a3a7f40b7a584f75a8fdbc65a358b37f1d940422",
+}
+
+
+def reference_classes(elements, gens):
+    """The orbits of conjugation, one conjugate_by at a time, each sorted
+    by images; classes in the order conjugacy_classes promises."""
+    unseen = set(elements)
+    classes = []
+    while unseen:
+        orbit = {min(unseen, key=lambda p: p.images)}
+        frontier = list(orbit)
+        while frontier:
+            frontier = [q for q in {p.conjugate_by(g) for p in frontier for g in gens} if q not in orbit]
+            orbit.update(frontier)
+        unseen -= orbit
+        classes.append(sorted(orbit, key=lambda p: p.images))
+    return sorted(classes, key=lambda cl: (cl[0].order(), len(cl), cl[0].images))
+
+
+def test_enumeration_matches_reference_on_random_groups():
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        gens = [random_permutation(n, rng) for _ in range(rng.randrange(1, 4))]
+        elements = enumerate_group(gens, cap=720)
+        assert elements == sorted(brute_enumerate(gens), key=lambda p: p.images)
+        assert conjugacy_classes(elements, gens) == reference_classes(elements, gens)
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATED_GENS))
+def test_enumeration_pinned(name):
+    gens = ENUMERATED_GENS[name]()
+    elements = enumerate_group(gens, cap=3000)
+    classes = conjugacy_classes(elements, gens)
+    position = {p: i for i, p in enumerate(elements)}
+    text = "".join(" ".join(map(str, p.images)) + "\n" for p in elements)
+    text += "".join(" ".join(str(position[p]) for p in cl) + "\n" for cl in classes)
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", ["s3", "s4", "a4", "a5"])

@@ -20,6 +20,8 @@ from beauville.linlift import (
     permutation_matrix,
 )
 
+from perm_helpers import random_permutation
+
 
 class TestMatrixArithmetic:
     def test_permutation_matrix_roundtrip(self):
@@ -36,11 +38,11 @@ class TestMatrixArithmetic:
         for _ in range(25):
             n = rng.randrange(3, 12)
             p = rng.choice([2, 3, 5, 7])
-            a = permutation_matrix(perm.random_permutation(n, rng), p)
+            a = permutation_matrix(random_permutation(n, rng), p)
             cor = {
                 rng.randrange(n): np.array([rng.randrange(p) for _ in range(n)])
             }
-            b = PrimeFieldMatrix(p, perm.random_permutation(n, rng).array, cor)
+            b = PrimeFieldMatrix(p, random_permutation(n, rng).array, cor)
             assert np.array_equal((a @ b).dense(), (a.dense() @ b.dense()) % p)
             assert np.array_equal((b @ a).dense(), (b.dense() @ a.dense()) % p)
 
@@ -52,7 +54,7 @@ class TestMatrixArithmetic:
             cor = {}
             for _ in range(rng.randrange(0, 3)):
                 cor[rng.randrange(n)] = np.array([rng.randrange(p) for _ in range(n)])
-            m = PrimeFieldMatrix(p, perm.random_permutation(n, rng).array, cor)
+            m = PrimeFieldMatrix(p, random_permutation(n, rng).array, cor)
             dense = m.dense()
             want = round(np.linalg.det(dense.astype(float))) % p
             assert m.det() == want
@@ -72,7 +74,7 @@ class TestFixedSpace:
         rng = random.Random(17)
         for _ in range(40):
             n = rng.randrange(2, 100)
-            g = perm.random_permutation(n, rng)
+            g = random_permutation(n, rng)
             p = rng.choice([2, 3, 5, 7])
             m = permutation_matrix(g, p)
             want = len(g.cycles(include_fixed=True))
@@ -182,7 +184,7 @@ class TestLargePrime:
                 rng.randrange(n): [p - 1 - rng.randrange(5) for _ in range(n)]
                 for _ in range(3)
             }
-            return PrimeFieldMatrix(p, perm.random_permutation(n, rng).array, cor)
+            return PrimeFieldMatrix(p, random_permutation(n, rng).array, cor)
 
         for _ in range(10):
             n = rng.randrange(3, 7)

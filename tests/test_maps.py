@@ -15,6 +15,8 @@ from beauville.maps import (
 )
 from beauville.perm import identity
 
+from perm_helpers import random_permutation
+
 
 @pytest.fixture(scope="module")
 def map_a():
@@ -129,6 +131,21 @@ class TestUsefulCycles:
         for u in m.useful_cycles():
             assert tuple(u.cycle) in wc
 
+    def test_found_once_per_map(self, monkeypatch):
+        from beauville import maps
+
+        made = []
+        useful_cycle = maps.UsefulCycle
+        monkeypatch.setattr(maps, "UsefulCycle", lambda *a: made.append(a) or useful_cycle(*a))
+        k = basic_map("K")
+        m = HurwitzMap(k.n, k.x, k.y, k.t)
+        first = m.useful_cycles()
+        second = m.useful_cycles()
+        assert isinstance(first, list) and first == second and first is not second
+        assert len(made) == len(first) > 0
+        first.clear()
+        assert m.useful_cycles() == second
+
 
 class TestTau:
     def test_map_a(self, map_a):
@@ -156,7 +173,7 @@ class TestRelabeling:
         rng = random.Random(8)
         for mid in ("A", "B", "G", "M"):
             m = basic_map(mid)
-            sigma = perm.random_permutation(m.n, rng)
+            sigma = random_permutation(m.n, rng)
             r = m.relabel(sigma)
             assert r.fixed_point_vector() == m.fixed_point_vector()
             assert r.genus() == m.genus()

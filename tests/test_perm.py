@@ -20,27 +20,12 @@ from beauville.perm import (
     parse_cycles,
 )
 
-
-def brute_enumerate(gens):
-    """Independent oracle: full closure under right multiplication."""
-    n = gens[0].degree
-    seen = {identity(n)}
-    frontier = [identity(n)]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = p * g
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return seen
+from perm_helpers import brute_enumerate, random_permutation
 
 
 def random_even_permutation(n, rng):
     """A random permutation, times (0 1) when it is odd."""
-    p = perm.random_permutation(n, rng)
+    p = random_permutation(n, rng)
     if not p.is_even:
         p = from_cycles(n, [(0, 1)]) * p
     return p
@@ -101,26 +86,80 @@ class TestBasics:
         rng = random.Random(42)
         for _ in range(150):
             n = rng.randrange(2, 12)
-            p = perm.random_permutation(n, rng)
-            q = perm.random_permutation(n, rng)
+            p = random_permutation(n, rng)
+            q = random_permutation(n, rng)
             assert (p * q).parity() == p.parity() * q.parity()
             assert ((p * q).inverse()) == q.inverse() * p.inverse()
-            g = perm.random_permutation(n, rng)
+            g = random_permutation(n, rng)
             assert p.conjugate_by(g).cycle_type() == p.cycle_type()
 
     def test_associativity(self):
         rng = random.Random(13)
         for _ in range(100):
             n = rng.randrange(1, 10)
-            p, q, r = (perm.random_permutation(n, rng) for _ in range(3))
+            p, q, r = (random_permutation(n, rng) for _ in range(3))
             assert (p * q) * r == p * (q * r)
 
     def test_cycle_string_roundtrip(self):
         rng = random.Random(3)
         for _ in range(50):
             n = rng.randrange(1, 15)
-            p = perm.random_permutation(n, rng)
+            p = random_permutation(n, rng)
             assert parse_cycles(p.cycle_string(), degree=n) == p
+
+
+def equal_and_same_hash(p, q):
+    return p == q and q == p and hash(p) == hash(q)
+
+
+class TestEquality:
+    def test_other_degrees_never_equal(self):
+        assert Permutation([1, 0]) != Permutation([1, 0, 2])
+        assert identity(3) != identity(4)
+        assert from_cycles(4, [(0, 1)]) != parse_cycles("(0 1)")
+        assert all(identity(n) != identity(m) for n in range(1, 6) for m in range(1, 6) if n != m)
+
+    def test_other_types_never_equal(self):
+        assert (identity(3) == object()) is False
+        assert identity(3) != object()
+        assert identity(2) != (0, 1)
+
+    def test_every_constructor_compares_and_hashes_equal(self):
+        n = 7
+        want = Permutation([1, 2, 0, 4, 3, 5, 6])  # (0 1 2)(3 4)
+        g = parse_cycles("(0 5)(2 6)", n)
+        made = [
+            Permutation(list(want.images)),
+            Permutation(np.array(want.images, dtype=np.int32)),
+            Permutation(np.array(want.images, dtype=np.uint8)),
+            parse_cycles("(0 1 2)(3 4)", n),
+            parse_cycles("(1,2,0)(4,3)", n),
+            from_cycles(n, [(1, 2, 0), (4, 3)]),
+            parse_cycles("(1 2)", n) * parse_cycles("(0 1)(3 4)", n),
+            want.inverse().inverse(),
+            want ** 7,
+            want.inverse() ** -1,
+            want.conjugate_by(g).conjugate_by(g.inverse()),
+        ]
+        for p in made:
+            assert equal_and_same_hash(p, want), p
+        assert len({want, *made}) == 1
+        assert equal_and_same_hash(want ** 0, identity(n))
+        assert equal_and_same_hash(want ** 6, identity(n))
+        assert equal_and_same_hash(want * want.inverse(), identity(n))
+
+    def test_trusted_arrays_compare_and_hash_equal(self):
+        from beauville.atlas import basic_map
+        from beauville.compose import k_compose, pick_handle, self_join
+        from beauville.linlift import _as_permutation, permutation_matrix
+
+        g, a = basic_map("G"), basic_map("A")
+        joined = k_compose(g, pick_handle(g, 1), a, pick_handle(a, 1))
+        selfjoined = self_join(g, *g.find_handles(1)[:2])
+        lifted = permutation_matrix(a.x * a.y, 5)
+        for p in (joined.x, joined.y, joined.t, selfjoined.x):
+            assert equal_and_same_hash(p, Permutation(list(p.images)))
+        assert equal_and_same_hash(_as_permutation(lifted.perm), a.x * a.y)
 
 
 class TestTransitivity:
@@ -136,8 +175,8 @@ class TestConjugatorInSn:
         rng = random.Random(21)
         for _ in range(100):
             n = rng.randrange(2, 10)
-            p = perm.random_permutation(n, rng)
-            g = perm.random_permutation(n, rng)
+            p = random_permutation(n, rng)
+            g = random_permutation(n, rng)
             q = p.conjugate_by(g)
             sigma = conjugator_in_sn(p, q)
             assert p.conjugate_by(sigma) == q
@@ -255,7 +294,7 @@ class TestGroupOrder:
         rng = random.Random(5)
         for _ in range(20):
             n = rng.randrange(3, 8)
-            gens = [perm.random_permutation(n, rng) for _ in range(2)]
+            gens = [random_permutation(n, rng) for _ in range(2)]
             assert group_order(gens) == len(brute_enumerate(gens))
 
     def test_upper_bound_shortcut(self):
@@ -359,7 +398,7 @@ class TestGroupOrder:
         rng = random.Random(2017)
         for _ in range(300):
             n = rng.randrange(3, 8)
-            gens = [perm.random_permutation(n, rng) for _ in range(rng.randrange(1, 4))]
+            gens = [random_permutation(n, rng) for _ in range(rng.randrange(1, 4))]
             want = len(brute_enumerate(gens))
             assert group_order(gens) == want, gens
             chain = chain_of(gens)
@@ -578,7 +617,7 @@ def naive_orbit(gens, start):
 
 
 def random_images(rng):
-    return [p.images for p in (perm.random_permutation(rng.randrange(1, 61), rng) for _ in range(200))]
+    return [p.images for p in (random_permutation(rng.randrange(1, 61), rng) for _ in range(200))]
 
 
 class TestKernelsAgainstReference:
