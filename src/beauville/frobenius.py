@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,23 +71,32 @@ class CharacterTable:
 
     `characters` holds `parse_value` results.  The conductor is the lcm of
     their n, and each value is kept as (exponent mod conductor,
-    coefficient) pairs.
+    coefficient) pairs.  A table is read-only once built, since
+    `bundled_table` shares one among all its callers: `classes`,
+    `characters` and `weights` are tuples, `index` is a read-only
+    mapping, and no attribute can be set again.
     """
 
     def __init__(self, group_name, order, classes, characters):
         self.group_name = group_name
         self.order = order
-        self.classes = list(classes)
-        self.index = {c.name: i for i, c in enumerate(self.classes)}
+        self.classes = tuple(classes)
+        self.index = MappingProxyType({c.name: i for i, c in enumerate(self.classes)})
         m = math.lcm(1, *(n for row in characters for v in row for n, _, _ in v))
         if m > MAX_CONDUCTOR:
             raise TableError(f"the values need conductor {m}, above {MAX_CONDUCTOR}")
         self.conductor = m
-        self.characters = [
-            [tuple((k * (m // n) % m, c) for n, k, c in v) for v in row]
+        self.characters = tuple(
+            tuple(tuple((k * (m // n) % m, c) for n, k, c in v) for v in row)
             for row in characters
-        ]
+        )
         self._validate()
+        self._frozen = True
+
+    def __setattr__(self, name, value):
+        if getattr(self, "_frozen", False):
+            raise AttributeError(f"a character table is read-only; cannot set {name!r}")
+        object.__setattr__(self, name, value)
 
     def _validate(self):
         if sum(c.size for c in self.classes) != self.order:
@@ -111,7 +121,7 @@ class CharacterTable:
             degrees.append(rem[0])
         # frobenius_count weighs row i by lcm(degrees) / degree i
         self.degree_lcm = math.lcm(*degrees)
-        self.weights = [self.degree_lcm // d for d in degrees]
+        self.weights = tuple(self.degree_lcm // d for d in degrees)
         # row orthogonality: sum |C| chi(C) conj(psi(C)) = |G| [chi == psi];
         # the (j, i) sum is the conjugate of the (i, j) one
         for i, chi in enumerate(self.characters):
@@ -267,7 +277,10 @@ def load_table(path):
     return parse_table(text)
 
 
+@lru_cache(maxsize=None)
 def bundled_table(name):
+    """A bundled table, read, parsed and validated once per process: every
+    call with the same name returns the same immutable table."""
     if name not in BUNDLED_TABLES:
         raise TableError(f"no bundled table {name!r}; have {BUNDLED_TABLES}")
     text = resources.files("beauville").joinpath(f"data/{name}.tbl").read_text()

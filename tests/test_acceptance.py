@@ -195,7 +195,7 @@ def test_criterion_6_independent_generation_oracle():
         target = math.factorial(pair.degree) // 2
         for m in (pair.w1, pair.w2):
             assert group_order([m.x, m.y], upper_bound=target) == target
-    report(6, t0, 30)
+    report(6, t0, 20)
 
 
 def test_criterion_7_minimum_degree():
@@ -252,7 +252,7 @@ def test_criterion_9_frobenius_cross_oracle():
     a = basic_map("A")
     gens["l2_13"] = [a.x, a.y]
     for name in BUNDLED_TABLES:
-        table = bundled_table(name)  # load re-checks orthogonality exactly
+        table = bundled_table(name)  # its first load checks orthogonality exactly
         _cross_oracle(table, gens[name])
     report(9, t0, 120)
 

@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -17,6 +18,7 @@ from beauville.frobenius import (
     conjugacy_classes,
     enumerate_group,
     frobenius_count,
+    load_table,
     parse_table,
     parse_value,
 )
@@ -169,6 +171,24 @@ class TestBundled:
     def test_unknown(self):
         with pytest.raises(TableError):
             bundled_table("m11")
+
+    def test_loaded_once_and_shared_read_only(self, tmp_path):
+        table = bundled_table("a5")
+        assert bundled_table("a5") is table
+        assert isinstance(table.classes, tuple) and isinstance(table.weights, tuple)
+        assert isinstance(table.characters, tuple)
+        assert all(isinstance(row, tuple) for row in table.characters)
+        with pytest.raises(TypeError):
+            table.index["1A"] = 1
+        with pytest.raises(AttributeError):
+            table.order = 120
+        assert frobenius_count(bundled_table("a5"), "2A", "3A", "5A") == 60
+        # a table read from a file is parsed again on every call
+        path = tmp_path / "a5.tbl"
+        path.write_text(resources.files("beauville").joinpath("data/a5.tbl").read_text())
+        first, second = load_table(path), load_table(path)
+        assert first is not second and first is not table
+        assert first.characters == second.characters == table.characters
 
 
 class TestCounts:

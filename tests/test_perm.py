@@ -148,6 +148,19 @@ class TestEquality:
         assert equal_and_same_hash(want ** 6, identity(n))
         assert equal_and_same_hash(want * want.inverse(), identity(n))
 
+    def test_constructor_copies_the_callers_array(self):
+        # a view of the caller's int64 array once became the image array:
+        # writing to the caller's array changed p but not its stored hash
+        base = np.arange(4, dtype=np.int64)
+        p = Permutation(base[:])
+        swapped = Permutation([1, 0, 2, 3])
+        base[0], base[1] = 1, 0
+        assert p.images == (0, 1, 2, 3)
+        assert equal_and_same_hash(p, identity(4))
+        assert p != swapped and hash(p) != hash(swapped)
+        assert base.flags.writeable
+        assert Permutation(base) == swapped and base.flags.writeable
+
     def test_trusted_arrays_compare_and_hash_equal(self):
         from beauville.atlas import basic_map
         from beauville.compose import k_compose, pick_handle, self_join
@@ -319,21 +332,23 @@ class TestGroupOrder:
 
     def test_chain_memory_small_case(self):
         # n = 246: every transversal row of the chain would take about
-        # 60 MB; the tree and the rows the strips use peak near 9 MB
+        # 60 MB; the flat trees, with no rows kept, peak near 3.2 MiB
         m = build_pair(ConstructionPlan(8, 3, "small_n")).w1
-        assert traced_peak_order(m) < 12 * 2**20
+        assert traced_peak_order(m) < 5 * 2**20
 
     def test_chain_memory_largest_pair(self):
         # n = 589, the largest minimal, small or shortcut pair: every row
-        # would take about 820 MB, and the tree alone about n^2/2 entries
+        # would take about 820 MB; the trees hold about n^2/2 points and
+        # peak near 21.6 MiB
         m = build_pair(minimal_plan(1)).w1
         assert m.n == 589
-        assert traced_peak_order(m) < 100 * 2**20
+        assert traced_peak_order(m) < 32 * 2**20
 
     def test_row_gathers_follow_short_paths(self, monkeypatch):
-        # n = 589: the strips build about 4.8k rows; trees grown along the
-        # first generator's cycle walked 170,473 edges for them, the
-        # breadth-first trees about 49k
+        # n = 589: the strips build about 4.6k rows, each gathered down
+        # from the base and then dropped; trees grown along the first
+        # generator's cycle walked 170,473 edges for such rows, the
+        # breadth-first trees about 55k
         walked = []
         row = perm._Level.row
 
@@ -341,7 +356,7 @@ class TestGroupOrder:
             # the edges from pt up to its nearest kept ancestor
             edges, up = 0, pt
             while up not in lv.rows:
-                up = lv.tree[up][0]
+                up = lv.parent[up]
                 edges += 1
             walked.append(edges)
             return row(lv, pt)
@@ -354,8 +369,9 @@ class TestGroupOrder:
         assert len(walked) > 1000
         assert sum(walked) < 80_000
 
-    def test_rows_past_the_cache_are_not_kept(self, monkeypatch):
-        # with no room for rows, every strip builds its row from the tree
+    def test_only_verify_keeps_rows(self, monkeypatch):
+        # the random phase builds each row for one strip and drops it;
+        # verify() strips the same rows many times over and keeps them
         chains = []
 
         class Recorded(perm._Chain):
@@ -363,12 +379,28 @@ class TestGroupOrder:
                 super().__init__(degree)
                 chains.append(self)
 
-        monkeypatch.setattr(perm, "_ROW_CACHE_BYTES", 0)
         monkeypatch.setattr(perm, "_Chain", Recorded)
         m = v_map(6)
         target = math.factorial(m.n) // 2
         assert group_order([m.x, m.y], upper_bound=target) == target
         (chain,) = chains
+        assert chain.kept == 0
+        assert all(list(lv.rows) == [lv.base] for lv in chain.levels)
+        chain = s4_chain()
+        while not chain.verify():
+            pass
+        assert chain.order == 24
+        assert chain.kept > 0
+        assert any(len(lv.rows) > 1 for lv in chain.levels)
+
+    def test_rows_past_the_cache_are_not_kept(self, monkeypatch):
+        # with no room for rows, every strip of verify() builds its row
+        # from the tree
+        monkeypatch.setattr(perm, "_ROW_CACHE_BYTES", 0)
+        chain = s4_chain()
+        while not chain.verify():
+            pass
+        assert chain.order == 24
         assert chain.kept == 0
         assert all(list(lv.rows) == [lv.base] for lv in chain.levels)
 
@@ -456,6 +488,11 @@ def chain_of(gens):
     return chain
 
 
+def s4_chain():
+    """A chain at order 12 for S_4, which verify() must extend."""
+    return chain_of([parse_cycles("(0 3 2 1)"), parse_cycles("(1 3 2)", 4)])
+
+
 class TestChain:
     def test_deeper_generator_extends_upper_orbits(self):
         # (1 2) fixes the base 0, so it enters at level 1; level 0's orbit
@@ -469,7 +506,7 @@ class TestChain:
         # Schreier generators of level 0 built from its own generator
         # (0 3 2 1) all sift; one built from (1 3 2), which entered at
         # level 1, does not
-        chain = chain_of([parse_cycles("(0 3 2 1)"), parse_cycles("(1 3 2)", 4)])
+        chain = s4_chain()
         assert chain.order == 12
         assert not chain.verify()
         while not chain.verify():
@@ -513,11 +550,13 @@ class TestChain:
 
 def check_strong_generating_set(chain, every_row=False):
     """Each strong generator fixes the bases above its entry level j and
-    moves b_j; each level's orbit, the points of its tree, is closed under
-    S^(i), every parent lies in the tree, each open level's tree is
-    breadth-first over its generators, and each point's row maps it back
-    to the base.  Without every_row only the kept rows are read: a row
-    built from the tree costs one gather per edge of its path."""
+    moves b_j.  Each level's orbit, the points with a parent, is closed
+    under S^(i); it starts at the base, its own parent, and lists every
+    parent before its children; each edge's inverse generator takes its
+    point to the parent.  Each open level's tree is breadth-first over its
+    generators, and each point's row maps it back to the base.  Without
+    every_row only the kept rows are read: a row built from the tree
+    costs one gather per edge of its path."""
     bases = [lv.base for lv in chain.levels]
     for j, g in chain.strong:
         assert (g[bases[:j]] == bases[:j]).all()
@@ -526,21 +565,28 @@ def check_strong_generating_set(chain, every_row=False):
     strong = np.array([g for _, g in chain.strong])
     open_levels = set(chain.open)
     for i, lv in enumerate(chain.levels):
-        points = list(lv.tree)
+        points = lv.orbit
+        assert np.flatnonzero(np.array(lv.parent) >= 0).tolist() == sorted(points)
+        assert len(set(points)) == len(points)
         in_orbit = np.zeros(chain.n, dtype=bool)
         in_orbit[points] = True
         assert in_orbit[strong[tags >= i][:, points]].all(), f"level {i} not closed"
-        assert lv.tree[lv.base] is None
-        for pt, edge in lv.tree.items():
-            # the edge's inverse generator takes the point to its parent
-            assert edge is None or (edge[0] in lv.tree and edge[1][pt] == edge[0])
+        assert points[0] == lv.base and lv.parent[lv.base] == lv.base
+        assert lv.edge[lv.base] is None
+        position = {pt: k for k, pt in enumerate(points)}
+        for pt in points[1:]:
+            # the edge's inverse generator takes the point to its parent,
+            # which the orbit lists first
+            up = lv.parent[pt]
+            assert position[up] < position[pt] and lv.edge[pt][pt] == up
         if i in open_levels:
             # an open level's tree is breadth-first over its generators:
             # each point lies as deep as its distance from the base
             distance = bfs_distances(lv.base, [images for images, _ in lv.gens])
-            depth = {pt: tree_depth(lv.tree, pt) for pt in lv.tree}
+            depth = {pt: tree_depth(lv, pt) for pt in points}
             assert depth == distance, f"level {i} not breadth-first"
-        for pt in lv.tree if every_row else list(lv.rows):
+            assert [depth[pt] for pt in points] == sorted(depth.values())
+        for pt in points if every_row else list(lv.rows):
             assert lv.row(pt)[pt] == lv.base
 
 
@@ -556,11 +602,11 @@ def bfs_distances(start, image_lists):
     return distance
 
 
-def tree_depth(tree, pt):
-    """The number of edges from pt up to the root of the tree."""
+def tree_depth(lv, pt):
+    """The number of edges from pt up to the base of the level's tree."""
     depth = 0
-    while tree[pt] is not None:
-        pt = tree[pt][0]
+    while pt != lv.base:
+        pt = lv.parent[pt]
         depth += 1
     return depth
 
