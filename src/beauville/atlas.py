@@ -140,18 +140,3 @@ def validate_atlas():
 
 def _multiset_contains(big, small):
     return not (Counter(small) - Counter(big))
-
-
-def handle_disjointness(map_id):
-    """True iff all handles of the map are pairwise point-disjoint.
-
-    B is the one basic map with overlapping handles (any two of its three
-    share a fixed point).
-    """
-    m = basic_map(map_id)
-    handles = m.all_handles()
-    for i, h1 in enumerate(handles):
-        for h2 in handles[i + 1 :]:
-            if set(h1.points) & set(h2.points):
-                return False
-    return True

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .atlas import basic_map
 from .construct import ConstructionPlan, MapPair, build_pair, with_free_stock_handles
-from .compose import k_compose, pick_handle, self_join, CompositionError
-from .maps import MapError, new_map
+from .compose import k_compose, pick_handle, self_join
+from .maps import MapError, map_doc, new_map
 from .perm import an_conjugate, group_order, parse_cycles
 
 __all__ = [
@@ -340,31 +340,15 @@ def certify_cover(plan):
     pair, extra_g, shared = found
 
     if branch == "adjoin_E_2A":
-        w1 = k_compose_at(pair.w1, shared[-1], basic_map("E"))
-        w2 = k_compose_at(pair.w2, shared[-1], basic_map("A"))
-        w2 = k_compose_at(w2, shared[-2], basic_map("A"))
+        e, a = basic_map("E"), basic_map("A")
+        w1 = k_compose(pair.w1, shared[-1], e, pick_handle(e, 1))
+        w2 = k_compose(pair.w2, shared[-1], a, pick_handle(a, 1))
+        w2 = k_compose(w2, shared[-2], a, pick_handle(a, 1))
     else:
-        w2 = self_join(
-            pair.w2,
-            _handle_at(pair.w2, shared[-2]),
-            _handle_at(pair.w2, shared[-1]),
-        )
-        w1 = pair.w1
         # W_1 keeps the same two handles unused; degrees stay equal.
+        w1, w2 = pair.w1, self_join(pair.w2, shared[-2], shared[-1])
     base = _dhb_certificate(MapPair(w1, w2, pair.plan))
     return _cover_certificate(base, branch, extra_g)
-
-
-def _handle_at(m, points):
-    for h in m.find_handles(1):
-        if h.points == points:
-            return h
-    raise CompositionError(f"no free (1)-handle at points {points}")
-
-
-def k_compose_at(m, points, other):
-    """Join `other` by (1)-handles, the left side at the given point pair."""
-    return k_compose(m, _handle_at(m, points), other, pick_handle(other, 1))
 
 
 # -- serialization ------------------------------------------------------------
@@ -381,15 +365,8 @@ def certificate_to_json(cert):
 
 def _map_doc(m):
     # both forms travel: cycle text for humans, image arrays for machines
-    return {
-        "degree": m.n,
-        "x": m.x.cycle_string(),
-        "y": m.y.cycle_string(),
-        "t": m.t.cycle_string(),
-        "x_images": list(m.x.images),
-        "y_images": list(m.y.images),
-        "t_images": list(m.t.images),
-    }
+    images = {f"{g}_images": list(getattr(m, g).images) for g in "xyt"}
+    return {**map_doc(m), **images}
 
 
 MAP_FIELDS = frozenset(("degree", "x", "y", "t", "x_images", "y_images", "t_images"))
@@ -407,7 +384,7 @@ def _plan_claims(plan, kind, n):
     return {
         "schema": SCHEMA,
         "kind": kind,
-        "plan": {"r": plan.r, "s": plan.s, "variant": plan.variant},
+        "plan": asdict(plan),
         "n": n,
         "prime": plan.prime,
     }
@@ -450,7 +427,8 @@ def certificate_from_json(text):
 def certificate_maps(doc):
     """The members [w1, w2] rebuilt from a certificate document's cycle
     text.  Raises naming the field that is missing or malformed, or whose
-    image array disagrees with its cycle text."""
+    image array is not of the stated degree or disagrees with its cycle
+    text."""
     maps = []
     for key in ("w1", "w2"):
         try:
@@ -458,8 +436,15 @@ def certificate_maps(doc):
             n = raw["degree"]
             perms = []
             for gen in ("x", "y", "t"):
+                images = raw[f"{gen}_images"]
+                # checked before the parse, so that the array it allocates
+                # is no larger than the document itself
+                if len(images) != n:
+                    raise CertificationError(
+                        f"{key}.{gen}_images has {len(images)} entries, not the degree {n}"
+                    )
                 perm = parse_cycles(raw[gen], degree=n)
-                if tuple(raw[f"{gen}_images"]) != perm.images:
+                if tuple(images) != perm.images:
                     raise CertificationError(
                         f"{key}.{gen}_images disagree with {key}.{gen}"
                     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .atlas import BASIC_MAP_IDS, basic_map, validate_atlas
@@ -33,7 +34,7 @@ from .frobenius import (
     load_table,
 )
 from .linlift import LiftError, lift_maps, lift_pair
-from .maps import MapError, map_to_text
+from .maps import MapError, map_doc, map_to_text
 
 REPORT_SCHEMA = "beauville-report-v1"
 
@@ -116,25 +117,16 @@ def cmd_construct(args):
     plan = _plan_from_args(args)
     pair = build_pair(plan)
     payload = {
-        "plan": {"r": plan.r, "s": plan.s, "variant": plan.variant},
+        "plan": asdict(plan),
         "degree": pair.degree,
         "prime": pair.prime,
         "v1": list(pair.w1.fixed_point_vector().as_tuple()),
         "v2": list(pair.w2.fixed_point_vector().as_tuple()),
-        "w1": _map_payload(pair.w1),
-        "w2": _map_payload(pair.w2),
+        "w1": map_doc(pair.w1),
+        "w2": map_doc(pair.w2),
     }
     _emit(args, _report("construct", payload, True))
     return 0
-
-
-def _map_payload(m):
-    return {
-        "degree": m.n,
-        "x": m.x.cycle_string(),
-        "y": m.y.cycle_string(),
-        "t": m.t.cycle_string(),
-    }
 
 
 def cmd_certify(args):
@@ -154,7 +146,7 @@ def _certify_doc(plan):
     cert = certify_dhb(plan)
     text = certificate_to_json(cert)
     return {
-        "plan": {"r": plan.r, "s": plan.s, "variant": plan.variant},
+        "plan": asdict(plan),
         "n": cert.n,
         "prime": cert.pair.prime,
         "verified": verify_certificate(text),
@@ -167,7 +159,7 @@ def cmd_cover(args):
     cov = certify_cover(plan)
     text = certificate_to_json(cov)
     payload = {
-        "plan": {"r": plan.r, "s": plan.s, "variant": plan.variant},
+        "plan": asdict(plan),
         "n": cov.n,
         "branch": cov.branch,
         "tau": [cov.tau1, cov.tau2],
@@ -241,34 +233,24 @@ def cmd_lift(args):
             raise LiftError(f"cannot read {args.pair}: {exc.strerror}") from None
         except CertificationError as exc:
             raise LiftError(f"{args.pair}: {exc}") from None
-        t1m, t2m, dims = lift_maps(maps[0], maps[1], args.p, args.t1)
-        payload = {
-            "source": args.pair,
-            "p": args.p,
-            "t1": args.t1 % args.p,
-            "n": maps[0].n,
-            "handle_points": list(t1m.handle_points),
-            "dims1": list(dims.dims1),
-            "dims2": list(dims.dims2),
-            "relations": "x^2 = y^3 = (xy)^7 = 1, det = 1 verified",
-        }
-        _emit(args, _report("lift", payload, True))
-        return 0
-    if args.r is None:
-        raise PlanError("lift needs --r R (or --pair FILE)")
-    plan = _plan_from_args(args)
-    rep = lift_pair(plan, args.p, args.t1)
-    payload = {
-        "plan": {"r": plan.r, "s": plan.s, "variant": plan.variant},
-        "p": rep.p,
-        "t1": rep.t1,
-        "n": rep.n,
-        "extra_g_copies": rep.extra_g_copies,
-        "handle_points": list(rep.triple1.handle_points),
-        "dims1": list(rep.dims.dims1),
-        "dims2": list(rep.dims.dims2),
-        "relations": "x^2 = y^3 = (xy)^7 = 1, det = 1 verified",
-    }
+        triple1, _, dims = lift_maps(maps[0], maps[1], args.p, args.t1)
+        payload = {"source": args.pair, "n": maps[0].n}
+    else:
+        if args.r is None:
+            raise PlanError("lift needs --r R (or --pair FILE)")
+        plan = _plan_from_args(args)
+        rep = lift_pair(plan, args.p, args.t1)
+        triple1, dims = rep.triple1, rep.dims
+        # the requested plan: rep.plan carries the enlarged stock
+        payload = {"plan": asdict(plan), "n": rep.n, "extra_g_copies": rep.extra_g_copies}
+    payload.update(
+        p=args.p,
+        t1=args.t1 % args.p,
+        handle_points=list(triple1.handle_points),
+        dims1=list(dims.dims1),
+        dims2=list(dims.dims2),
+        relations="x^2 = y^3 = (xy)^7 = 1, det = 1 verified",
+    )
     _emit(args, _report("lift", payload, True))
     return 0
 
@@ -296,29 +278,25 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=cmd_compose)
 
-    for name, func, needs_r in (
-        ("construct", cmd_construct, True),
-        ("cover", cmd_cover, True),
-        ("lift", cmd_lift, False),
+    # add_parser(name, help=None) would list the command with an empty help
+    for name, func, extra in (
+        ("construct", cmd_construct, {}),
+        ("cover", cmd_cover, {}),
+        ("lift", cmd_lift, {}),
+        ("certify", cmd_certify, {"help": "issue and re-verify certificates"}),
     ):
-        p = sub.add_parser(name)
-        p.add_argument("--r", type=int, required=needs_r)
+        p = sub.add_parser(name, **extra)
+        p.add_argument("--r", type=int, required=name in ("construct", "cover"))
         p.add_argument("--s", type=int, default=3)
         p.add_argument("--variant", default=None)
+        if name == "certify":
+            p.add_argument("--all-minimal", action="store_true")
         p.add_argument("--out")
         if name == "lift":
             p.add_argument("--p", type=int, required=True)
             p.add_argument("--t1", type=int, required=True)
             p.add_argument("--pair", help="serialized pair certificate to lift")
         p.set_defaults(func=func)
-
-    p = sub.add_parser("certify", help="issue and re-verify certificates")
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int, default=3)
-    p.add_argument("--variant", default=None)
-    p.add_argument("--all-minimal", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("min-degree")
     p.add_argument("--g-max", type=_non_negative, default=3)

@@ -45,7 +45,6 @@ __all__ = [
     "build_pair",
     "shared_handles",
     "with_free_stock_handles",
-    "small_case",
     "minimal_plan",
     "all_minimal_plans",
     "SMALL_CASE_DEGREES",
@@ -364,13 +363,14 @@ def build_pair(plan):
 
 
 def shared_handles(w1, w2, lo, hi):
-    """Point pairs of the free (1)-handles present in both members with
-    every point in lo..hi-1, ascending by least point.  The members share
-    labels on their common prefix, so inside the stock these are exactly
-    the unused stock handles."""
-    h1 = {h.points for h in w1.find_handles(1)}
-    h2 = {h.points for h in w2.find_handles(1)}
-    return sorted((pts for pts in h1 & h2 if all(lo <= p < hi for p in pts)), key=min)
+    """The free (1)-handles present in both members with every point in
+    lo..hi-1, ascending by least point.  The members share labels and
+    reflection on their common prefix, so inside the stock these are
+    exactly the unused stock handles, and each is a handle of both."""
+    h2 = set(w2.find_handles(1))
+    return [
+        h for h in w1.find_handles(1) if h in h2 and all(lo <= p < hi for p in h.points)
+    ]
 
 
 def with_free_stock_handles(pair, labels):
@@ -404,8 +404,3 @@ def with_free_stock_handles(pair, labels):
 def _assembly(plan):
     """What the maps built from a plan depend on beyond r and the variant."""
     return plan.s_star, plan.degree, plan.stock_range
-
-
-def small_case(r):
-    """The stockless pair of degree d_r + 210; rejects r in {4, 6, 10}."""
-    return build_pair(ConstructionPlan(r, 3, "small_n"))

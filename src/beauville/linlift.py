@@ -439,9 +439,8 @@ def lift_maps(w1, w2, p, t1):
 
 def _lift_at(w1, w2, p, t1, shared):
     """Lift both members with the modification anchored at the first two
-    of the shared handle point pairs, and compare the dimensions."""
-    (a, b), (a2, b2) = shared[0], shared[1]
-    pts = (a, b, a2, b2)
+    of the shared handles, and compare the dimensions."""
+    pts = shared[0].points + shared[1].points
     lift1 = build_linear_triple(w1, p, t1, pts)
     lift2 = build_linear_triple(w2, p, t1, pts)
     dims = beauville_dims(lift1, lift2)

@@ -34,6 +34,7 @@ __all__ = [
     "UsefulCycle",
     "HurwitzMap",
     "new_map",
+    "map_doc",
     "map_to_text",
     "map_from_text",
 ]
@@ -60,11 +61,6 @@ class FixedPointVector:
     alpha: int
     beta: int
     gamma: int
-
-    def __add__(self, other):
-        return FixedPointVector(
-            self.alpha + other.alpha, self.beta + other.beta, self.gamma + other.gamma
-        )
 
     def __sub__(self, other):
         return FixedPointVector(
@@ -345,16 +341,6 @@ class HurwitzMap:
             raise MapError("tau needs an involution (or the identity)")
         return (self.n - len(self.x.fixed_points())) // 2
 
-    def relabel(self, sigma):
-        """The isomorphic map with every point renamed through sigma."""
-        return HurwitzMap(
-            self.n,
-            self.x.conjugate_by(sigma),
-            self.y.conjugate_by(sigma),
-            self.t.conjugate_by(sigma),
-            _validated=True,
-        )
-
 
 def new_map(n, x, y, t):
     """Validate and build a map; errors name the failing relation."""
@@ -364,18 +350,20 @@ def new_map(n, x, y, t):
 # -- text serialization ------------------------------------------------------
 
 
+def map_doc(m):
+    """A map's degree, then x, y, t in cycle notation."""
+    return {
+        "degree": m.n,
+        "x": m.x.cycle_string(),
+        "y": m.y.cycle_string(),
+        "t": m.t.cycle_string(),
+    }
+
+
 def map_to_text(m):
-    """Versioned text form: degree, then x, y, t in cycle notation."""
-    return "\n".join(
-        [
-            MAP_FORMAT_VERSION,
-            f"degree {m.n}",
-            f"x {m.x.cycle_string()}",
-            f"y {m.y.cycle_string()}",
-            f"t {m.t.cycle_string()}",
-            "",
-        ]
-    )
+    """Versioned text form: a header, then map_doc's fields as lines."""
+    lines = [MAP_FORMAT_VERSION] + [f"{k} {v}" for k, v in map_doc(m).items()]
+    return "\n".join(lines) + "\n"
 
 
 def map_from_text(text):

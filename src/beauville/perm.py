@@ -266,6 +266,8 @@ def from_cycles(n, cycles):
 def _from_flat(n, points, sizes):
     """from_cycles for the points of the cycles listed one after another,
     and the cycle lengths (none of them 0)."""
+    if n < 1:
+        raise ValueError(f"a permutation needs degree >= 1, got {n}")
     arr = np.arange(n, dtype=np.int64)
     pts = np.asarray(points)
     if not pts.size:

@@ -145,10 +145,19 @@ class TestErrors:
         bad_json.write_text("{not json")
         no_member = tmp_path / "no_member.json"
         no_member.write_text(json.dumps({"schema": "beauville-certificate-v1", "w2": {}}))
+        zero, huge = tmp_path / "zero.json", tmp_path / "huge.json"
+        for path, degree, images in ((zero, 0, []), (huge, 10**15, [1, 0])):
+            member = {"degree": degree, "x": "id", "y": "id", "t": "id"}
+            member.update({f"{g}_images": images for g in "xyt"})
+            path.write_text(json.dumps({"schema": "beauville-certificate-v1", "w1": member}))
         for path, problem in (
             (missing, "cannot read"),
             (bad_json, "not a JSON document"),
             (no_member, "missing field w1"),
+            # no empty permutation: orbit() used to fail on it with IndexError
+            (zero, "malformed field w1: a permutation needs degree >= 1, got 0"),
+            # refused before a parse would allocate 10^15 points
+            (huge, f"w1.x_images has 2 entries, not the degree {10**15}"),
         ):
             code = main(["lift", "--p", "3", "--t1", "2", "--pair", str(path)])
             err = capsys.readouterr().err

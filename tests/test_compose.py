@@ -230,9 +230,9 @@ def test_randomized_join_properties():
             res = k_compose(left, h1, right, h2)
             joins += 1
             assert res.n == left.n + right.n
-            dv = (
-                left.fixed_point_vector() + right.fixed_point_vector()
-            ) - res.fixed_point_vector()
+            dv = left.fixed_point_vector() - (
+                res.fixed_point_vector() - right.fixed_point_vector()
+            )
             assert dv.as_tuple() == (4, 0, 0)
             assert res.genus() == left.genus() + right.genus()
             assert res.t.parity() == left.t.parity() * right.t.parity()

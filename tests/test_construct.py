@@ -13,7 +13,7 @@ from beauville.construct import (
     build_pair,
     designated_handle,
     minimal_plan,
-    small_case,
+    shared_handles,
     stock_U,
     v_map,
     x_map,
@@ -155,14 +155,24 @@ class TestBuildPair:
         pair = build_pair(ConstructionPlan(0, 6, "standard"))
         assert pair.degree == 294 + 42
 
+    def test_shared_handles_are_handles_of_both_members(self):
+        pair = build_pair(ConstructionPlan(0, 6, "standard"))
+        lo, hi = pair.plan.stock_range
+        shared = shared_handles(pair.w1, pair.w2, lo, hi)
+        assert len(shared) >= 2
+        for h in shared:
+            assert h in pair.w1.find_handles(1) and h in pair.w2.find_handles(1)
+            assert all(lo <= p < hi for p in h.points)
+        assert [min(h.points) for h in shared] == sorted(min(h.points) for h in shared)
+
     def test_small_cases(self):
         for r, n in SMALL_CASE_DEGREES.items():
-            assert small_case(r).degree == n
+            assert build_pair(ConstructionPlan(r, 3, "small_n")).degree == n
 
     @pytest.mark.parametrize("r", [4, 6, 10])
     def test_small_case_rejections(self, r):
         with pytest.raises(PlanError, match="divisible by"):
-            small_case(r)
+            ConstructionPlan(r, 3, "small_n")
 
     def test_s3_shortcut_degrees(self):
         for r, n in S3_SHORTCUT_DEGREES.items():

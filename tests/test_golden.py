@@ -6,7 +6,9 @@ be made on purpose.  The construct cases are every valid (r, variant) at
 s = 3 and s = 4; every other (r, variant) pair at those stocks is a
 refusal, and their messages are pinned together by one digest.  The lift
 cases cover every residue class over F_2, F_3, F_5 and F_7, and one lift
-reads its pair from a certificate file.
+reads its pair from a certificate file.  The other commands, a usage
+error and every `--help` text are pinned too, with the terminal width
+fixed so that argparse wraps them the same way everywhere.
 """
 
 import hashlib
@@ -19,8 +21,54 @@ from beauville.cli import main
 VARIANTS = ("standard", "shifted", "r1_special", "r8_special", "small_n", "s3_shortcut")
 
 GOLDEN = {
+    "--help":
+        "b75fd51c45206b9b302b4c9e06d43ad8fa6cb9b333b96f498cfcd49b8cb0d807",
+    "atlas --help":
+        "4eb9f76011836e9d0d74e87adb6406e1d4b9dc5747e7948c35d97e5415281dd1",
+    "atlas export --map A":
+        "2c8de08dd301431b99148ea70076418ac32995cf7ed862737eb63a3cabcf3b6d",
+    "atlas export --map B":
+        "545ad3ce7c80ac53c58eb4303fd561c72e423ba2a322eaf2ee8e046a19ca53a5",
+    "atlas export --map C":
+        "c8be809f017a310987bb74a0e2eec5b6c2cc32f5a370ada88b13587d0f10d494",
+    "atlas export --map D":
+        "808976cf859e60ae572f5aefaec137038a6bccb8612f0c9c1ff063aca096a794",
+    "atlas export --map E":
+        "0aa5a3af4fdb391e9dcd7932e247fcc1f1c43609a0a2edd4b685a76aaa809795",
+    "atlas export --map F":
+        "c5143cd4f7d2e57c0adc96fa5a5fcab717c0029b20189fcb8ad202c264431d6e",
+    "atlas export --map G":
+        "9042f68fd1faef3ecf0927cc4fed6d71f8cd4eb01717437a8069656f36c44274",
+    "atlas export --map H":
+        "6f7aad91796151c9c62ebe8a32336aa5c39cadc0daa499a694e5573ab8b6ef01",
+    "atlas export --map I":
+        "cc3db95aef00c6a6453af5114c7e066c6bde82cc6d72b0a66a9c08843b1ed80a",
+    "atlas export --map J":
+        "2d32565ba96befb28a8c9b9cffea2383cc57288d214ffd59dce7c40136f66dff",
+    "atlas export --map K":
+        "926aa34f1345b9dbe78a93196af8ce557c6b76116725da078f54e74a050d34b4",
+    "atlas export --map L":
+        "3e42fb439dccdd092ae1655bd86236331460cea1bc1981bc57784782a1a670ac",
+    "atlas export --map M":
+        "b5c0e085393017d5a7cb51e701a104603f68356947ab46bed22111d0cef4baf9",
+    "atlas export --map N":
+        "a67b09f08f83cd6fa5e70784598485d7effd0d0a095fc551e234ef9f874440f8",
+    "atlas validate":
+        "f42e8deb89c28f925cd0df7b62279184d97248b90f411a842162c28545afdb6b",
+    "atlas validate --format text":
+        "2dd5b59f54d7881e21f55b0c0007332a5048f8b0ab0ef72ece304a991ff666fe",
     "certify --all-minimal":
         "e1d824cee287d2ca3a64ad0f67a0b42e1075fa49ed1697fe03709338ff61ce9c",
+    "certify --help":
+        "3ef418a708c3e079a05f91590bcb10d8bee91c42bb6f97a6ab7f6d1d1ab85341",
+    "compose --help":
+        "45b4bdd63069fd9efdadb258cc255311427b928af529e96016ac32868159c289",
+    "compose B(3)C(1)G(1)M(2)F":
+        "be4fc09ecd76f91e9efa474701159bfa5dcb3432fe9fb5d3c86e26b3736f15fc",
+    "compose L(2)M":
+        "b83f59b8bafe401fa66f73470aaf837cb424a8d62007a145e19bbfb1ff53f7da",
+    "construct --help":
+        "1d887c535ffffd24dcc4a2bb0f9319e8765d0e3ce97e57b226a1ba8190920572",
     "construct --r 0 --s 3 --variant small_n":
         "459cca81a602dfd63603d6f1075d3bbdbf2abfe17e359d9141ae1dc7261e015e",
     "construct --r 0 --s 3 --variant standard":
@@ -141,6 +189,8 @@ GOLDEN = {
         "d273f07ac68d04be6b45cf51569048690041135fdd062aa0990d82be50657e16",
     "construct --r 9 --s 4 --variant small_n":
         "5f7ebc7941a654988ffcfcd34e51b59fe8e2a607a8f191ceac904e9fad1cdad4",
+    "cover --help":
+        "56bfb43b14b947da573b29a8f02b64c95d12108bdaa01ae1aa39f0664e8725d7",
     "cover --r 0 --s 3":
         "40507b2043d73a5634b291ba82e067bd5e298231bddf777c62a507c2b003fb88",
     "cover --r 1 --s 3":
@@ -169,10 +219,14 @@ GOLDEN = {
         "0eb34e4f9e388217ed43ff903e21f534d64500d472a1861e52836580ae5e6df4",
     "cover --r 9 --s 3":
         "9afddabe3014c05995cb4525195aa4c2446f1117d1d7030101fcf8e2cec2dfc2",
+    "frobenius --help":
+        "f32d54685a4d3ae954bf1c06aab84b449d839008df55f3b735acd943a72f8586",
     "frobenius --table a5 --classes 2A,3A,5A":
         "2ab32c2ebb80cee3570015b4534b25cd7ab3c84b6a0000629472b6a28408a4a8",
     "frobenius --table l2_13 --classes 2A,3A,7A":
         "a51ad388c3d10d5a23ba580d36f950bcb930b9b2ca6e317e41ed90e1b57b552a",
+    "lift --help":
+        "45aa4676f4c555f9b7492eb606ca515375b47557525e44e596e8d14cb57b08e7",
     "lift --r 0 --s 3 --p 2 --t1 1":
         "b944793ce42a584e357739603ae8568a5ec854761967a69799ffc18d6b8c046d",
     "lift --r 0 --s 3 --p 3 --t1 2":
@@ -285,6 +339,14 @@ GOLDEN = {
         "ead1cf58f346432345c75e4f5064fdb51f6cc5e1226b572974a657e3cc013c51",
     "lift --r 9 --s 3 --p 7 --t1 3":
         "114ba9963501017ae22b530e0841694ed7e5031e3f9bb284edaf0846cac94315",
+    "min-degree":
+        "6d6fd86ab3f2861814fc78db5b90ee76315663dada74dd8f65411ab89307b180",
+    "min-degree --g-max 2 --count-max 5":
+        "ccbd0151d41332ffb1c829f5fa93683ca7bf075088004c9ee27c4221725ee084",
+    "min-degree --help":
+        "ab73609005718fe99d9fc1ca5784f599516216946530c3b2ce5e831bf0d39c87",
+    "no-such-command":
+        "331767f3cc4f304808f946153f619bbc0283c3be0869fd571745ea480f01a632",
 }
 
 LIFT_FROM_FILE = "641a42c82a13ebc5b8c9958a08bc4d75cefffadab03ff0eecfbf4c4246d716d2"
@@ -307,7 +369,8 @@ def _construct_argv(r, variant, s):
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
-def test_report_bytes(capsys, argv):
+def test_report_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
     assert _digest(*_run(capsys, argv)) == GOLDEN[argv]
 
 

@@ -174,7 +174,7 @@ class TestRelabeling:
         for mid in ("A", "B", "G", "M"):
             m = basic_map(mid)
             sigma = random_permutation(m.n, rng)
-            r = m.relabel(sigma)
+            r = new_map(m.n, *(g.conjugate_by(sigma) for g in (m.x, m.y, m.t)))
             assert r.fixed_point_vector() == m.fixed_point_vector()
             assert r.genus() == m.genus()
             assert r.handle_counts() == m.handle_counts()

@@ -753,6 +753,8 @@ class TestRefusalMessages:
             ("0 1", None, "bad cycle notation: '0 1'"),
             ("(0 1", None, "bad cycle notation: '(0 1'"),
             ("(0 1) (2 3)", None, "invalid literal for int() with base 10: '1)'"),
+            # Permutation([]) refuses an empty permutation; so does a parse
+            ("id", 0, "a permutation needs degree >= 1, got 0"),
         ],
     )
     def test_parse_cycles(self, text, degree, message):
@@ -769,6 +771,8 @@ class TestRefusalMessages:
             ([(3, 5), (5, 7)], 4, "point 5 out of range for degree 4"),
             ([(-1, 0)], 3, "point -1 out of range for degree 3"),
             ([(0, 10**30)], 3, f"point {10**30} out of range for degree 3"),
+            ([], 0, "a permutation needs degree >= 1, got 0"),
+            ([], -3, "a permutation needs degree >= 1, got -3"),
         ],
     )
     def test_from_cycles(self, cycles, degree, message):
