@@ -210,14 +210,21 @@ def _tokenize(text):
 
 
 def eval_expr(expr):
-    """Evaluate a chain expression (or its text) to a map."""
+    """Evaluate a chain expression (or its text) to a map.  Chains
+    associate left, so the joins down the left spine are taken in a loop:
+    a chain of any length uses the same stack depth."""
     if isinstance(expr, str):
         expr = parse_expr(expr)
-    if isinstance(expr, Leaf):
-        return basic_map(expr.map_id)
-    if isinstance(expr, Join):
-        return join(eval_expr(expr.left), expr.k, eval_expr(expr.right))
-    raise TypeError(f"not a composition expression: {expr!r}")
+    spine = []
+    while isinstance(expr, Join):
+        spine.append(expr)
+        expr = expr.left
+    if not isinstance(expr, Leaf):
+        raise TypeError(f"not a composition expression: {expr!r}")
+    m = basic_map(expr.map_id)
+    for node in reversed(spine):
+        m = join(m, node.k, eval_expr(node.right))
+    return m
 
 
 # -- merge law verification -----------------------------------------------

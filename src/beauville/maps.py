@@ -367,6 +367,8 @@ def map_to_text(m):
 
 
 def map_from_text(text):
+    """The map of map_to_text's form; a MapError names the missing or
+    malformed field."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != MAP_FORMAT_VERSION:
         raise MapError(f"expected header {MAP_FORMAT_VERSION!r}")
@@ -374,9 +376,17 @@ def map_from_text(text):
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
         fields[key] = rest.strip()
-    try:
-        n = int(fields["degree"])
-        perms = {k: parse_cycles(fields[k], degree=n) for k in ("x", "y", "t")}
-    except KeyError as exc:
-        raise MapError(f"missing field {exc}") from None
-    return new_map(n, perms["x"], perms["y"], perms["t"])
+
+    def field(key, parse):
+        try:
+            return parse(fields[key])
+        except KeyError:
+            raise MapError(f"missing field {key!r}") from None
+        except ValueError as exc:
+            raise MapError(f"field {key}: {exc}") from None
+
+    n = field("degree", int)
+    if n < 1:
+        raise MapError(f"field degree: a permutation needs degree >= 1, got {n}")
+    x, y, t = (field(k, lambda text: parse_cycles(text, degree=n)) for k in ("x", "y", "t"))
+    return new_map(n, x, y, t)

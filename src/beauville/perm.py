@@ -35,16 +35,17 @@ __all__ = [
 class Permutation:
     """A bijection on {0..n-1}, stored as its read-only array of images.
 
-    Permutations are immutable, so each one memoizes its cycle
-    decomposition: the first of `cycles`, `cycle_type`, `order`,
-    `is_even` or `parity` walks the cycles once, and every later call
-    reads the stored walk.  Every constructor stores an int64 array, and
-    equality and hash both read its bytes: two permutations are equal
-    when their stored hashes and image bytes are, so permutations of
-    different degrees never are.
+    Permutations are immutable, so each one memoizes what it learns of its
+    cycles.  `order`, `cycle_type`, `is_even` and `parity` read the cycle
+    lengths, which one vector pass finds (`_cycle_lengths`) without
+    visiting the points one by one; `cycles` and `cycle_string`, which
+    need the points, read one walk of the cycles (`_walk_cycles`).
+    Every constructor stores an int64 array, and equality and hash both
+    read its bytes: two permutations are equal when their stored hashes
+    and image bytes are, so permutations of different degrees never are.
     """
 
-    __slots__ = ("_arr", "_hash", "_cycles")
+    __slots__ = ("_arr", "_hash", "_cycles", "_lengths", "_ctype")
 
     def __init__(self, images):
         # a copy: the caller's array stays its own, writable and unaliased
@@ -61,7 +62,7 @@ class Permutation:
         arr.setflags(write=False)
         self._arr = arr
         self._hash = hash(arr.tobytes())
-        self._cycles = None
+        self._cycles = self._lengths = self._ctype = None
 
     @classmethod
     def _trusted(cls, arr):
@@ -70,7 +71,7 @@ class Permutation:
         arr.setflags(write=False)
         self._arr = arr
         self._hash = hash(arr.tobytes())
-        self._cycles = None
+        self._cycles = self._lengths = self._ctype = None
         return self
 
     @property
@@ -88,9 +89,6 @@ class Permutation:
 
     def __getitem__(self, point):
         return int(self._arr[point])
-
-    def __len__(self):
-        return self._arr.size
 
     def __hash__(self):
         return self._hash
@@ -137,6 +135,12 @@ class Permutation:
             self._cycles = _walk_cycles(self._arr.tolist())
         return self._cycles
 
+    def _all_lengths(self):
+        # The memoized lengths of every cycle, fixed points included.
+        if self._lengths is None:
+            self._lengths = _cycle_lengths(self._arr)
+        return self._lengths
+
     def cycles(self, include_fixed=False):
         """Disjoint cycles, each rotated to start at its least point,
         ordered by that least point.  A new list on every call."""
@@ -145,18 +149,21 @@ class Permutation:
         return [c for c in self._all_cycles() if len(c) > 1]
 
     def cycle_type(self):
-        return CycleType(map(len, self._all_cycles()))
+        if self._ctype is None:
+            self._ctype = CycleType(np.sort(self._all_lengths()).tolist())
+        return self._ctype
 
     def fixed_points(self):
         return tuple(np.flatnonzero(self._arr == np.arange(self._arr.size)).tolist())
 
     def order(self):
-        return math.lcm(*map(len, self._all_cycles()))
+        # the lengths that occur are where their histogram is nonzero
+        return math.lcm(*np.flatnonzero(np.bincount(self._all_lengths())).tolist())
 
     @property
     def is_even(self):
         # n - (number of cycles) counts the transpositions needed.
-        return (self._arr.size - len(self._all_cycles())) % 2 == 0
+        return (self._arr.size - self._all_lengths().size) % 2 == 0
 
     def parity(self):
         """+1 for an even permutation, -1 for an odd one."""
@@ -195,27 +202,16 @@ class CycleType:
         if self.lengths and self.lengths[0] < 1:
             raise ValueError("cycle lengths must be >= 1")
 
-    @property
-    def degree(self):
-        return sum(self.lengths)
-
     def counter(self):
         return Counter(self.lengths)
 
     def __eq__(self, other):
-        if isinstance(other, CycleType):
-            return self.lengths == other.lengths
-        if isinstance(other, (tuple, list, Counter)):
-            return self == CycleType(
-                other.elements() if isinstance(other, Counter) else other
-            )
-        return NotImplemented
+        if not isinstance(other, CycleType):
+            return NotImplemented
+        return self.lengths == other.lengths
 
     def __hash__(self):
         return hash(self.lengths)
-
-    def __iter__(self):
-        return iter(self.lengths)
 
     def __repr__(self):
         parts = []
@@ -239,6 +235,32 @@ def _walk_cycles(images):
             pt = images[pt]
         out.append(tuple(cyc))
     return tuple(out)
+
+
+def _cycle_lengths(arr):
+    """The length of every cycle of an image array, fixed points included,
+    ordered by least point, as an int64 array: map(len, _walk_cycles)
+    without a Python step per point.
+
+    Pointer doubling (Hillis and Steele, "Data parallel algorithms",
+    CACM 29(12), 1986): after round r, lab[a] is the least point among
+    the first 2^r points of a's cycle from a, and p the 2^r-th power.
+    Once a round leaves lab unchanged, each a has lab[a] <= lab[p[a]],
+    so lab is constant on each cycle and is its least point; that takes
+    ceil(log2 of the longest cycle) rounds and one more.  lab only
+    decreases, so its sum tells whether a round changed it."""
+    lab = np.arange(arr.size, dtype=np.int64)
+    total = lab.sum()
+    p = arr
+    while True:
+        np.minimum(lab, lab[p], out=lab)
+        after = lab.sum()
+        if after == total:
+            break
+        total = after
+        p = p[p]
+    counts = np.bincount(lab)
+    return counts[counts > 0]
 
 
 @lru_cache(maxsize=4)
@@ -303,9 +325,61 @@ def parse_cycles(text, degree=None):
     """Parse cycle notation like "(0 1)(2 3 4)" or "id".
 
     Points may be separated by spaces or commas.  If degree is omitted it
-    is taken as 1 + the largest point mentioned.
+    is taken as 1 + the largest point mentioned.  A text of plain decimal
+    points is read by a numpy tokenizer, any other by a token scan; both
+    give the same permutation, and the scan words every refusal.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"cycle text must be a string, not {type(text).__name__}")
+    if degree is not None and degree < 1:
+        raise ValueError(f"a permutation needs degree >= 1, got {degree}")
     text = text.strip()
+    points, sizes, top = _tokenize_cycles(text) or _scan_cycles(text)
+    if degree is None:
+        degree = top + 1 if top >= 0 else 1
+    elif top >= degree:
+        raise ValueError(f"point {top} out of range for degree {degree}")
+    return _from_flat(degree, points, sizes)
+
+
+# The bytes the tokenizer reads: ASCII digits, whitespace, commas and parens.
+_CYCLE_BYTES = b"0123456789 \t\n\r\v\f,()"
+_DIGIT_MASK = bytes(48 <= c <= 57 for c in range(256))  # digit -> 1, else 0
+_LONG_RUN = b"\x01" * 19  # 19 digits may not fit an int64
+_TO_SPACE = bytes.maketrans(b",()", b"   ")  # numpy reads the rest as space
+
+
+def _tokenize_cycles(text):
+    """(points, sizes, largest point) of a stripped cycle text made only of
+    ASCII digits, whitespace and commas inside (...) groups written back
+    to back as ")(", each group with a point and each point at most 18
+    digits long, or None for any other text.  Points and sizes are int
+    arrays, found by a few passes over the text's bytes."""
+    if not text.isascii() or text[:1] != "(" or text[-1:] != ")":
+        return None
+    raw = text.encode()
+    k = raw.count(b"(")
+    # with k of each paren and k - 1 ")(", every paren but the first and
+    # the last is in a ")(", so the groups hold no parens
+    if raw.translate(None, _CYCLE_BYTES) or raw.count(b")") != k or raw.count(b")(") != k - 1:
+        return None
+    digits = raw.translate(_DIGIT_MASK)
+    if _LONG_RUN in digits:
+        return None
+    # a point starts where a digit follows a non-digit, and the starts
+    # between one "(" and the next belong to the first one's group
+    d = np.frombuffer(digits, dtype=np.bool_)
+    opens = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("("))
+    sizes = np.add.reduceat(d[1:] > d[:-1], opens, dtype=np.intp)
+    if not sizes.all():
+        return None
+    points = np.fromstring(raw.translate(_TO_SPACE), dtype=np.int64, sep=" ")
+    return points, sizes, int(points.max())
+
+
+def _scan_cycles(text):
+    """_tokenize_cycles for any stripped text, one token at a time; raises
+    naming the first thing wrong, in reading order."""
     points, sizes = [], []
     if text not in ("id", "()", ""):
         if not text.startswith("(") or not text.endswith(")"):
@@ -318,12 +392,7 @@ def parse_cycles(text, degree=None):
                 list(map(int, toks))
             raise ValueError(f"empty cycle in {text!r}")
         points = list(map(int, itertools.chain.from_iterable(tokens)))
-    top = max(points, default=-1)
-    if degree is None:
-        degree = top + 1 if top >= 0 else 1
-    elif top >= degree:
-        raise ValueError(f"point {top} out of range for degree {degree}")
-    return _from_flat(degree, points, sizes)
+    return points, sizes, max(points, default=-1)
 
 
 def orbit(gens, start):

@@ -1,0 +1,63 @@
+"""The token-scan `parse_cycles` as it stood before the numpy tokenizer,
+kept frozen as the reference the tokenizer is checked against.  It
+builds its result with the validating `Permutation` constructor, so it
+shares no parsing code with the package."""
+
+import itertools
+
+import numpy as np
+
+from beauville.perm import Permutation
+
+
+def parse_cycles(text, degree=None):
+    text = text.strip()
+    points, sizes = [], []
+    if text not in ("id", "()", ""):
+        if not text.startswith("(") or not text.endswith(")"):
+            raise ValueError(f"bad cycle notation: {text!r}")
+        tokens = [c.split() for c in text[1:-1].replace(",", " ").split(")(")]
+        sizes = list(map(len, tokens))
+        if 0 in sizes:
+            # an in-order scan meets a bad point before the empty cycle first
+            for toks in tokens[: sizes.index(0)]:
+                list(map(int, toks))
+            raise ValueError(f"empty cycle in {text!r}")
+        points = list(map(int, itertools.chain.from_iterable(tokens)))
+    top = max(points, default=-1)
+    if degree is None:
+        degree = top + 1 if top >= 0 else 1
+    elif top >= degree:
+        raise ValueError(f"point {top} out of range for degree {degree}")
+    return _from_flat(degree, points, sizes)
+
+
+def _from_flat(n, points, sizes):
+    if n < 1:
+        raise ValueError(f"a permutation needs degree >= 1, got {n}")
+    arr = np.arange(n, dtype=np.int64)
+    pts = np.asarray(points)
+    if not pts.size:
+        return Permutation(arr)
+    if (
+        pts.dtype.kind != "i"
+        or pts.min() < 0
+        or pts.max() >= n
+        or np.bincount(pts).max() > 1
+    ):
+        _check_points(n, points)
+    ends = np.cumsum(sizes)
+    nxt = np.arange(1, pts.size + 1)
+    nxt[ends - 1] = ends - sizes
+    arr[pts] = pts[nxt]
+    return Permutation(arr)
+
+
+def _check_points(n, points):
+    used = set()
+    for pt in points:
+        if pt in used:
+            raise ValueError(f"point {pt} appears in two cycles")
+        if not 0 <= pt < n:
+            raise ValueError(f"point {pt} out of range for degree {n}")
+        used.add(pt)

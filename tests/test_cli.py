@@ -165,6 +165,19 @@ class TestErrors:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert str(path) in err and problem in err, err
 
+    def test_lift_pair_with_non_string_cycle_text(self, tmp_path, capsys):
+        # parse_cycles used to fail on it with AttributeError, a traceback
+        member = {"degree": 3, "x": 5, "y": "id", "t": "id"}
+        member.update({f"{g}_images": [0, 1, 2] for g in "xyt"})
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"schema": "beauville-certificate-v1", "w1": member}))
+        code = main(["lift", "--p", "3", "--t1", "2", "--pair", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            f"error: {path}: malformed field w1: cycle text must be a string, not int\n"
+        ), err
+
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "x.json"
         code = main(["construct", "--r", "0", "--out", str(target)])

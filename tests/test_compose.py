@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from beauville import compose
 from beauville.atlas import BASIC_MAP_IDS, basic_map
 from beauville.perm import parse_cycles
 from beauville.compose import (
@@ -59,6 +61,31 @@ class TestPublishedExamples:
         # A has exactly one (1)-handle, consumed by the first join
         with pytest.raises(CompositionError):
             eval_expr("A(1)A(1)A")
+
+
+class TestEvalExpr:
+    def test_stack_depth_does_not_grow_with_the_chain(self, monkeypatch):
+        # the left spine used to be evaluated by recursion: 1000G hit the
+        # recursion limit
+        depths = []
+        real_join = compose.join
+
+        def recording_join(*args):
+            frame, depth = sys._getframe(), 0
+            while frame is not None:
+                frame, depth = frame.f_back, depth + 1
+            depths.append(depth)
+            return real_join(*args)
+
+        monkeypatch.setattr(compose, "join", recording_join)
+        assert eval_expr("40G").n == 40 * basic_map("G").n
+        assert len(depths) == 39
+        assert len(set(depths)) == 1, depths
+
+    def test_a_chain_on_the_right_is_joined_whole(self):
+        g = basic_map("G")
+        assert eval_expr("G(1)2G") == compose.join(g, 1, compose.join(g, 1, g))
+        assert eval_expr("2G(1)G") == compose.join(compose.join(g, 1, g), 1, g)
 
 
 class TestKCompose:

@@ -13,6 +13,10 @@ fixed so that argparse wraps them the same way everywhere.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -397,3 +401,20 @@ def test_lift_from_certificate_file(capsys, tmp_path, monkeypatch):
     (tmp_path / "pair.json").write_text(json.dumps(cert))
     report = _run(capsys, "lift --p 3 --t1 2 --pair pair.json")
     assert _digest(*report) == LIFT_FROM_FILE
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "777"])
+def test_all_minimal_bytes_under_optimize_and_hash_seeds(hash_seed):
+    # a fresh interpreter per hash seed, with asserts stripped by -O
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "beauville", "certify", "--all-minimal"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    digest = _digest(proc.returncode, proc.stdout, proc.stderr)
+    assert digest == GOLDEN["certify --all-minimal"], proc.stderr

@@ -202,6 +202,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             map_from_text(text)
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("degree abc\nx id\ny id\nt id", "field degree: invalid literal for int() with base 10: 'abc'"),
+            ("degree -3\nx id\ny id\nt id", "field degree: a permutation needs degree >= 1, got -3"),
+            ("degree 3\nx id\ny (0 5)\nt id", "field y: point 5 out of range for degree 3"),
+            ("degree 3\nx id\ny id\nt (0 1", "field t: bad cycle notation: '(0 1'"),
+        ],
+    )
+    def test_bad_field_named(self, lines, message):
+        with pytest.raises(MapError) as exc:
+            map_from_text(f"beauville-map v1\n{lines}\n")
+        assert str(exc.value) == message
+
     def test_missing_field(self):
         with pytest.raises(MapError, match="missing"):
             map_from_text("beauville-map v1\ndegree 3\nx id\ny id\n")

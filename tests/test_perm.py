@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -20,6 +22,7 @@ from beauville.perm import (
     parse_cycles,
 )
 
+from frozen_parse_cycles import parse_cycles as frozen_parse_cycles
 from perm_helpers import brute_enumerate, random_permutation
 
 
@@ -703,27 +706,51 @@ class TestKernelsAgainstReference:
 
 
 class TestCycleMemo:
-    def test_one_walk_per_permutation(self, monkeypatch):
-        walks = []
-        real_walk = perm._walk_cycles
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The degree of each cycle walk and of each cycle-length pass."""
+        got = SimpleNamespace(walks=[], lengths=[])
+        real_walk, real_lengths = perm._walk_cycles, perm._cycle_lengths
 
         def counting_walk(images):
-            walks.append(len(images))
+            got.walks.append(len(images))
             return real_walk(images)
 
+        def counting_lengths(arr):
+            got.lengths.append(arr.size)
+            return real_lengths(arr)
+
         monkeypatch.setattr(perm, "_walk_cycles", counting_walk)
+        monkeypatch.setattr(perm, "_cycle_lengths", counting_lengths)
+        return got
+
+    def test_lengths_come_from_one_pass_and_no_walk(self, passes):
         p = parse_cycles("(0 1 2)(3 4)", 7)
-        assert p.order() == 6
-        assert not p.is_even
-        assert p.parity() == -1
-        assert p.cycle_type() == CycleType([1, 1, 2, 3])
+        for _ in range(2):
+            assert p.order() == 6
+            assert not p.is_even
+            assert p.parity() == -1
+            assert p.cycle_type() == CycleType([1, 1, 2, 3])
+        assert p.cycle_type() is p.cycle_type()
+        assert passes.walks == []
+        assert passes.lengths == [7]
+        # a power is a new permutation with a pass of its own
+        assert (p ** 2).order() == 3
+        assert passes.walks == []
+        assert passes.lengths == [7, 7]
+
+    def test_one_walk_per_permutation(self, passes):
+        p = parse_cycles("(0 1 2)(3 4)", 7)
         assert p.cycles() == [(0, 1, 2), (3, 4)]
         assert len(p.cycles(include_fixed=True)) == 4
         assert p.cycle_string() == "(0 1 2)(3 4)"
-        assert walks == [7]
-        # a power is a new permutation with a walk of its own
-        assert (p ** 2).order() == 3
-        assert walks == [7, 7]
+        assert passes.walks == [7]
+        assert passes.lengths == []
+        # the walk is no source of lengths: they still take one pass
+        assert p.order() == 6
+        assert not p.is_even
+        assert passes.walks == [7]
+        assert passes.lengths == [7]
 
     def test_returned_lists_are_copies(self):
         p = parse_cycles("(0 1 2)(3 4)", 7)
@@ -755,6 +782,8 @@ class TestRefusalMessages:
             ("(0 1) (2 3)", None, "invalid literal for int() with base 10: '1)'"),
             # Permutation([]) refuses an empty permutation; so does a parse
             ("id", 0, "a permutation needs degree >= 1, got 0"),
+            # the degree is refused before any point is range-checked
+            ("id", -3, "a permutation needs degree >= 1, got -3"),
         ],
     )
     def test_parse_cycles(self, text, degree, message):
@@ -783,3 +812,116 @@ class TestRefusalMessages:
     def test_empty_cycles_are_skipped(self):
         assert from_cycles(5, [(0, 1), (), (2, 3, 4)]) == parse_cycles("(0 1)(2 3 4)")
         assert from_cycles(3, [()]).is_identity()
+
+
+def parse_outcome(parse, text, degree):
+    """The permutation a parse returns, or the message of its ValueError."""
+    try:
+        return parse(text, degree)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def mutate(text, rng):
+    """text with one to three seeded edits: a replaced, inserted or
+    deleted character, a doubled stretch or a long run of digits."""
+    alphabet = "0123456789 ,()-+_id\t\n\x0b\x0c\r\x1c\xa0\u0663a."
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(5)
+        if op == 0 and text:
+            i = min(i, len(text) - 1)
+            text = text[:i] + rng.choice(alphabet) + text[i + 1:]
+        elif op == 1:
+            text = text[:i] + rng.choice(alphabet) + text[i:]
+        elif op == 2:
+            text = text[:i] + text[i + 1:]
+        elif op == 3:
+            j = rng.randrange(i, len(text) + 1)
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            run = rng.choice(["0" * 17 + "1", "0" * 18 + "2", "9" * 18, "9" * 19, "1" * 25])
+            text = text[:i] + run + text[i:]
+    return text
+
+
+class TestTokenizer:
+    """The numpy tokenizer against the frozen token scan: the same
+    permutation, or a ValueError with the same message."""
+
+    def test_every_short_text(self):
+        chars = "012 ,()-+_id"
+        for length in range(5):
+            for letters in itertools.product(chars, repeat=length):
+                text = "".join(letters)
+                for degree in (None, 3):
+                    assert parse_outcome(parse_cycles, text, degree) == parse_outcome(
+                        frozen_parse_cycles, text, degree
+                    ), (text, degree)
+
+    def test_seeded_mutations(self):
+        rng = random.Random(16)
+        for _ in range(3000):
+            n = rng.choice([rng.randrange(1, 12), rng.randrange(12, 200)])
+            text = random_permutation(n, rng).cycle_string()
+            if rng.random() < 0.3:
+                text = text.replace(" ", rng.choice([", ", ",", "  ", "\t"]))
+            text = mutate(text, rng)
+            # without a degree, a parse allocates 1 + its largest point:
+            # only texts whose points are all below 10^6 are read so
+            for degree in (None, n) if re.search(r"[\d_]{7}", text) is None else (n,):
+                assert parse_outcome(parse_cycles, text, degree) == parse_outcome(
+                    frozen_parse_cycles, text, degree
+                ), (text, degree)
+
+    def test_plain_texts_take_the_tokenizer(self):
+        rng = random.Random(17)
+        for n in (7, 100, 700):
+            p = random_permutation(n, rng)
+            text = p.cycle_string()
+            for variant in (text, text.replace(" ", ", "), f" ( {text[1:-1]} ) "):
+                assert perm._tokenize_cycles(variant.strip()) is not None, variant
+                assert parse_cycles(variant, n) == p
+        for text in (
+            "id",
+            "()",
+            "(0 1)()",
+            "(0 -1)",
+            "(0 1) (2 3)",
+            "(0 \u0663)",
+            "(0 1_0)",
+            "(0 " + "9" * 19 + ")",
+        ):
+            assert perm._tokenize_cycles(text) is None, text
+
+    @pytest.mark.parametrize("text", [5, 2.5, None, b"(0 1)", ["(0 1)"]])
+    def test_non_string_text_refused(self, text):
+        with pytest.raises(ValueError, match="cycle text must be a string"):
+            parse_cycles(text, 3)
+
+
+class TestCycleLengths:
+    """The pointer-doubling lengths against the walk, as multisets."""
+
+    @staticmethod
+    def check(p):
+        got = perm._cycle_lengths(p.array)
+        assert got.dtype == np.int64
+        assert sorted(got.tolist()) == sorted(map(len, perm._walk_cycles(p.array.tolist())))
+
+    def test_every_permutation_up_to_degree_6(self):
+        for n in range(1, 7):
+            for images in itertools.permutations(range(n)):
+                self.check(Permutation(images))
+
+    def test_seeded_random_permutations(self):
+        rng = random.Random(18)
+        for _ in range(300):
+            self.check(random_permutation(rng.randrange(1, 701), rng))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 700])
+    def test_identity_and_long_cycle(self, n):
+        self.check(identity(n))
+        cycle = from_cycles(n, [tuple(range(n))])
+        self.check(cycle)
+        assert perm._cycle_lengths(cycle.array).tolist() == [n]
