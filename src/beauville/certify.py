@@ -473,7 +473,8 @@ def verify_certificate(text_or_doc):
     Stage 1, before any map is parsed: the stated plan (integer r and s, a
     known variant) fixes the schema, the prime and the degree of the
     certificate and of each member; for a cover the branch adds to the
-    degree, and extra_g_copies must lie in 0..4 and leave a valid stock.
+    degree, and extra_g_copies must be an int in 0..4 that leaves a valid
+    stock.
     Stage 2: the certificate is derived from the embedded maps by the
     issuing code, and every field but the maps must equal the derived one
     as serialized, key sets included; each map section must have exactly
@@ -490,7 +491,8 @@ def verify_certificate(text_or_doc):
         kind = "cover" if doc["kind"] == "cover" else "dhb"
         if kind == "cover":
             extra_g = doc["extra_g_copies"]
-            if not 0 <= extra_g <= 4:
+            # a bool is an int that == 0 or 1 and serializes as itself
+            if type(extra_g) is not int or not 0 <= extra_g <= 4:
                 return False
             # the plan before the extra copies of G must be valid too
             ConstructionPlan(plan.r, plan.s - 3 * extra_g, plan.variant)

@@ -28,10 +28,6 @@ __all__ = [
     "CompositionError",
     "k_compose",
     "self_join",
-    "CompositionExpr",
-    "Leaf",
-    "Join",
-    "parse_expr",
     "eval_expr",
     "pick_handle",
     "MergeVerdict",
@@ -119,64 +115,37 @@ def join(d1, k, d2):
     return k_compose(d1, pick_handle(d1, k), d2, pick_handle(d2, k))
 
 
-# -- expression trees ------------------------------------------------------
+# -- chain notation ----------------------------------------------------------
 
 
-class CompositionExpr:
-    pass
-
-
-@dataclass(frozen=True)
-class Leaf(CompositionExpr):
-    map_id: str
-
-
-@dataclass(frozen=True)
-class Join(CompositionExpr):
-    left: CompositionExpr
-    k: int
-    right: CompositionExpr
-
-
-def parse_expr(text):
-    """Parse chain notation: expr := term (join term)*, join := '(' [123] ')',
-    term := [A-N] | integer [A-N].  "mG" is the left chain of m copies of
-    G joined by (1)-handles; chains associate left."""
+def _terms(text):
+    """Read chain notation into [(join kind or None, count, map id), ...]:
+    expr := term (join term)*, join := '(' [123] ')', term := [A-N] |
+    integer [A-N].  The whole text is read before anything is joined."""
     tokens = _tokenize(text)
-    pos = 0
-
-    def take_term():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise CompositionError(f"expected a map name at end of {text!r}")
-        kind, val = tokens[pos]
-        if kind == "int":
-            count = val
+    terms, k, pos = [], None, 0
+    while True:
+        count = 1
+        if pos < len(tokens) and tokens[pos][0] == "int":
+            count = tokens[pos][1]
             pos += 1
-            if pos >= len(tokens) or tokens[pos][0] != "map":
+            if pos == len(tokens) or tokens[pos][0] != "map":
                 raise CompositionError(f"expected a map name after {count} in {text!r}")
-            mid = tokens[pos][1]
-            pos += 1
             if count < 1:
                 raise CompositionError("repeat count must be >= 1")
-            node = Leaf(mid)
-            for _ in range(count - 1):
-                node = Join(node, 1, Leaf(mid))
-            return node
-        if kind == "map":
-            pos += 1
-            return Leaf(val)
-        raise CompositionError(f"unexpected token {val!r} at position {pos} in {text!r}")
-
-    node = take_term()
-    while pos < len(tokens):
+        if pos == len(tokens):
+            raise CompositionError(f"expected a map name at end of {text!r}")
         kind, val = tokens[pos]
+        if kind != "map":
+            raise CompositionError(f"unexpected token {val!r} at position {pos} in {text!r}")
+        terms.append((k, count, val))
+        pos += 1
+        if pos == len(tokens):
+            return terms
+        kind, k = tokens[pos]
         if kind != "join":
             raise CompositionError(f"expected (k) join at token {pos} in {text!r}")
         pos += 1
-        rhs = take_term()
-        node = Join(node, val, rhs)
-    return node
 
 
 def _tokenize(text):
@@ -209,21 +178,17 @@ def _tokenize(text):
     return out
 
 
-def eval_expr(expr):
-    """Evaluate a chain expression (or its text) to a map.  Chains
-    associate left, so the joins down the left spine are taken in a loop:
-    a chain of any length uses the same stack depth."""
-    if isinstance(expr, str):
-        expr = parse_expr(expr)
-    spine = []
-    while isinstance(expr, Join):
-        spine.append(expr)
-        expr = expr.left
-    if not isinstance(expr, Leaf):
-        raise TypeError(f"not a composition expression: {expr!r}")
-    m = basic_map(expr.map_id)
-    for node in reversed(spine):
-        m = join(m, node.k, eval_expr(node.right))
+def eval_expr(text):
+    """Evaluate chain notation to a map, as one left fold over its terms:
+    "mG" is G joined (1) to itself m - 1 times, and each term is joined
+    whole onto the map built so far.  A chain of any length uses the
+    same stack depth."""
+    m = None
+    for k, count, map_id in _terms(text):
+        term = basic_map(map_id)
+        for _ in range(count - 1):
+            term = join(term, 1, basic_map(map_id))
+        m = term if k is None else join(m, k, term)
     return m
 
 

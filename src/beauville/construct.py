@@ -40,7 +40,6 @@ __all__ = [
     "CHAIN_RECIPES",
     "stock_U",
     "v_map",
-    "designated_handle",
     "x_map",
     "build_pair",
     "shared_handles",
@@ -273,13 +272,7 @@ def stock_U(s):
     (s = 2 mod 3), all joined by (1)-handles; degree 14s."""
     if s < 3:
         raise PlanError(f"stock parameter must be >= 3, got {s}")
-    out = basic_map("G")
-    for _ in range(s // 3 - 1):
-        out = join(out, 1, basic_map("G"))
-    if s % 3 == 1:
-        out = join(out, 1, basic_map("A"))
-    elif s % 3 == 2:
-        out = join(out, 1, basic_map("E"))
+    out = eval_expr(f"{s // 3}G" + ("", "(1)A", "(1)E")[s % 3])
     if out.n != 14 * s:
         raise MapError(f"U_{s} degree {out.n} != {14 * s}")
     return out
@@ -297,7 +290,7 @@ def v_map(r):
         raise MapError(
             f"V_{r} w-cycles {m.w_cycles.lengths()} != published {expect}"
         )
-    h = designated_handle(m)
+    h = pick_handle(m, 1)
     la = len(m.w_cycles.cycle_of(h.a))
     lb = len(m.w_cycles.cycle_of(h.b))
     if (la, lb) != pre:
@@ -305,12 +298,6 @@ def v_map(r):
             f"V_{r} designated handle sits in cycles ({la}, {lb}), published {pre}"
         )
     return m
-
-
-def designated_handle(m):
-    """The free (1)-handle a chain map exposes for the next join: the
-    canonical (largest minimum point) choice."""
-    return pick_handle(m, 1)
 
 
 @lru_cache(maxsize=None)

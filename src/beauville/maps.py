@@ -107,14 +107,15 @@ class Handle:
 
 
 class WCycles:
-    """Cycle decomposition of w with a point -> cycle index lookup."""
+    """Cycle decomposition of w with a point -> cycle index lookup, built
+    on first use."""
 
     def __init__(self, w):
         self.cycles = w.cycles(include_fixed=True)
-        self.index_of = {}
-        for i, cyc in enumerate(self.cycles):
-            for pt in cyc:
-                self.index_of[pt] = i
+
+    @cached_property
+    def index_of(self):
+        return {pt: i for i, cyc in enumerate(self.cycles) for pt in cyc}
 
     def lengths(self):
         return tuple(sorted(len(c) for c in self.cycles))
@@ -124,9 +125,6 @@ class WCycles:
 
     def __iter__(self):
         return iter(self.cycles)
-
-    def __len__(self):
-        return len(self.cycles)
 
 
 @dataclass(frozen=True)
@@ -388,5 +386,11 @@ def map_from_text(text):
     n = field("degree", int)
     if n < 1:
         raise MapError(f"field degree: a permutation needs degree >= 1, got {n}")
+    # <x, y> moves every point when n > 1, and each point takes a character
+    chars = field("x", len) + field("y", len)
+    if n > 1 and n > chars:
+        raise MapError(
+            f"field degree: {n} points cannot all be moved by {chars} characters of x and y"
+        )
     x, y, t = (field(k, lambda text: parse_cycles(text, degree=n)) for k in ("x", "y", "t"))
     return new_map(n, x, y, t)

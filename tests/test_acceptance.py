@@ -19,7 +19,7 @@ from beauville.certify import (
     certify_dhb,
     min_degree_search,
 )
-from beauville.compose import eval_expr, k_compose, merge_law_check
+from beauville.compose import eval_expr, k_compose, merge_law_check, pick_handle
 from beauville.construct import (
     MINIMAL_DEGREES,
     S3_SHORTCUT_DEGREES,
@@ -28,7 +28,6 @@ from beauville.construct import (
     ConstructionPlan,
     PlanError,
     build_pair,
-    designated_handle,
     minimal_plan,
     stock_U,
     v_map,
@@ -134,7 +133,7 @@ def test_criterion_3_chain_map_conformance():
         m = v_map(r)
         assert m.n == d_r
         assert tuple(m.w_cycles.lengths()) == tuple(sorted(pre + post))
-        h = designated_handle(m)
+        h = pick_handle(m, 1)
         assert len(m.w_cycles.cycle_of(h.a)) == 1
         assert len(m.w_cycles.cycle_of(h.b)) == pre[1]
         assert l_prime == pre[1] + 13

@@ -191,12 +191,13 @@ def _leaves(node, path=()):
 
 
 def _tampered(value):
-    """A changed value of the same type, and a value of another type (one
-    that Python calls equal, for a bool or an int)."""
+    """A changed value of the same type, and values of other types that
+    Python calls equal: the int of a bool, the float of an int, and the
+    bool of an int 0 or 1."""
     if isinstance(value, bool):
         return not value, int(value)
     if isinstance(value, int):
-        return value + 1, float(value)
+        return (value + 1, float(value)) + ((bool(value),) if value in (0, 1) else ())
     return value + "!", None
 
 

@@ -130,6 +130,12 @@ class TestErrors:
     def test_parse_error_exit_2(self, capsys):
         assert main(["compose", "A(9)B"]) == 2
 
+    def test_malformed_chain_refused_before_a_join_fails(self, capsys):
+        # A has one (1)-handle: joining would fail at the second join
+        assert main(["compose", "A(1)A(1)A(1)"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: expected a map name at end of 'A(1)A(1)A(1)'\n"
+
     def test_invalid_plan_exit_2(self, capsys):
         assert main(["construct", "--r", "6", "--s", "3", "--variant", "standard"]) == 2
 

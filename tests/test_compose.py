@@ -8,12 +8,9 @@ from beauville.atlas import BASIC_MAP_IDS, basic_map
 from beauville.perm import parse_cycles
 from beauville.compose import (
     CompositionError,
-    Join,
-    Leaf,
     eval_expr,
     k_compose,
     merge_law_check,
-    parse_expr,
     pick_handle,
     self_join,
 )
@@ -21,18 +18,47 @@ from beauville.compose import (
 
 class TestParser:
     def test_grammar(self):
-        assert parse_expr("A") == Leaf("A")
-        assert parse_expr("L(2)M") == Join(Leaf("L"), 2, Leaf("M"))
-        assert parse_expr("B(3)C(1)G") == Join(Join(Leaf("B"), 3, Leaf("C")), 1, Leaf("G"))
-        assert parse_expr("2G") == Join(Leaf("G"), 1, Leaf("G"))
-        assert parse_expr("3G(1)A") == Join(
-            Join(Join(Leaf("G"), 1, Leaf("G")), 1, Leaf("G")), 1, Leaf("A")
-        )
+        j = compose.join
+        a, b, c, g, l, m = map(basic_map, "ABCGLM")
+        assert eval_expr("A") == a
+        assert eval_expr("L(2)M") == j(l, 2, m)
+        assert eval_expr(" B (3) C(1)G ") == j(j(b, 3, c), 1, g)
+        assert eval_expr("2G") == j(g, 1, g)
+        assert eval_expr("3G(1)A") == j(j(j(g, 1, g), 1, g), 1, a)
 
     @pytest.mark.parametrize("bad", ["", "A(4)B", "A(1)", "(1)A", "A)1(B", "Q", "0G"])
     def test_rejects(self, bad):
         with pytest.raises(CompositionError):
-            parse_expr(bad)
+            eval_expr(bad)
+
+    MESSAGES = {
+        "": "expected a map name at end of ''",
+        "A(4)B": "join kind must be 1, 2 or 3, got '4'",
+        "A(1": "unclosed '(' at position 1 in 'A(1'",
+        "G(1)Q": "bad character 'Q' at position 4 in 'G(1)Q'",
+        "(1)A": "unexpected token 1 at position 0 in '(1)A'",
+        "A(1)(2)B": "unexpected token 2 at position 2 in 'A(1)(2)B'",
+        "0G": "repeat count must be >= 1",
+        "G(1)0G": "repeat count must be >= 1",
+        "0(1)A": "expected a map name after 0 in '0(1)A'",
+        "2(1)G": "expected a map name after 2 in '2(1)G'",
+        "A B": "expected (k) join at token 1 in 'A B'",
+        "A2G": "expected (k) join at token 1 in 'A2G'",
+        "A(1)A(1)A(1)": "expected a map name at end of 'A(1)A(1)A(1)'",
+        "2G(1)A(1)A(1)Q(1)B": "bad character 'Q' at position 13 in '2G(1)A(1)A(1)Q(1)B'",
+        "2G(1)A(1)A(1)(2)B": "unexpected token 2 at position 7 in '2G(1)A(1)A(1)(2)B'",
+    }
+
+    @pytest.mark.parametrize("bad", sorted(MESSAGES))
+    def test_whole_text_is_read_before_any_join(self, bad, monkeypatch):
+        # A has one (1)-handle, so joining "A(1)A(1)A" would fail at the
+        # second join; the malformed text must be refused first
+        joins = []
+        monkeypatch.setattr(compose, "join", lambda *args: joins.append(args))
+        with pytest.raises(CompositionError) as exc:
+            eval_expr(bad)
+        assert str(exc.value) == self.MESSAGES[bad]
+        assert joins == []
 
 
 class TestPublishedExamples:

@@ -3,6 +3,8 @@ import dataclasses
 import pytest
 
 from beauville import construct
+from beauville.atlas import basic_map
+from beauville.compose import join, pick_handle
 from beauville.construct import (
     MINIMAL_DEGREES,
     S3_SHORTCUT_DEGREES,
@@ -11,13 +13,25 @@ from beauville.construct import (
     ConstructionPlan,
     PlanError,
     build_pair,
-    designated_handle,
     minimal_plan,
     shared_handles,
     stock_U,
     v_map,
     x_map,
 )
+
+
+def _chained_stock(s):
+    """U_s as joined one piece at a time: floor(s/3) copies of G, then
+    an A (s = 1 mod 3) or an E (s = 2 mod 3), all by (1)-handles."""
+    out = basic_map("G")
+    for _ in range(s // 3 - 1):
+        out = join(out, 1, basic_map("G"))
+    if s % 3 == 1:
+        out = join(out, 1, basic_map("A"))
+    elif s % 3 == 2:
+        out = join(out, 1, basic_map("E"))
+    return out
 
 
 class TestStock:
@@ -32,6 +46,10 @@ class TestStock:
     def test_five_has_two_free_handles(self):
         # the single-E choice at s = 2 mod 3 keeps two handles free at s=5
         assert len(stock_U(5).find_handles(1)) == 2
+
+    @pytest.mark.parametrize("s", range(3, 31))
+    def test_equals_the_chained_joins(self, s):
+        assert stock_U(s) == _chained_stock(s)
 
     def test_rejects_small(self):
         with pytest.raises(PlanError):
@@ -54,7 +72,7 @@ class TestVMaps:
         m = v_map(r)  # raises on any mismatch
         assert m.n == d_r
         assert tuple(m.w_cycles.lengths()) == tuple(sorted(pre + post))
-        h = designated_handle(m)
+        h = pick_handle(m, 1)
         assert len(m.w_cycles.cycle_of(h.a)) == 1
         assert len(m.w_cycles.cycle_of(h.b)) == pre[1]
         assert lp == pre[1] + 13
@@ -70,7 +88,7 @@ class TestVMaps:
         assert v_map(6).n == 216
         assert v_map(13).n == 195
         m13 = v_map(13)
-        h = designated_handle(m13)
+        h = pick_handle(m13, 1)
         assert len(m13.w_cycles.cycle_of(h.b)) == 51
 
 

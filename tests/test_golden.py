@@ -67,10 +67,16 @@ GOLDEN = {
         "3ef418a708c3e079a05f91590bcb10d8bee91c42bb6f97a6ab7f6d1d1ab85341",
     "compose --help":
         "45b4bdd63069fd9efdadb258cc255311427b928af529e96016ac32868159c289",
+    "compose 2G(1)G":
+        "861465dcb1f274d7078369a01fb1577c76e24d7a11891f8e5fd800e21415ab59",
+    "compose 3G(1)A":
+        "31c1d5484ac13242ceb791358c5d75a585ed9d027bf9ccabd4b116af7a6ff466",
     "compose B(3)C(1)G(1)M(2)F":
         "be4fc09ecd76f91e9efa474701159bfa5dcb3432fe9fb5d3c86e26b3736f15fc",
     "compose L(2)M":
         "b83f59b8bafe401fa66f73470aaf837cb424a8d62007a145e19bbfb1ff53f7da",
+    "compose G(1)2G":
+        "459562eceb875f9878b4f9cbef77e2871c7b0b698af7dd72c1f27318268102cb",
     "construct --help":
         "1d887c535ffffd24dcc4a2bb0f9319e8765d0e3ce97e57b226a1ba8190920572",
     "construct --r 0 --s 3 --variant small_n":
@@ -405,16 +411,17 @@ def test_lift_from_certificate_file(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("hash_seed", ["0", "777"])
 def test_all_minimal_bytes_under_optimize_and_hash_seeds(hash_seed):
-    # a fresh interpreter per hash seed, with asserts stripped by -O
+    # a fresh interpreter per hash seed and command, with asserts stripped by -O
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "beauville", "certify", "--all-minimal"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    digest = _digest(proc.returncode, proc.stdout, proc.stderr)
-    assert digest == GOLDEN["certify --all-minimal"], proc.stderr
+    for argv in ("certify --all-minimal", "compose B(3)C(1)G(1)M(2)F"):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "beauville", *argv.split()],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        digest = _digest(proc.returncode, proc.stdout, proc.stderr)
+        assert digest == GOLDEN[argv], (argv, proc.stderr)

@@ -209,6 +209,10 @@ class TestSerialization:
             ("degree -3\nx id\ny id\nt id", "field degree: a permutation needs degree >= 1, got -3"),
             ("degree 3\nx id\ny (0 5)\nt id", "field y: point 5 out of range for degree 3"),
             ("degree 3\nx id\ny id\nt (0 1", "field t: bad cycle notation: '(0 1'"),
+            (
+                "degree 15999999999\nx (0 1)\ny (0 1 2)\nt id",
+                "field degree: 15999999999 points cannot all be moved by 12 characters of x and y",
+            ),
         ],
     )
     def test_bad_field_named(self, lines, message):
