@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .perm import Permutation, parse_cycles
+from .perm import Permutation, _read_cycles, parse_cycles
 
 __all__ = [
     "TableError",
@@ -111,6 +111,8 @@ class CharacterTable:
         for c in self.classes:
             if c.inverse not in self.index:
                 raise TableError(f"inverse class {c.inverse!r} of {c.name!r} unknown")
+            if c.rep:
+                _check_rep(c)
         m = self.conductor
         ident = self.index[_identity_class(self)]
         degrees = []
@@ -144,9 +146,30 @@ class CharacterTable:
         except KeyError:
             raise TableError(f"unknown class {name!r}") from None
 
-    def representatives(self, degree=None):
-        """Permutation representatives, when the table carries them."""
+    def representatives(self, degree):
+        """Permutation representatives of the given degree, when the table
+        carries them."""
         return {c.name: parse_cycles(c.rep, degree=degree) for c in self.classes if c.rep}
+
+
+def _check_rep(c):
+    """A class representative's points are distinct and non-negative and
+    the lcm of its cycle lengths is the class's rep_order.  It is read
+    from its points and cycle sizes, so no array of 1 + the largest point
+    is made."""
+    try:
+        points, sizes, _ = _read_cycles(c.rep)
+    except ValueError as exc:
+        raise TableError(f"class {c.name}: representative {c.rep!r}: {exc}") from None
+    if min(points, default=0) < 0:
+        raise TableError(f"class {c.name}: representative {c.rep!r} has a negative point")
+    if len(set(points)) != len(points):
+        raise TableError(f"class {c.name}: representative {c.rep!r} repeats a point")
+    order = math.lcm(*sizes)
+    if order != c.rep_order:
+        raise TableError(
+            f"class {c.name}: representative {c.rep!r} has order {order}, not {c.rep_order}"
+        )
 
 
 def _identity_class(table):

@@ -333,8 +333,7 @@ def parse_cycles(text, degree=None):
         raise ValueError(f"cycle text must be a string, not {type(text).__name__}")
     if degree is not None and degree < 1:
         raise ValueError(f"a permutation needs degree >= 1, got {degree}")
-    text = text.strip()
-    points, sizes, top = _tokenize_cycles(text) or _scan_cycles(text)
+    points, sizes, top = _read_cycles(text.strip())
     if degree is None:
         degree = top + 1 if top >= 0 else 1
     elif top >= degree:
@@ -347,6 +346,13 @@ _CYCLE_BYTES = b"0123456789 \t\n\r\v\f,()"
 _DIGIT_MASK = bytes(48 <= c <= 57 for c in range(256))  # digit -> 1, else 0
 _LONG_RUN = b"\x01" * 19  # 19 digits may not fit an int64
 _TO_SPACE = bytes.maketrans(b",()", b"   ")  # numpy reads the rest as space
+
+
+def _read_cycles(text):
+    """(points, sizes, largest point) of a stripped cycle text, by the
+    tokenizer when it applies and by the scan otherwise.  Nothing of the
+    size of the largest point is allocated."""
+    return _tokenize_cycles(text) or _scan_cycles(text)
 
 
 def _tokenize_cycles(text):
@@ -501,8 +507,9 @@ _MAX_ROUNDS = 4096  # random rounds before an unreached upper_bound gives up
 class _Level:
     __slots__ = ("base", "parent", "edge", "orbit", "rows", "gens")
 
-    def __init__(self, base, degree):
+    def __init__(self, base, identity):
         self.base = base
+        degree = len(identity)
         # flat Schreier tree (Sims 1970), indexed by point: parent[pt] is
         # -1 off the orbit, and edge[pt] the inverse array of a generator
         # g with parent^g = pt; the base is its own parent, with no edge.
@@ -513,8 +520,9 @@ class _Level:
         self.edge = [None] * degree
         self.orbit = [base]
         # point -> inverse of a coset representative u with base^u =
-        # point: the base's identity row, and the rows verify() kept
-        self.rows = {base: np.arange(degree, dtype=np.intp)}
+        # point: the base's row, the chain's one read-only identity, and
+        # the rows verify() kept
+        self.rows = {base: identity}
         # (image list, inverse array) of each generator of S^(i), shared
         # with the other levels; None once the orbit is full
         self.gens = []
@@ -572,11 +580,17 @@ class _Chain:
     def __init__(self, n):
         self.n = n
         self.levels = []
-        self.strong = []  # (entry level, image array) per strong generator
+        # (entry level, inverse array) per strong generator: the array
+        # the trees' edges hold; S^(i) and its inverses generate one group
+        self.strong = []
         self.open = []  # indices of the levels whose orbit is not yet full
         self.order = 1  # product of the basic orbit sizes, kept by add
         self.kept = 0  # bytes of the levels' kept rows, base rows aside
         self._id = np.arange(n, dtype=np.intp)
+        self._id.flags.writeable = False
+        # the ints 0..n-1, one object each: every tree's image lists,
+        # parents and orbits refer to these
+        self._ints = np.arange(n, dtype=object)
 
     def top(self):
         """The first level whose orbit is not full (the number of levels
@@ -620,8 +634,8 @@ class _Chain:
             if i == len(self.levels):
                 # a new last level, whose tree is res's cycle through the
                 # moved base: res now sifts to the identity there
-                moved = int(np.flatnonzero(res != self._id)[0])
-                self.levels.append(_Level(moved, self.n))
+                moved = self._ints[np.flatnonzero(res != self._id)[0]]
+                self.levels.append(_Level(moved, self._id))
                 self.open.append(i)
                 self._enter(res, i)
                 return
@@ -634,10 +648,10 @@ class _Chain:
         """Make res a strong generator of level i: extend every open level
         k <= i, and close the levels whose orbit reaches n - k points,
         the most any group fixing b_0..b_{k-1} can have."""
-        self.strong.append((i, res))
         inv = np.empty_like(res)
         inv[res] = self._id
-        gen = (res.tolist(), inv)
+        self.strong.append((i, inv))
+        gen = (self._ints[res].tolist(), inv)
         still_open = []
         for k in self.open:
             if k <= i:
@@ -655,8 +669,9 @@ class _Chain:
         """Deterministic Schreier generator closure, bottom-up.
 
         Every Schreier generator u * g * rep((b_i)^(u*g))^-1 of level i,
-        for u a coset representative and g in S^(i), must sift to the
-        identity; by Schreier's lemma this is complete.  Returns True if
+        for u a coset representative and g the inverse of a generator in
+        S^(i), must sift to the identity; those inverses generate the same
+        group, so by Schreier's lemma this is complete.  Returns True if
         the chain was already complete, False if it had to be extended
         (in which case call again).
         """
@@ -740,7 +755,9 @@ def group_order(gens, upper_bound=None):
 
     Memory: each level keeps a flat Schreier tree (Sims 1970), two lists
     of n entries indexed by point, a parent and an edge, and its orbit in
-    breadth-first order: about n^2/2 orbit points for A_n.  An open
+    breadth-first order: about n^2/2 orbit points for A_n, all of them
+    references to the chain's one set of n point ints.  Every level's
+    base row is the chain's one read-only identity.  An open
     level's tree is rebuilt breadth-first over all its generators
     whenever it gains one, so its paths are shortest words in them
     (Seress 2003, 4.4).  A random-phase strip gathers the inverse coset
@@ -750,10 +767,11 @@ def group_order(gens, upper_bound=None):
     verify(), whose Schreier generators strip through the same rows
     over and over, keeps the rows it gathers, up to _ROW_CACHE_BYTES
     (128 MiB), and it builds one level's rows at a time.  Each strong
-    generator keeps its image and inverse arrays, 16n bytes (about 1.5n
-    generators for A_n), and an image list while a level it extends is
+    generator keeps one array, its inverse, 8n bytes (about 1.5n
+    generators for A_n): the trees' edges and verify() use that same
+    array.  It also keeps an image list while a level it extends is
     open.  The walks hold 14 arrays of 8n bytes.  The tracemalloc peak
-    of a bounded A_n proof is 3.2 MiB at n = 246 and 21.6 MiB at
+    of a bounded A_n proof is 2.0 MiB at n = 246 and 11.1 MiB at
     n = 589.
     """
     gens = [g for g in gens if not g.is_identity()]

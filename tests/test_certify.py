@@ -40,6 +40,11 @@ class TestJordan:
         with pytest.raises(CertificationError, match="not prime"):
             jordan_certify(basic_map("A"), 6)
 
+    def test_cycle_not_useful(self):
+        # B's 3-cycle of w passes (ii) and (iii) but is not useful
+        with pytest.raises(CertificationError, match=r"hypothesis \(iv\): the 3-cycle"):
+            jordan_certify(basic_map("B"), 3)
+
     @pytest.mark.parametrize("r", range(14))
     def test_jordan_cycle_matches_useful_cycles(self, r):
         pair = build_pair(minimal_plan(r))
@@ -322,6 +327,13 @@ class TestCover:
         else:
             assert cov.v_difference == (8, 6, -7)
         assert verify_certificate(certificate_to_json(cov))
+
+    def test_tau_not_divisible_by_4_refused(self):
+        # the uncovered r = 0 pair: only tau1 = 142 fails, so the check
+        # must refuse when either value does
+        base = certify_dhb(minimal_plan(0))
+        with pytest.raises(CertificationError, match="^tau values not divisible by 4: 142, 144$"):
+            certify._cover_certificate(base, "internal_join", 0)
 
     def test_internal_join_raises_genus(self):
         cov = certify_cover(minimal_plan(2))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,11 @@ import pytest
 from beauville.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def a5_table_with_3a_rep(rep):
+    text = resources.files("beauville").joinpath("data/a5.tbl").read_text()
+    return text.replace("class 3A 20 3 3A (0,1,2)", f"class 3A 20 3 3A {rep}")
 
 
 def run(capsys, *argv):
@@ -208,8 +214,11 @@ class TestErrors:
             ("beauville-table v1\ngroup X\norder 1\nclass 1A 1 1 1A\nchar 1\n", "v2"),
             (b"\xff\xfe", "not UTF-8"),
             (None, "cannot read"),
+            (a5_table_with_3a_rep("(0,1,hello"), "class 3A: representative '(0,1,hello'"),
+            (a5_table_with_3a_rep("(0,1)"), "class 3A: representative '(0,1)' has order 2"),
         ],
-        ids=["order", "class-size", "value", "v1-header", "binary", "missing"],
+        ids=["order", "class-size", "value", "v1-header", "binary", "missing",
+             "rep-not-cycles", "rep-order"],
     )
     def test_malformed_table(self, tmp_path, capsys, text, named):
         path = tmp_path / "t.tbl"

@@ -42,6 +42,14 @@ C3_TABLE = (
 )
 
 
+def bad_a5_table(rep_3a):
+    """The bundled A5 table with another text for the 3A representative."""
+    text = resources.files("beauville").joinpath("data/a5.tbl").read_text()
+    line = "class 3A 20 3 3A (0,1,2)"
+    assert line in text
+    return text.replace(line, f"class 3A 20 3 3A {rep_3a}")
+
+
 class TestParsing:
     def test_values(self):
         assert parse_value("3") == ((1, 0, 3),)
@@ -171,6 +179,36 @@ class TestBundled:
     def test_unknown(self):
         with pytest.raises(TableError):
             bundled_table("m11")
+
+    @pytest.mark.parametrize(
+        "rep, named",
+        [
+            ("(0,1,hello", "class 3A: representative '(0,1,hello': bad cycle notation"),
+            ("(0,1)", "class 3A: representative '(0,1)' has order 2, not 3"),
+            ("(0,-1,2)", "class 3A: representative '(0,-1,2)' has a negative point"),
+            ("(0,1,0)", "class 3A: representative '(0,1,0)' repeats a point"),
+        ],
+        ids=["not-cycles", "order", "negative", "repeat"],
+    )
+    def test_bad_representative_refused_at_load(self, tmp_path, rep, named):
+        path = tmp_path / "a5.tbl"
+        path.write_text(bad_a5_table(rep))
+        with pytest.raises(TableError) as exc:
+            load_table(path)
+        assert str(exc.value).startswith(named)
+
+    def test_representative_check_allocates_nothing_for_a_huge_point(self):
+        # the check reads points and cycle sizes, with no array of 1 + the
+        # largest point; only a permutation of some degree needs one
+        table = parse_table(bad_a5_table("(0,1,999999999999999999999)"))
+        with pytest.raises(ValueError, match="out of range for degree 5"):
+            table.representatives(degree=5)
+
+    def test_representatives_need_a_degree(self):
+        with pytest.raises(TypeError):
+            bundled_table("a5").representatives()
+        reps = bundled_table("a5").representatives(degree=7)
+        assert reps["3A"] == parse_cycles("(0 1 2)", 7)
 
     def test_loaded_once_and_shared_read_only(self, tmp_path):
         table = bundled_table("a5")

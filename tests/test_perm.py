@@ -335,17 +335,44 @@ class TestGroupOrder:
 
     def test_chain_memory_small_case(self):
         # n = 246: every transversal row of the chain would take about
-        # 60 MB; the flat trees, with no rows kept, peak near 3.2 MiB
+        # 60 MB; the flat trees, with no rows kept, one shared base row
+        # and one array per strong generator, peak near 2.0 MiB
         m = build_pair(ConstructionPlan(8, 3, "small_n")).w1
-        assert traced_peak_order(m) < 5 * 2**20
+        assert traced_peak_order(m) < 3 * 2**20
 
     def test_chain_memory_largest_pair(self):
         # n = 589, the largest minimal, small or shortcut pair: every row
-        # would take about 820 MB; the trees hold about n^2/2 points and
-        # peak near 21.6 MiB
+        # would take about 820 MB; the trees hold about n^2/2 points, all
+        # of them the chain's n shared ints, and peak near 11.1 MiB
         m = build_pair(minimal_plan(1)).w1
         assert m.n == 589
-        assert traced_peak_order(m) < 32 * 2**20
+        assert traced_peak_order(m) < 16 * 2**20
+
+    def test_chain_stores_each_piece_once(self, monkeypatch):
+        # after a bounded proof for A_301: every level's base row is the
+        # chain's one read-only identity, each strong generator is kept
+        # only as the inverse array the trees' edges hold, and the orbits
+        # refer to at most n int objects (Python caches only those to 256)
+        n = 301
+        chains = []
+
+        class Recorded(perm._Chain):
+            def __init__(self, degree):
+                super().__init__(degree)
+                chains.append(self)
+
+        monkeypatch.setattr(perm, "_Chain", Recorded)
+        gens = [from_cycles(n, [(0, 1, 2)]), from_cycles(n, [tuple(range(n))])]
+        target = math.factorial(n) // 2
+        assert group_order(gens, upper_bound=target) == target
+        (chain,) = chains
+        assert len(chain.levels) == n - 2
+        assert all(lv.rows[lv.base] is chain._id for lv in chain.levels)
+        assert not chain._id.flags.writeable
+        edges = {id(inv) for lv in chain.levels for inv in lv.edge if inv is not None}
+        assert all(id(inv) in edges for _, inv in chain.strong)
+        points = {id(pt) for lv in chain.levels for pt in lv.orbit}
+        assert len(points) <= n
 
     def test_row_gathers_follow_short_paths(self, monkeypatch):
         # n = 589: the strips build about 4.6k rows, each gathered down
