@@ -505,23 +505,21 @@ _MAX_ROUNDS = 4096  # random rounds before an unreached upper_bound gives up
 
 
 class _Level:
-    __slots__ = ("base", "parent", "edge", "orbit", "rows", "gens")
+    __slots__ = ("base", "edge", "size", "rows", "gens")
 
     def __init__(self, base, identity):
         self.base = base
-        degree = len(identity)
-        # flat Schreier tree (Sims 1970), indexed by point: parent[pt] is
-        # -1 off the orbit, and edge[pt] the inverse array of a generator
-        # g with parent^g = pt; the base is its own parent, with no edge.
-        # While the level is open the tree is breadth-first over all of
-        # its generators, and orbit lists its points in that order
-        self.parent = [-1] * degree
-        self.parent[base] = base
-        self.edge = [None] * degree
-        self.orbit = [base]
+        # flat Schreier tree (Sims 1970), indexed by point: edge[pt] is
+        # None off the orbit, and otherwise the inverse array of a
+        # generator g with parent^g = pt, so edge[pt][pt] is pt's parent.
+        # The base's edge is the chain's one read-only identity, so the
+        # base is its own parent.  While the level is open the tree is
+        # breadth-first over all of its generators
+        self.edge = [None] * len(identity)
+        self.edge[base] = identity
+        self.size = 1  # the number of orbit points
         # point -> inverse of a coset representative u with base^u =
-        # point: the base's row, the chain's one read-only identity, and
-        # the rows verify() kept
+        # point: the base's row, the identity, and the rows verify() kept
         self.rows = {base: identity}
         # (image list, inverse array) of each generator of S^(i), shared
         # with the other levels; None once the orbit is full
@@ -532,37 +530,35 @@ class _Level:
         breadth-first from the base over all the generators (Seress 2003,
         4.4), so each path is a shortest word in them; only extending the
         old tree would keep its paths along the first generator's cycle.
-        One queue loop builds parent, edge and orbit; with one generator
-        it walks that generator's cycle.  Rows kept by verify() stay
-        valid, each the inverse of some element taking the base to its
-        point."""
+        One queue loop builds the edges; with one generator it walks that
+        generator's cycle.  Rows kept by verify() stay valid, each the
+        inverse of some element taking the base to its point."""
         self.gens.append(gen)
         gens = self.gens
         base = self.base
-        parent = [-1] * len(self.parent)
-        parent[base] = base
-        edge = [None] * len(parent)
-        orbit = [base]
-        for pt in orbit:  # the loop also visits what it appends
+        edge = [None] * len(self.edge)
+        edge[base] = self.edge[base]
+        queue = [base]
+        for pt in queue:  # the loop also visits what it appends
             for images, inv in gens:
                 img = images[pt]
-                if parent[img] < 0:
-                    parent[img] = pt
+                if edge[img] is None:
                     edge[img] = inv
-                    orbit.append(img)
-        self.parent, self.edge, self.orbit = parent, edge, orbit
+                    queue.append(img)
+        self.edge, self.size = edge, len(queue)
 
-    def row(self, pt):
-        """The inverse coset row of an orbit point, gathered down from its
-        nearest kept ancestor (u_pt = u_parent * g along each edge).  In
-        the random phase only the base row is kept, so every row is
-        gathered from the base, used for one strip and dropped."""
-        row = self.rows.get(pt)
+    def row(self, pt, rows):
+        """The inverse coset row of an orbit point: walk up the tree to
+        the nearest point with a row in `rows`, then gather down from it
+        (u_pt = u_parent * g along each edge)."""
+        edge = self.edge
         path = []
+        row = rows.get(pt)
         while row is None:
-            path.append(self.edge[pt])
-            pt = self.parent[pt]
-            row = self.rows.get(pt)
+            inv = edge[pt]
+            path.append(inv)
+            pt = inv.item(pt)
+            row = rows.get(pt)
         for inv in reversed(path):
             row = row[inv]
         return row
@@ -588,8 +584,8 @@ class _Chain:
         self.kept = 0  # bytes of the levels' kept rows, base rows aside
         self._id = np.arange(n, dtype=np.intp)
         self._id.flags.writeable = False
-        # the ints 0..n-1, one object each: every tree's image lists,
-        # parents and orbits refer to these
+        # the ints 0..n-1, one object each: the bases and every open
+        # level's image lists refer to these
         self._ints = np.arange(n, dtype=object)
 
     def top(self):
@@ -604,25 +600,36 @@ class _Chain:
         stop).
 
         Each strip multiplies by the inverse coset row of the base image.
-        A row is gathered down the tree and then dropped, unless `keep`
-        asks to keep it while the kept rows take under _ROW_CACHE_BYTES.
+        Without `keep` it applies the tree's edges to arr on the way up,
+        the same gathers as building the row, and builds no row.  With
+        `keep` it uses or gathers the row, and keeps it while the kept
+        rows take under _ROW_CACHE_BYTES.
         """
         levels = self.levels
         if stop is None:
             stop = len(levels)
         for i in range(start, stop):
             lv = levels[i]
-            pt = arr.item(lv.base)
-            if pt != lv.base:
+            base = lv.base
+            pt = arr.item(base)
+            if pt == base:
+                continue
+            edge = lv.edge
+            if edge[pt] is None:
+                return arr, i
+            if keep:
                 u = lv.rows.get(pt)
                 if u is None:
-                    if lv.parent[pt] < 0:
-                        return arr, i
-                    u = lv.row(pt)
-                    if keep and self.kept < _ROW_CACHE_BYTES:
+                    u = lv.row(pt, lv.rows)
+                    if self.kept < _ROW_CACHE_BYTES:
                         lv.rows[pt] = u
                         self.kept += u.nbytes
                 arr = u[arr]
+            else:
+                while pt != base:
+                    inv = edge[pt]
+                    arr = inv[arr]
+                    pt = inv.item(pt)
         return arr, stop
 
     def add(self, arr, start=0):
@@ -656,10 +663,10 @@ class _Chain:
         for k in self.open:
             if k <= i:
                 lv = self.levels[k]
-                before = len(lv.orbit)
+                before = lv.size
                 lv.extend(gen)
-                self.order = self.order // before * len(lv.orbit)
-                if len(lv.orbit) == self.n - k:
+                self.order = self.order // before * lv.size
+                if lv.size == self.n - k:
                     lv.gens = None
                     continue
             still_open.append(k)
@@ -678,9 +685,13 @@ class _Chain:
         for i in reversed(range(len(self.levels))):
             gens = [g for k, g in self.strong if k >= i]
             lv = self.levels[i]
-            rows = {}  # parents precede children: one gather per row
-            for pt in lv.orbit:
-                rows[pt] = row = self._id if pt == lv.base else rows[lv.parent[pt]][lv.edge[pt]]
+            # the orbit in point order: each row is gathered down from the
+            # nearest ancestor whose row is already built
+            rows = {lv.base: self._id}
+            for pt, inv in enumerate(lv.edge):
+                if inv is None:
+                    continue
+                rows[pt] = row = lv.row(pt, rows)
                 u = np.empty(self.n, dtype=np.intp)
                 u[row] = self._id
                 for g in gens:
@@ -753,26 +764,23 @@ def group_order(gens, upper_bound=None):
     elements of G, so the chain order stays a lower bound on |G|, and
     the result is proved by reaching the bound or by the verification.
 
-    Memory: each level keeps a flat Schreier tree (Sims 1970), two lists
-    of n entries indexed by point, a parent and an edge, and its orbit in
-    breadth-first order: about n^2/2 orbit points for A_n, all of them
-    references to the chain's one set of n point ints.  Every level's
-    base row is the chain's one read-only identity.  An open
-    level's tree is rebuilt breadth-first over all its generators
-    whenever it gains one, so its paths are shortest words in them
-    (Seress 2003, 4.4).  A random-phase strip gathers the inverse coset
-    row it needs, 8n bytes, down the tree from the base, uses it once
-    and drops it: across the oracle's 52 inputs, only 8.0k of the 121k
-    rows built are for a point whose row was built before.  Only
-    verify(), whose Schreier generators strip through the same rows
-    over and over, keeps the rows it gathers, up to _ROW_CACHE_BYTES
-    (128 MiB), and it builds one level's rows at a time.  Each strong
-    generator keeps one array, its inverse, 8n bytes (about 1.5n
-    generators for A_n): the trees' edges and verify() use that same
-    array.  It also keeps an image list while a level it extends is
-    open.  The walks hold 14 arrays of 8n bytes.  The tracemalloc peak
-    of a bounded A_n proof is 2.0 MiB at n = 246 and 11.1 MiB at
-    n = 589.
+    Memory: each level keeps a flat Schreier tree (Sims 1970), one list
+    of n edges indexed by point, each None off the orbit or a reference
+    to a strong generator's inverse array; the base's edge is the
+    chain's one read-only identity, which is also every level's base
+    row.  An open level's tree is rebuilt breadth-first over all its
+    generators whenever it gains one, so its paths are shortest words
+    in them (Seress 2003, 4.4).  A random-phase strip applies the edges
+    from the base image up to the base straight to the element and
+    builds no coset row.  Only verify(), whose Schreier generators strip
+    through the same rows over and over, builds rows, 8n bytes each,
+    and keeps them up to _ROW_CACHE_BYTES (128 MiB); it builds one
+    level's rows at a time.  Each strong generator keeps one array, its
+    inverse, 8n bytes (about 1.5n generators for A_n): the trees' edges
+    and verify() use that same array.  It also keeps an image list while
+    a level it extends is open.  The walks hold 14 arrays of 8n bytes.
+    The tracemalloc peak of a bounded A_n proof is 1.3 MiB at n = 246
+    and 7.0 MiB at n = 589.
     """
     gens = [g for g in gens if not g.is_identity()]
     if not gens:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -24,6 +25,11 @@ from beauville.perm import (
 
 from frozen_parse_cycles import parse_cycles as frozen_parse_cycles
 from perm_helpers import brute_enumerate, random_permutation
+
+
+# sha256 of the bounded proofs' orders and strong generating sets for the
+# 14 V_r maps; see TestGroupOrder.test_bounded_proofs_are_pinned
+V_MAP_CHAINS = "a21831405d13c364ed4402f55a2db8538af8d3c46f0815e133f63ab1aa27aba6"
 
 
 def random_even_permutation(n, rng):
@@ -335,24 +341,27 @@ class TestGroupOrder:
 
     def test_chain_memory_small_case(self):
         # n = 246: every transversal row of the chain would take about
-        # 60 MB; the flat trees, with no rows kept, one shared base row
-        # and one array per strong generator, peak near 2.0 MiB
+        # 60 MB; the flat trees, one edge list per level, with no rows
+        # built in the random phase, one shared base row and one array per
+        # strong generator, peak near 1.3 MiB
         m = build_pair(ConstructionPlan(8, 3, "small_n")).w1
-        assert traced_peak_order(m) < 3 * 2**20
+        assert traced_peak_order(m) < 2 * 2**20
 
     def test_chain_memory_largest_pair(self):
         # n = 589, the largest minimal, small or shortcut pair: every row
-        # would take about 820 MB; the trees hold about n^2/2 points, all
-        # of them the chain's n shared ints, and peak near 11.1 MiB
+        # would take about 820 MB; the trees are one list of n edge
+        # references per level, and peak near 7.0 MiB
         m = build_pair(minimal_plan(1)).w1
         assert m.n == 589
-        assert traced_peak_order(m) < 16 * 2**20
+        assert traced_peak_order(m) < 10 * 2**20
 
     def test_chain_stores_each_piece_once(self, monkeypatch):
-        # after a bounded proof for A_301: every level's base row is the
-        # chain's one read-only identity, each strong generator is kept
-        # only as the inverse array the trees' edges hold, and the orbits
-        # refer to at most n int objects (Python caches only those to 256)
+        # after a bounded proof for A_301: a level's tree is its edge list
+        # alone, every level's base row and base edge are the chain's one
+        # read-only identity, each strong generator is kept only as the
+        # inverse array the trees' edges hold, and the bases and image
+        # lists refer to at most n int objects (Python caches only those
+        # to 256)
         n = 301
         chains = []
 
@@ -367,31 +376,68 @@ class TestGroupOrder:
         assert group_order(gens, upper_bound=target) == target
         (chain,) = chains
         assert len(chain.levels) == n - 2
-        assert all(lv.rows[lv.base] is chain._id for lv in chain.levels)
+        for lv in chain.levels:
+            assert not hasattr(lv, "parent") and not hasattr(lv, "orbit")
+            assert lv.rows[lv.base] is chain._id and lv.edge[lv.base] is chain._id
         assert not chain._id.flags.writeable
         edges = {id(inv) for lv in chain.levels for inv in lv.edge if inv is not None}
         assert all(id(inv) in edges for _, inv in chain.strong)
-        points = {id(pt) for lv in chain.levels for pt in lv.orbit}
+        points = {id(lv.base) for lv in chain.levels}
+        points |= {id(pt) for lv in chain.levels for images, _ in lv.gens or () for pt in images}
         assert len(points) <= n
 
+    def test_bounded_proofs_are_pinned(self, monkeypatch):
+        # the orders and every strong generator, (entry level, inverse
+        # array), of the bounded proofs for the 14 V_r maps (n = 36..216):
+        # a change to how a strip applies the trees must keep them
+        chains = []
+
+        class Recorded(perm._Chain):
+            def __init__(self, degree):
+                super().__init__(degree)
+                chains.append(self)
+
+        monkeypatch.setattr(perm, "_Chain", Recorded)
+        digest = hashlib.sha256()
+        for r in range(14):
+            m = v_map(r)
+            target = math.factorial(m.n) // 2
+            digest.update(f"{group_order([m.x, m.y], upper_bound=target)}\n".encode())
+        assert len(chains) == 14
+        for chain in chains:
+            digest.update(f"{len(chain.strong)}\n".encode())
+            for tag, inv in chain.strong:
+                digest.update(f"{tag}:".encode())
+                digest.update(inv.astype("<i8").tobytes())
+        assert digest.hexdigest() == V_MAP_CHAINS
+
     def test_row_gathers_follow_short_paths(self, monkeypatch):
-        # n = 589: the strips build about 4.6k rows, each gathered down
-        # from the base and then dropped; trees grown along the first
-        # generator's cycle walked 170,473 edges for such rows, the
-        # breadth-first trees about 55k
+        # n = 589: about 4.5k strips through a level apply the edges from
+        # the base image up to the base, and build no row; trees grown
+        # along the first generator's cycle walked 170,473 edges for such
+        # strips, the breadth-first trees about 55k
         walked = []
-        row = perm._Level.row
+        sift = perm._Chain.sift
 
-        def counting(lv, pt):
-            # the edges from pt up to its nearest kept ancestor
-            edges, up = 0, pt
-            while up not in lv.rows:
-                up = lv.parent[up]
-                edges += 1
-            walked.append(edges)
-            return row(lv, pt)
+        def counting(chain, arr, start=0, stop=None):
+            # each level through the real sift, counting the edges from
+            # the base image up to the base before it strips
+            stop = len(chain.levels) if stop is None else stop
+            for i in range(start, stop):
+                lv = chain.levels[i]
+                pt = arr.item(lv.base)
+                if lv.edge[pt] is None:
+                    return arr, i
+                if pt != lv.base:
+                    walked.append(tree_depth(lv, pt))
+                arr, _ = sift(chain, arr, i, i + 1)
+            return arr, stop
 
-        monkeypatch.setattr(perm._Level, "row", counting)
+        def no_row(lv, pt, rows):
+            raise AssertionError("the bounded path built a row")
+
+        monkeypatch.setattr(perm._Chain, "sift", counting)
+        monkeypatch.setattr(perm._Level, "row", no_row)
         m = build_pair(minimal_plan(1)).w1
         target = math.factorial(m.n) // 2
         assert m.n == 589
@@ -580,13 +626,14 @@ class TestChain:
 
 def check_strong_generating_set(chain, every_row=False):
     """Each strong generator fixes the bases above its entry level j and
-    moves b_j.  Each level's orbit, the points with a parent, is closed
-    under S^(i); it starts at the base, its own parent, and lists every
-    parent before its children; each edge's inverse generator takes its
-    point to the parent.  Each open level's tree is breadth-first over its
-    generators, and each point's row maps it back to the base.  Without
-    every_row only the kept rows are read: a row built from the tree
-    costs one gather per edge of its path."""
+    moves b_j.  Each level's orbit, the points with an edge, is closed
+    under S^(i), and its size is the level's; the base's edge is the
+    chain's identity, so the base is its own parent.  Every other edge is
+    the inverse of a generator in S^(i) and takes its point to a parent
+    one step nearer the base.  Each open level's tree is breadth-first
+    over its generators, and each point's row maps it back to the base.
+    Without every_row only the kept rows are read: a row built from the
+    tree costs one gather per edge of its path."""
     bases = [lv.base for lv in chain.levels]
     for j, g in chain.strong:
         assert (g[bases[:j]] == bases[:j]).all()
@@ -595,29 +642,35 @@ def check_strong_generating_set(chain, every_row=False):
     strong = np.array([g for _, g in chain.strong])
     open_levels = set(chain.open)
     for i, lv in enumerate(chain.levels):
-        points = lv.orbit
-        assert np.flatnonzero(np.array(lv.parent) >= 0).tolist() == sorted(points)
-        assert len(set(points)) == len(points)
+        points = [pt for pt, inv in enumerate(lv.edge) if inv is not None]
+        assert len(points) == lv.size
         in_orbit = np.zeros(chain.n, dtype=bool)
         in_orbit[points] = True
         assert in_orbit[strong[tags >= i][:, points]].all(), f"level {i} not closed"
-        assert points[0] == lv.base and lv.parent[lv.base] == lv.base
-        assert lv.edge[lv.base] is None
-        position = {pt: k for k, pt in enumerate(points)}
-        for pt in points[1:]:
-            # the edge's inverse generator takes the point to its parent,
-            # which the orbit lists first
-            up = lv.parent[pt]
-            assert position[up] < position[pt] and lv.edge[pt][pt] == up
+        assert lv.edge[lv.base] is chain._id
+        level_gens = {id(g) for j, g in chain.strong if j >= i}
+        depth = {lv.base: 0}
+        for pt in points:
+            # walk up to a point of known depth, each edge a generator's
+            # inverse taking its point to a parent in the orbit; a walk
+            # longer than the orbit has met a cycle
+            path = []
+            while pt not in depth:
+                inv = lv.edge[pt]
+                assert id(inv) in level_gens
+                path.append(pt)
+                pt = inv.item(pt)
+                assert in_orbit[pt] and len(path) <= len(points)
+            for child in reversed(path):
+                depth[child] = depth[pt] + 1
+                pt = child
         if i in open_levels:
             # an open level's tree is breadth-first over its generators:
             # each point lies as deep as its distance from the base
             distance = bfs_distances(lv.base, [images for images, _ in lv.gens])
-            depth = {pt: tree_depth(lv, pt) for pt in points}
             assert depth == distance, f"level {i} not breadth-first"
-            assert [depth[pt] for pt in points] == sorted(depth.values())
         for pt in points if every_row else list(lv.rows):
-            assert lv.row(pt)[pt] == lv.base
+            assert lv.row(pt, lv.rows)[pt] == lv.base
 
 
 def bfs_distances(start, image_lists):
@@ -636,7 +689,7 @@ def tree_depth(lv, pt):
     """The number of edges from pt up to the base of the level's tree."""
     depth = 0
     while pt != lv.base:
-        pt = lv.parent[pt]
+        pt = lv.edge[pt].item(pt)
         depth += 1
     return depth
 
