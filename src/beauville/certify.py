@@ -186,6 +186,8 @@ def _dhb_certificate(pair):
     j1 = jordan_certify(pair.w1, pair.prime)
     j2 = jordan_certify(pair.w2, pair.prime)
     ev = beauville_check(pair.w1, pair.w2)
+    # a defence only: orders 2, 3 and 7 make fixed-point counts fix cycle
+    # types, and MapPair makes all three counts differ
     if not ev:
         raise CertificationError(f"Beauville condition failed: {ev.positions}")
     dv = (pair.w1.fixed_point_vector() - pair.w2.fixed_point_vector()).as_tuple()
@@ -200,13 +202,14 @@ def certify_dhb(plan):
 def alternating_order_oracle(m):
     """Independent stabilizer-chain check that |<x, y>| = n!/2.
 
-    The generators are even, so n!/2 is a proven upper bound and reaching
-    it makes the chain order exact.
+    The generators are even, so `group_order` takes n!/2 as its bound and
+    stops as soon as the chain reaches it.  For a proper subgroup it
+    finishes with its exact Schreier-generator check, and the answer is
+    False.
     """
     if not (m.x.is_even and m.y.is_even):
         raise CertificationError("oracle needs even generators")
-    target = math.factorial(m.n) // 2
-    return group_order([m.x, m.y], upper_bound=target) == target
+    return group_order([m.x, m.y]) == math.factorial(m.n) // 2
 
 
 # -- minimum degree search -----------------------------------------------------

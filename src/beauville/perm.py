@@ -26,7 +26,6 @@ __all__ = [
     "is_transitive",
     "orbit",
     "group_order",
-    "OrderInconclusive",
     "is_prime",
     "prime_divisors",
 ]
@@ -496,12 +495,7 @@ def an_conjugate(p, q):
     return False
 
 
-class OrderInconclusive(RuntimeError):
-    """Raised when the randomized stabilizer chain fails to settle."""
-
-
 _ROW_CACHE_BYTES = 2**27  # verify() keeps rows for later strips up to this
-_MAX_ROUNDS = 4096  # random rounds before an unreached upper_bound gives up
 
 
 class _Level:
@@ -740,14 +734,16 @@ def group_order(gens, upper_bound=None):
     b_0..b_{i-1}, and level i's basic orbit is the orbit of b_i under
     S^(i).
 
-    With upper_bound (a proven bound such as n!/2 for even generators) the
-    computation stops as soon as the chain order reaches the bound: the
-    orbit product never exceeds the true order, so equality is a proof.
-    Without upper_bound the same holds for the bound n! (n!/2 when every
-    generator is even); a chain that stops short of it is finished off
-    with the deterministic Schreier-generator verification, which is
-    complete because it runs over all of S^(i) at each level i, so the
-    result is exact.
+    The result is always the exact order.  The chain stops as soon as
+    its order reaches a bound on |G|: upper_bound when given (a proven
+    bound such as n!/2 for even generators), else n! (n!/2 when every
+    generator is even).  The orbit product never exceeds the true order,
+    so equality is a proof.  upper_bound only lets it stop early.  A
+    chain that stops growing short of the bound, 24 random rounds in a
+    row, is finished off with the deterministic Schreier-generator
+    verification, which is complete because it runs over all of S^(i) at
+    each level i.  An order above upper_bound, found either way, raises
+    ValueError: that bound was not valid.
 
     Random elements come from two product-replacement walks (Celler,
     Leedham-Green, Murray, Niemeyer and O'Brien, 1995).  The chain's
@@ -815,12 +811,7 @@ def group_order(gens, upper_bound=None):
     top = 0
 
     streak = 0
-    for _ in range(_MAX_ROUNDS):
-        got = chain.order
-        if got == bound:
-            return got
-        if got > bound:
-            raise ValueError("upper_bound exceeded; the bound was not valid")
+    while chain.order < bound:
         # step before stripping: the accumulator just added now strips
         # to the identity through the levels it closed
         low.step(rng)
@@ -831,10 +822,10 @@ def group_order(gens, upper_bound=None):
         before = chain.order
         chain.add(low.acc, top)
         streak = streak + 1 if chain.order == before else 0
-        if upper_bound is None and streak >= 24:
+        if streak >= 24:
             while not chain.verify():
                 pass
-            return chain.order
+            break
         if streak and streak % 8 == 0:
             # the stripped walk may be caught in a proper subgroup of
             # G_top; fresh elements of G stripped down spread over all
@@ -842,15 +833,9 @@ def group_order(gens, upper_bound=None):
             for _ in range(len(walk.state)):
                 walk.step(rng)
             low = walk.stripped(chain, 0, top)
-    if chain.order == bound:
-        return chain.order
-    if upper_bound is None:
-        while not chain.verify():
-            pass
-        return chain.order
-    raise OrderInconclusive(
-        f"randomized stabilizer chain stalled at order {chain.order}"
-    )
+    if chain.order > bound:
+        raise ValueError("upper_bound exceeded; the bound was not valid")
+    return chain.order
 
 
 def is_prime(p):

@@ -62,12 +62,15 @@ class TestJordan:
 
 class TestBeauville:
     def test_standard_pair_passes(self):
-        pair = build_pair(minimal_plan(3))
-        ev = beauville_check(pair.w1, pair.w2)
-        assert ev.passed
-        for name in ("x", "y", "z"):
-            method, ok, _ = ev.positions[name]
-            assert ok and method == "cycle_type"
+        # orders 2, 3 and 7 make fixed-point counts fix cycle types, and
+        # a pair's counts differ at every position, so cycle types decide
+        for r in range(14):
+            pair = build_pair(minimal_plan(r))
+            ev = beauville_check(pair.w1, pair.w2)
+            assert ev.passed, r
+            for name in ("x", "y", "z"):
+                method, ok, _ = ev.positions[name]
+                assert ok and method == "cycle_type", (r, name)
 
     def test_same_map_fails(self):
         pair = build_pair(minimal_plan(0))
@@ -394,3 +397,9 @@ class TestOracle:
         pair = build_pair(ConstructionPlan(8, 3, "small_n"))  # n = 246
         assert alternating_order_oracle(pair.w1)
         assert alternating_order_oracle(pair.w2)
+
+    def test_proper_subgroup_is_refused(self):
+        # atlas map A generates PSL(2,13) of order 1092 on 14 points, and
+        # map J a proper subgroup of A_72: the answer is no, not a stall
+        assert alternating_order_oracle(basic_map("A")) is False
+        assert alternating_order_oracle(basic_map("J")) is False
