@@ -21,8 +21,8 @@ t = bundled_table("s3")
 print("S3: ordered pairs of transpositions multiplying to a 3-cycle:")
 print("  from the table:", frobenius_count(t, "2A", "2A", "3A"))
 print("  by enumeration:", brute_count(
-    [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)")],
-    parse_cycles("(0 1)", 3), parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)"),
+    [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)],
+    parse_cycles("(0 1)", 3), parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3),
 ))
 
 print()

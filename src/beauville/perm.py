@@ -21,8 +21,6 @@ __all__ = [
     "from_cycles",
     "parse_cycles",
     "CycleType",
-    "an_conjugate",
-    "conjugator_in_sn",
     "is_transitive",
     "orbit",
     "group_order",
@@ -320,22 +318,19 @@ def _check_points(n, points):
         used.add(pt)
 
 
-def parse_cycles(text, degree=None):
-    """Parse cycle notation like "(0 1)(2 3 4)" or "id".
+def parse_cycles(text, degree):
+    """Parse cycle notation like "(0 1)(2 3 4)" or "id" on 0..degree-1.
 
-    Points may be separated by spaces or commas.  If degree is omitted it
-    is taken as 1 + the largest point mentioned.  A text of plain decimal
+    Points may be separated by spaces or commas.  A text of plain decimal
     points is read by a numpy tokenizer, any other by a token scan; both
     give the same permutation, and the scan words every refusal.
     """
     if not isinstance(text, str):
         raise ValueError(f"cycle text must be a string, not {type(text).__name__}")
-    if degree is not None and degree < 1:
+    if degree < 1:
         raise ValueError(f"a permutation needs degree >= 1, got {degree}")
     points, sizes, top = _read_cycles(text.strip())
-    if degree is None:
-        degree = top + 1 if top >= 0 else 1
-    elif top >= degree:
+    if top >= degree:
         raise ValueError(f"point {top} out of range for degree {degree}")
     return _from_flat(degree, points, sizes)
 
@@ -429,70 +424,6 @@ def is_transitive(gens, n):
     if any(g.degree != n for g in gens):
         raise ValueError("generator degree mismatch")
     return len(orbit(gens, 0)) == n
-
-
-def conjugator_in_sn(p, q):
-    """Some g in S_n with p^g = q, or None if the cycle types differ.
-
-    Cycles are matched in (length, least point) order, so the result is
-    deterministic.
-    """
-    if p.degree != q.degree:
-        raise ValueError("degree mismatch")
-    cp = sorted(p.cycles(include_fixed=True), key=lambda c: (len(c), c[0]))
-    cq = sorted(q.cycles(include_fixed=True), key=lambda c: (len(c), c[0]))
-    if [len(c) for c in cp] != [len(c) for c in cq]:
-        return None
-    arr = np.empty(p.degree, dtype=np.int64)
-    arr[[x for c in cp for x in c]] = [y for c in cq for y in c]
-    return Permutation._trusted(arr)
-
-
-def _odd_centralizer_element(p):
-    """An odd permutation commuting with p, or None if none exists.
-
-    A cycle of even length is odd as a permutation; swapping two cycles of
-    equal odd length l is a product of l transpositions, hence odd.  If
-    all cycle lengths are odd and pairwise distinct the centralizer is
-    generated by the (even) cycles themselves, so no odd element exists.
-    """
-    cycles = p.cycles(include_fixed=True)
-    for c in cycles:
-        if len(c) % 2 == 0:
-            return from_cycles(p.degree, [c])
-    by_len = {}
-    for c in cycles:
-        if len(c) in by_len:
-            other = by_len[len(c)]
-            return from_cycles(
-                p.degree, [(a, b) for a, b in zip(other, c)]
-            )
-        by_len[len(c)] = c
-    return None
-
-
-def an_conjugate(p, q):
-    """Decide conjugacy of two even permutations inside A_n.
-
-    Constructive: build one S_n conjugator; if it is odd, try to repair it
-    with an odd centralizer element of p.  When every cycle length is odd
-    and they are pairwise distinct no repair exists (the class splits) and
-    the answer is the parity of the conjugator found.
-    """
-    if not p.is_even or not q.is_even:
-        raise ValueError("an_conjugate needs even permutations")
-    g = conjugator_in_sn(p, q)
-    if g is None:
-        return False
-    if g.is_even:
-        return True
-    fix = _odd_centralizer_element(p)
-    if fix is not None:
-        g2 = fix * g
-        if not (g2.is_even and p.conjugate_by(g2) == q):
-            raise ValueError("the repaired conjugator is not an even conjugator")
-        return True
-    return False
 
 
 _ROW_CACHE_BYTES = 2**27  # verify() keeps rows for later strips up to this

@@ -18,6 +18,7 @@ from beauville.certify import (
 )
 from beauville.compose import eval_expr, self_join
 from beauville.construct import ConstructionPlan, build_pair, minimal_plan
+from beauville.maps import new_map
 from beauville.perm import from_cycles
 
 
@@ -96,8 +97,41 @@ class TestBeauville:
         assert m1.x.cycle_type() == m2.x.cycle_type()
         ev = beauville_check(m1, m2)
         assert not ev.passed
-        method, ok, _ = ev.positions["x"]
-        assert method == "an_conjugate" and not ok
+        method, ok, detail = ev.positions["x"]
+        assert method == "cycle_type" and not ok
+        assert detail == f"cycle types equal: {m1.x.cycle_type()}, so conjugate in A_84"
+        # z has no fixed point in either, so its types are equal too
+        assert [ev.positions[k][1] for k in "xyz"] == [False, True, False]
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_refuses_degrees_below_9(self, n):
+        # the one-point map, and a genus-0 map of degree 8 (PGL(2, 7) on
+        # the projective line over F_7); no map has degree 7
+        if n == 1:
+            x = y = t = from_cycles(1, [])
+        else:
+            x = from_cycles(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+            y = from_cycles(8, [(1, 2, 4), (5, 6, 7)])
+            t = from_cycles(8, [(0, 3), (1, 2), (6, 7)])
+        m = new_map(n, x, y, t)
+        with pytest.raises(CertificationError, match=f"needs degree n >= 9, got {n}"):
+            beauville_check(m, m)
+
+    def test_cycle_types_decide_from_degree_9(self):
+        # the lemma of BeauvilleEvidence, on cycle types: an even element
+        # of prime order p in {2, 3, 7} has k p-cycles and n - pk fixed
+        # points, and its S_n-class splits in A_n exactly when those
+        # lengths are odd and distinct; that happens at n = 7 and 8 only
+        splitting = {}
+        for n in range(1, 601):
+            for p in (2, 3, 7):
+                for k in range(1, n // p + 1):
+                    if (p - 1) * k % 2:
+                        continue  # odd permutation
+                    mult = {p: k, 1: n - p * k}
+                    if all(l % 2 and m <= 1 for l, m in mult.items()):
+                        splitting.setdefault(n, []).append((p, k))
+        assert splitting == {3: [(3, 1)], 4: [(3, 1)], 7: [(7, 1)], 8: [(7, 1)]}
 
     def test_rejects_wrong_type(self):
         m = basic_map("A")

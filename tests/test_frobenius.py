@@ -28,7 +28,7 @@ from perm_helpers import brute_enumerate, random_permutation
 
 
 def s3_gens():
-    return [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)")]
+    return [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)]
 
 
 C3_TABLE = (
@@ -242,7 +242,7 @@ class TestCounts:
             s3_gens(),
             parse_cycles("(0 1)", 3),
             parse_cycles("(0 1)", 3),
-            parse_cycles("(0 1 2)"),
+            parse_cycles("(0 1 2)", 3),
         )
         assert got == 6
         assert frobenius_count(bundled_table("s3"), "2A", "2A", "3A") == 6
@@ -316,10 +316,10 @@ class TestEnumeration:
     def test_rep_outside_group(self):
         with pytest.raises(ValueError, match="not in the group"):
             brute_count(
-                [parse_cycles("(0 1 2)")],
+                [parse_cycles("(0 1 2)", 3)],
                 parse_cycles("(0 1)", 3),
                 parse_cycles("(0 1)", 3),
-                parse_cycles("(0 1 2)"),
+                parse_cycles("(0 1 2)", 3),
             )
 
     def test_cap_equal_to_the_order_passes(self):
@@ -330,7 +330,7 @@ class TestEnumeration:
 
     def test_mixed_degrees(self):
         with pytest.raises(ValueError, match="degree mismatch"):
-            enumerate_group([parse_cycles("(0 1 2)"), parse_cycles("(0 1)", 4)])
+            enumerate_group([parse_cycles("(0 1 2)", 3), parse_cycles("(0 1)", 4)])
         with pytest.raises(ValueError, match="degree mismatch"):
             conjugacy_classes(enumerate_group(s3_gens()), [parse_cycles("(0 1)", 4)])
 
@@ -355,9 +355,9 @@ class TestEnumeration:
 
 GROUP_GENS = {
     "s3": lambda: s3_gens(),
-    "s4": lambda: [parse_cycles("(0 1)", 4), parse_cycles("(0 1 2 3)")],
-    "a4": lambda: [parse_cycles("(0 1 2)", 4), parse_cycles("(0 1)(2 3)")],
-    "a5": lambda: [parse_cycles("(0 1 2 3 4)"), parse_cycles("(0 1 2)", 5)],
+    "s4": lambda: [parse_cycles("(0 1)", 4), parse_cycles("(0 1 2 3)", 4)],
+    "a4": lambda: [parse_cycles("(0 1 2)", 4), parse_cycles("(0 1)(2 3)", 4)],
+    "a5": lambda: [parse_cycles("(0 1 2 3 4)", 5), parse_cycles("(0 1 2)", 5)],
 }
 
 

@@ -60,7 +60,7 @@ class TestMatrixArithmetic:
             assert m.det() == want
 
     def test_power(self):
-        g = perm.parse_cycles("(0 1 2 3 4 5 6)")
+        g = perm.parse_cycles("(0 1 2 3 4 5 6)", 7)
         m = permutation_matrix(g, 3)
         assert m.power(7).is_identity()
         assert not m.power(3).is_identity()

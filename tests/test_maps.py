@@ -162,10 +162,10 @@ class TestTau:
         assert (m.tau() // 2) % 2 == 0  # one of the four even-tau/2 maps
 
     def test_rejects_non_involution(self, map_a):
-        # an unvalidated quadruple whose x has order 3
-        bad = HurwitzMap(14, map_a.y, map_a.x, map_a.t, _validated=True)
-        with pytest.raises(MapError, match="involution"):
-            bad.tau()
+        # tau counts the transpositions of x, and no map has an x that is
+        # not an involution: the constructor refuses one of order 3
+        with pytest.raises(RelationError, match=r"x\^2"):
+            new_map(14, map_a.y, map_a.x, map_a.t)
 
 
 class TestRelabeling:

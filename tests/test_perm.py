@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from beauville import perm
+from beauville.atlas import basic_map
 from beauville.construct import ConstructionPlan, build_pair, minimal_plan, v_map
 from beauville.perm import (
     CycleType,
     Permutation,
-    an_conjugate,
-    conjugator_in_sn,
     from_cycles,
     group_order,
     identity,
@@ -38,13 +37,6 @@ def random_even_permutation(n, rng):
     if not p.is_even:
         p = from_cycles(n, [(0, 1)]) * p
     return p
-
-
-def alternating_group(n):
-    gens = [from_cycles(n, [(0, 1, 2)])]
-    if n >= 4:
-        gens.append(from_cycles(n, [tuple(range(n))]) if n % 2 else from_cycles(n, [tuple(range(1, n))]))
-    return brute_enumerate(gens)
 
 
 class TestBasics:
@@ -70,9 +62,9 @@ class TestBasics:
             Permutation([0, 0, 1])
 
     def test_power(self):
-        seven = parse_cycles("(0 1 2 3 4 5 6)")
+        seven = parse_cycles("(0 1 2 3 4 5 6)", 7)
         assert (seven ** 7).is_identity()
-        assert (parse_cycles("(0 1 2)") ** 2) == parse_cycles("(0 2 1)")
+        assert (parse_cycles("(0 1 2)", 3) ** 2) == parse_cycles("(0 2 1)", 3)
         p = parse_cycles("(0 1)(2 3 4)", 5)
         assert p ** -1 == p.inverse()
         assert p ** -3 == p.inverse() ** 3
@@ -125,7 +117,7 @@ class TestEquality:
     def test_other_degrees_never_equal(self):
         assert Permutation([1, 0]) != Permutation([1, 0, 2])
         assert identity(3) != identity(4)
-        assert from_cycles(4, [(0, 1)]) != parse_cycles("(0 1)")
+        assert from_cycles(4, [(0, 1)]) != parse_cycles("(0 1)", 2)
         assert all(identity(n) != identity(m) for n in range(1, 6) for m in range(1, 6) if n != m)
 
     def test_other_types_never_equal(self):
@@ -186,113 +178,22 @@ class TestEquality:
 
 class TestTransitivity:
     def test_basic(self):
-        assert is_transitive([parse_cycles("(0 1 2 3 4)")], 5)
+        assert is_transitive([parse_cycles("(0 1 2 3 4)", 5)], 5)
         assert not is_transitive([identity(2)], 2)
         with pytest.raises(ValueError):
             is_transitive([], 2)
 
 
-class TestConjugatorInSn:
-    def test_produces_a_conjugator(self):
-        rng = random.Random(21)
-        for _ in range(100):
-            n = rng.randrange(2, 10)
-            p = random_permutation(n, rng)
-            g = random_permutation(n, rng)
-            q = p.conjugate_by(g)
-            sigma = conjugator_in_sn(p, q)
-            assert p.conjugate_by(sigma) == q
-
-    def test_deterministic(self):
-        p = parse_cycles("(0 1 2)(3 4)", 6)
-        q = parse_cycles("(1 3 5)(0 2)", 6)
-        assert conjugator_in_sn(p, q) == conjugator_in_sn(p, q)
-
-    def test_none_for_different_types(self):
-        assert conjugator_in_sn(parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)")) is None
-
-
-class TestAnConjugate:
-    def test_rejects_odd(self):
-        with pytest.raises(ValueError):
-            an_conjugate(parse_cycles("(0 1)", 4), parse_cycles("(0 1)", 4))
-
-    def test_three_cycles_small(self):
-        # brute-force oracle over all of A_4: (0 1 2) and (0 2 1) are not
-        # conjugate there, but become conjugate in A_5
-        p4, q4 = parse_cycles("(0 1 2)", 4), parse_cycles("(0 2 1)", 4)
-        brute = any(p4.conjugate_by(g) == q4 for g in alternating_group(4))
-        assert brute is False
-        assert an_conjugate(p4, q4) is False
-
-        p5, q5 = parse_cycles("(0 1 2)", 5), parse_cycles("(0 2 1)", 5)
-        brute = any(p5.conjugate_by(g) == q5 for g in alternating_group(5))
-        assert brute is True
-        assert an_conjugate(p5, q5) is True
-
-    def test_self(self):
-        p = parse_cycles("(0 1 2 3 4 5 6)", 7)
-        assert an_conjugate(p, p)
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_exhaustive_small_degrees(self, n):
-        group = sorted(alternating_group(n), key=lambda p: p.images)
-        # class lookup oracle by conjugation-orbit closure
-        class_of = {}
-        for p in group:
-            if p in class_of:
-                continue
-            orbit = {p.conjugate_by(g) for g in group}
-            for q in orbit:
-                class_of[q] = p
-        for p in group:
-            for q in group:
-                assert an_conjugate(p, q) == (class_of[p] == class_of[q]), (p, q)
-
-    @pytest.mark.parametrize("n", [6, 7])
-    def test_class_grid_and_samples(self, n):
-        group = sorted(alternating_group(n), key=lambda p: p.images)
-        class_of = {}
-        reps = []
-        for p in group:
-            if p in class_of:
-                continue
-            orbit = {p.conjugate_by(g) for g in group}
-            for q in orbit:
-                class_of[q] = p
-            reps.append(sorted(orbit, key=lambda r: r.images))
-        # all ordered class pairs, three elements from each side
-        for c1 in reps:
-            for c2 in reps:
-                for p in c1[:3]:
-                    for q in c2[:3]:
-                        assert an_conjugate(p, q) == (class_of[p] == class_of[q])
-        rng = random.Random(n)
-        for _ in range(1500):
-            p = rng.choice(group)
-            q = rng.choice(group)
-            assert an_conjugate(p, q) == (class_of[p] == class_of[q])
-
-    def test_conjugator_is_even_when_claimed(self):
-        rng = random.Random(99)
-        for _ in range(200):
-            n = rng.randrange(3, 9)
-            p = random_even_permutation(n, rng)
-            g = random_even_permutation(n, rng)
-            q = p.conjugate_by(g)
-            assert an_conjugate(p, q)
-
-
 class TestGroupOrder:
     def test_a5(self):
-        gens = [parse_cycles("(0 1 2 3 4)"), parse_cycles("(0 1 2)", 5)]
+        gens = [parse_cycles("(0 1 2 3 4)", 5), parse_cycles("(0 1 2)", 5)]
         assert len(brute_enumerate(gens)) == 60
         assert group_order(gens) == 60
 
     def test_trivial_and_small(self):
         assert group_order([identity(4)]) == 1
         assert group_order([parse_cycles("(0 1)", 2)]) == 2
-        s4 = [parse_cycles("(0 1)", 4), parse_cycles("(0 1 2 3)")]
+        s4 = [parse_cycles("(0 1)", 4), parse_cycles("(0 1 2 3)", 4)]
         assert group_order(s4) == 24
 
     def test_intransitive_and_imprimitive(self):
@@ -333,9 +234,27 @@ class TestGroupOrder:
         assert group_order(gens, upper_bound=12) == 6
 
     def test_invalid_bound_detected(self):
-        gens = [parse_cycles("(0 1 2 3 4)"), parse_cycles("(0 1 2)", 5)]
+        gens = [parse_cycles("(0 1 2 3 4)", 5), parse_cycles("(0 1 2)", 5)]
         with pytest.raises(ValueError, match="bound"):
             group_order(gens, upper_bound=30)  # |A_5| = 60 exceeds it
+
+    def test_invalid_bound_detected_by_verify(self, monkeypatch):
+        # with the walk standing still, the chain of map A stays at order
+        # 14 until the stall rule runs verify(), which completes it to
+        # |PSL(2, 13)| = 1092 > 500
+        verified = []
+        verify = perm._Chain.verify
+
+        def recorded(chain):
+            verified.append(chain.order)
+            return verify(chain)
+
+        monkeypatch.setattr(perm._Walk, "step", lambda walk, rng: None)
+        monkeypatch.setattr(perm._Chain, "verify", recorded)
+        m = basic_map("A")
+        with pytest.raises(ValueError, match="bound"):
+            group_order([m.x, m.y], upper_bound=500)
+        assert verified[0] == 14
 
     def test_chain_memory_small_case(self):
         # n = 246: every transversal row of the chain would take about
@@ -492,8 +411,8 @@ class TestGroupOrder:
         # S_6; a check of each level's own generators only stops at 600,
         # which does not divide 720
         gens = [
-            parse_cycles("(0 1 3)(4 5)"),
-            parse_cycles("(0 1 3 4)(2 5)"),
+            parse_cycles("(0 1 3)(4 5)", 6),
+            parse_cycles("(0 1 3 4)(2 5)", 6),
             parse_cycles("(0 4 3)", 6),
         ]
         assert group_order(gens) == 720
@@ -569,7 +488,7 @@ def chain_of(gens):
 
 def s4_chain():
     """A chain at order 12 for S_4, which verify() must extend."""
-    return chain_of([parse_cycles("(0 3 2 1)"), parse_cycles("(1 3 2)", 4)])
+    return chain_of([parse_cycles("(0 3 2 1)", 4), parse_cycles("(1 3 2)", 4)])
 
 
 class TestChain:
@@ -870,6 +789,10 @@ class TestRefusalMessages:
         ],
     )
     def test_parse_cycles(self, text, degree, message):
+        if degree is None:
+            # any degree holding the text's points gives the message: the
+            # least one
+            degree = 1 + max(map(int, re.findall(r"-?\d+", text)), default=0)
         with pytest.raises(ValueError) as exc:
             parse_cycles(text, degree)
         assert str(exc.value) == message
@@ -893,7 +816,7 @@ class TestRefusalMessages:
         assert str(exc.value) == message
 
     def test_empty_cycles_are_skipped(self):
-        assert from_cycles(5, [(0, 1), (), (2, 3, 4)]) == parse_cycles("(0 1)(2 3 4)")
+        assert from_cycles(5, [(0, 1), (), (2, 3, 4)]) == parse_cycles("(0 1)(2 3 4)", 5)
         assert from_cycles(3, [()]).is_identity()
 
 
@@ -937,7 +860,7 @@ class TestTokenizer:
         for length in range(5):
             for letters in itertools.product(chars, repeat=length):
                 text = "".join(letters)
-                for degree in (None, 3):
+                for degree in (3, 100):
                     assert parse_outcome(parse_cycles, text, degree) == parse_outcome(
                         frozen_parse_cycles, text, degree
                     ), (text, degree)
@@ -950,9 +873,7 @@ class TestTokenizer:
             if rng.random() < 0.3:
                 text = text.replace(" ", rng.choice([", ", ",", "  ", "\t"]))
             text = mutate(text, rng)
-            # without a degree, a parse allocates 1 + its largest point:
-            # only texts whose points are all below 10^6 are read so
-            for degree in (None, n) if re.search(r"[\d_]{7}", text) is None else (n,):
+            for degree in (n, 2 * n):
                 assert parse_outcome(parse_cycles, text, degree) == parse_outcome(
                     frozen_parse_cycles, text, degree
                 ), (text, degree)
