@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _atlas_data
-from .maps import new_map
-from .perm import group_order, parse_cycles
+from .maps import map_from_doc
+from .perm import group_order
 
 __all__ = [
     "BASIC_MAP_IDS",
@@ -50,14 +50,7 @@ def basic_map(map_id):
     """The frozen, pre-validated basic map with the given one-letter id."""
     if map_id not in BASIC_MAP_IDS:
         raise KeyError(f"unknown basic map {map_id!r} (expected one of A..N)")
-    raw = _atlas_data.BASIC_MAPS[map_id]
-    n = raw["degree"]
-    return new_map(
-        n,
-        parse_cycles(raw["x"], degree=n),
-        parse_cycles(raw["y"], degree=n),
-        parse_cycles(raw["t"], degree=n),
-    )
+    return map_from_doc(_atlas_data.BASIC_MAPS[map_id])
 
 
 @lru_cache(maxsize=None)

@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass
 from .atlas import basic_map
 from .construct import ConstructionPlan, MapPair, build_pair, with_free_stock_handles
 from .compose import k_compose, pick_handle, self_join
-from .maps import MapError, map_doc, new_map
-from .perm import group_order, parse_cycles
+from .maps import FieldError, MapError, map_doc, map_from_doc
+from .perm import group_order
 
 __all__ = [
     "CertificationError",
@@ -425,38 +425,32 @@ def certificate_from_json(text):
 
 def certificate_maps(doc):
     """The members [w1, w2] rebuilt from a certificate document's cycle
-    text.  Raises naming the field that is missing or malformed, or whose
-    image array is not of the stated degree or disagrees with its cycle
-    text."""
+    text by map_from_doc.  Raises naming the field that is missing or
+    malformed, or whose image array disagrees with its cycle text."""
     maps = []
     for key in ("w1", "w2"):
         try:
             raw = doc[key]
-            n = raw["degree"]
-            perms = []
+            m = map_from_doc(raw)
             for gen in ("x", "y", "t"):
-                images = raw[f"{gen}_images"]
-                # checked before the parse, so that the array it allocates
-                # is no larger than the document itself
-                if len(images) != n:
-                    raise CertificationError(
-                        f"{key}.{gen}_images has {len(images)} entries, not the degree {n}"
-                    )
-                perm = parse_cycles(raw[gen], degree=n)
-                if tuple(images) != perm.images:
+                if raw[f"{gen}_images"] != getattr(m, gen).array.tolist():
                     raise CertificationError(
                         f"{key}.{gen}_images disagree with {key}.{gen}"
                     )
-                perms.append(perm)
-            maps.append(new_map(n, *perms))
-        except CertificationError:
-            raise
+            maps.append(m)
         except KeyError as exc:
             name = exc.args[0]
             raise CertificationError(
                 f"missing field {name if name == key else f'{key}.{name}'}"
             ) from None
-        except (TypeError, ValueError) as exc:
+        except FieldError as exc:
+            path = f"{key}.{exc.field}"
+            raise CertificationError(
+                f"missing field {path}"
+                if exc.problem is None
+                else f"malformed field {path}: {exc.problem}"
+            ) from None
+        except MapError as exc:
             raise CertificationError(f"malformed field {key}: {exc}") from None
     return maps
 
@@ -471,13 +465,13 @@ def verify_certificate(text_or_doc):
 
     Stage 1, before any map is parsed: the stated plan (integer r and s, a
     known variant) fixes the schema, the prime and the degree of the
-    certificate and of each member; for a cover the branch adds to the
-    degree, and extra_g_copies must be an int in 0..4 that leaves a valid
-    stock.
+    certificate; for a cover the branch adds to the degree, and
+    extra_g_copies must be an int in 0..4 that leaves a valid stock.
     Stage 2: the certificate is derived from the embedded maps by the
     issuing code, and every field but the maps must equal the derived one
     as serialized, key sets included; each map section must have exactly
-    the issued fields.  Any defect, malformed input included, gives False.
+    the issued fields, and is read by map_from_doc, which bounds its
+    degree by its text.  Any defect, malformed input included, gives False.
     """
     try:
         doc = (
@@ -499,8 +493,7 @@ def verify_certificate(text_or_doc):
         fixed = _plan_claims(plan, kind, n)
         if any(_canonical(doc[k]) != _canonical(v) for k, v in fixed.items()):
             return False
-        # the plan fixes each member's degree too: no huge array gets parsed
-        if any(set(doc[k]) != MAP_FIELDS or doc[k]["degree"] != n for k in ("w1", "w2")):
+        if any(set(doc[k]) != MAP_FIELDS for k in ("w1", "w2")):
             return False
         cert = _dhb_certificate(MapPair(*certificate_maps(doc), plan))
         if kind == "cover":

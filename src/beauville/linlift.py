@@ -291,12 +291,11 @@ class LinearTriple:
         return self.x.n
 
 
-def build_linear_triple(m, p, t1, handle_points=None):
+def build_linear_triple(m, p, t1, handle_points):
     """Lift one map to matrices over F_p.
 
     handle_points = (a, b, a2, b2) are the four designated points: two
-    free (1)-handle pairs, all fixed by the map's involution.  When
-    omitted, the two lowest free (1)-handles are used.
+    free (1)-handle pairs, all fixed by the map's involution.
     """
     if p > P_MAX:
         raise LiftError(
@@ -307,12 +306,6 @@ def build_linear_triple(m, p, t1, handle_points=None):
         raise LiftError(f"{p} is not prime")
     if not _is_primitive_root(t1, p):
         raise LiftError(f"t1 = {t1} is not a generator of F_{p}^*")
-    if handle_points is None:
-        handles = m.find_handles(1)
-        if len(handles) < 2:
-            raise LiftError("need two free (1)-handles for the modification")
-        h1, h2 = handles[0], handles[1]
-        handle_points = (h1.a, h1.b, h2.a, h2.b)
     a, b, a2, b2 = handle_points
     xi, y = m.x, m.y
     for pt in handle_points:

@@ -27,8 +27,8 @@ __all__ = [
     "MapError",
     "RelationError",
     "IntransitiveError",
+    "FieldError",
     "FixedPointVector",
-    "Signature",
     "Handle",
     "WCycles",
     "UsefulCycle",
@@ -36,6 +36,7 @@ __all__ = [
     "new_map",
     "map_doc",
     "map_to_text",
+    "map_from_doc",
     "map_from_text",
 ]
 
@@ -44,6 +45,16 @@ MAP_FORMAT_VERSION = "beauville-map v1"
 
 class MapError(ValueError):
     """Invalid map data."""
+
+
+class FieldError(MapError):
+    """A field of a map document is missing (problem None) or malformed."""
+
+    def __init__(self, field, problem=None):
+        self.field, self.problem = field, problem
+        super().__init__(
+            f"missing field {field!r}" if problem is None else f"field {field}: {problem}"
+        )
 
 
 class RelationError(MapError):
@@ -69,19 +80,6 @@ class FixedPointVector:
 
     def as_tuple(self):
         return (self.alpha, self.beta, self.gamma)
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Point-stabilizer signature (g; 2^[alpha], 3^[beta], 7^[gamma])."""
-
-    genus: int
-    alpha: int
-    beta: int
-    gamma: int
-
-    def degree(self):
-        return 84 * (self.genus - 1) + 21 * self.alpha + 28 * self.beta + 36 * self.gamma
 
 
 @dataclass(frozen=True)
@@ -193,9 +191,6 @@ class HurwitzMap:
     def __hash__(self):
         return hash((self.n, self.x, self.y, self.t))
 
-    def __repr__(self):
-        return f"HurwitzMap(n={self.n}, v={self.fixed_point_vector().as_tuple()})"
-
     # -- derived permutations ----------------------------------------------
 
     @cached_property
@@ -226,10 +221,6 @@ class HurwitzMap:
         if g < 0:
             raise MapError(f"negative genus {g}")
         return g
-
-    def signature(self):
-        v = self.fixed_point_vector()
-        return Signature(self.genus(), v.alpha, v.beta, v.gamma)
 
     # -- handles -------------------------------------------------------------
 
@@ -361,6 +352,42 @@ def map_to_text(m):
     return "\n".join(lines) + "\n"
 
 
+def map_from_doc(doc):
+    """The map of map_doc's form: map_from_doc(map_doc(m)) == m.
+
+    The degree must be an int n >= 1.  For n > 1, <x, y> moves every
+    point and each moved point takes a character of x or y, so a larger
+    n is refused before anything of its size is allocated.  Raises only
+    MapError; a FieldError names the field.
+    """
+    if not isinstance(doc, dict):
+        raise MapError(f"expected a mapping of map fields, got {type(doc).__name__}")
+    for key in ("degree", "x", "y", "t"):
+        if key not in doc:
+            raise FieldError(key)
+    n = doc["degree"]
+    if type(n) is not int:
+        raise FieldError("degree", f"expected an int, got {n!r}")
+    if n < 1:
+        raise FieldError("degree", f"a permutation needs degree >= 1, got {n}")
+    for key in ("x", "y"):
+        if not isinstance(doc[key], str):
+            kind = type(doc[key]).__name__
+            raise FieldError(key, f"cycle text must be a string, not {kind}")
+    chars = len(doc["x"]) + len(doc["y"])
+    if n > 1 and n > chars:
+        raise FieldError(
+            "degree", f"{n} points cannot all be moved by {chars} characters of x and y"
+        )
+    perms = []
+    for key in ("x", "y", "t"):
+        try:
+            perms.append(parse_cycles(doc[key], n))
+        except ValueError as exc:
+            raise FieldError(key, exc) from None
+    return new_map(n, *perms)
+
+
 def map_from_text(text):
     """The map of map_to_text's form; a MapError names the missing or
     malformed field."""
@@ -371,23 +398,10 @@ def map_from_text(text):
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
         fields[key] = rest.strip()
-
-    def field(key, parse):
-        try:
-            return parse(fields[key])
-        except KeyError:
-            raise MapError(f"missing field {key!r}") from None
-        except ValueError as exc:
-            raise MapError(f"field {key}: {exc}") from None
-
-    n = field("degree", int)
-    if n < 1:
-        raise MapError(f"field degree: a permutation needs degree >= 1, got {n}")
-    # <x, y> moves every point when n > 1, and each point takes a character
-    chars = field("x", len) + field("y", len)
-    if n > 1 and n > chars:
-        raise MapError(
-            f"field degree: {n} points cannot all be moved by {chars} characters of x and y"
-        )
-    x, y, t = (field(k, lambda text: parse_cycles(text, degree=n)) for k in ("x", "y", "t"))
-    return new_map(n, x, y, t)
+    try:
+        fields["degree"] = int(fields["degree"])
+    except KeyError:
+        raise FieldError("degree") from None
+    except ValueError as exc:
+        raise FieldError("degree", exc) from None
+    return map_from_doc(fields)

@@ -10,7 +10,7 @@ import numpy as np
 from beauville.perm import Permutation
 
 
-def parse_cycles(text, degree=None):
+def parse_cycles(text, degree):
     text = text.strip()
     points, sizes = [], []
     if text not in ("id", "()", ""):
@@ -25,9 +25,7 @@ def parse_cycles(text, degree=None):
             raise ValueError(f"empty cycle in {text!r}")
         points = list(map(int, itertools.chain.from_iterable(tokens)))
     top = max(points, default=-1)
-    if degree is None:
-        degree = top + 1 if top >= 0 else 1
-    elif top >= degree:
+    if top >= degree:
         raise ValueError(f"point {top} out of range for degree {degree}")
     return _from_flat(degree, points, sizes)
 

@@ -167,9 +167,13 @@ class TestErrors:
             (bad_json, "not a JSON document"),
             (no_member, "missing field w1"),
             # no empty permutation: orbit() used to fail on it with IndexError
-            (zero, "malformed field w1: a permutation needs degree >= 1, got 0"),
+            (zero, "malformed field w1.degree: a permutation needs degree >= 1, got 0"),
             # refused before a parse would allocate 10^15 points
-            (huge, f"w1.x_images has 2 entries, not the degree {10**15}"),
+            (
+                huge,
+                f"malformed field w1.degree: {10**15} points cannot all be moved "
+                "by 4 characters of x and y",
+            ),
         ):
             code = main(["lift", "--p", "3", "--t1", "2", "--pair", str(path)])
             err = capsys.readouterr().err
@@ -187,7 +191,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err == (
-            f"error: {path}: malformed field w1: cycle text must be a string, not int\n"
+            f"error: {path}: malformed field w1.x: cycle text must be a string, not int\n"
+        ), err
+
+    def test_lift_pair_with_minimal_stock_refused(self, tmp_path, capsys):
+        # a pair built with the minimal stock shares only one free (1)-handle
+        code = main(["certify", "--r", "0", "--s", "3", "--out", str(tmp_path / "c.json")])
+        assert code == 0
+        cert = json.loads((tmp_path / "c.json").read_text())["result"][0]["certificate"]
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(cert))
+        code = main(["lift", "--p", "3", "--t1", "2", "--pair", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "error: need two free (1)-handle pairs common to both members; "
+            "rebuild the pair with a larger stock\n"
         ), err
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys):

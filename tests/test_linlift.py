@@ -120,11 +120,17 @@ def _random_with_fixed_points(n, rng):
     return perm.from_cycles(n, cycles)
 
 
+def g_handle_points():
+    """Map G's two lowest free (1)-handles, as four designated points."""
+    h1, h2 = basic_map("G").find_handles(1)[:2]
+    return h1.points + h2.points
+
+
 class TestTripleConstruction:
     def test_g_over_small_fields(self):
         g = basic_map("G")
         for p, t1 in ((2, 1), (3, 2), (5, 2), (5, 3), (7, 3)):
-            tri = build_linear_triple(g, p, t1)
+            tri = build_linear_triple(g, p, t1, g_handle_points())
             assert fixed_space_dim(tri.x) == len(g.x.cycles(include_fixed=True)) - 2
             assert fixed_space_dim(tri.y) == len(g.y.cycles(include_fixed=True))
 
@@ -144,13 +150,9 @@ class TestTripleConstruction:
     def test_rejects_bad_field_data(self):
         g = basic_map("G")
         with pytest.raises(LiftError, match="prime"):
-            build_linear_triple(g, 6, 1)
+            build_linear_triple(g, 6, 1, g_handle_points())
         with pytest.raises(LiftError, match="generator"):
-            build_linear_triple(g, 7, 2)  # 2 has order 3 mod 7
-
-    def test_rejects_single_handle_map(self):
-        with pytest.raises(LiftError, match="two free"):
-            build_linear_triple(basic_map("A"), 3, 2)
+            build_linear_triple(g, 7, 2, g_handle_points())  # 2 has order 3 mod 7
 
     def test_trivial_modification_reduces_to_permutations(self):
         # with no modification, permutation matrices satisfy the relations
@@ -195,16 +197,16 @@ class TestLargePrime:
             assert fixed_space_dim(a) == dense_fixed_space_dim(a)
 
     def test_lift_at_the_bound(self):
-        tri = build_linear_triple(basic_map("G"), self.P, 2)
+        tri = build_linear_triple(basic_map("G"), self.P, 2, g_handle_points())
         for mat in (tri.x, tri.y, tri.z):
             assert fixed_space_dim(mat) == dense_fixed_space_dim(mat)
 
     def test_rejects_p_above_the_bound_before_primality(self):
         # trial division up to sqrt(p) would take minutes here
         with pytest.raises(LiftError, match=str(P_MAX)):
-            build_linear_triple(basic_map("G"), 1000000000000000003, 3)
+            build_linear_triple(basic_map("G"), 1000000000000000003, 3, g_handle_points())
         with pytest.raises(LiftError, match=str(P_MAX)):
-            build_linear_triple(basic_map("G"), P_MAX + 1, 3)
+            build_linear_triple(basic_map("G"), P_MAX + 1, 3, g_handle_points())
 
 
 def _leibniz_det(rows, p):
