@@ -176,9 +176,9 @@ class DHBCertificate:
         return self.pair.degree
 
 
-def _dhb_certificate(pair):
-    """Certify generation of both members by the plan's prime, and the
-    Beauville condition; raise naming what fails."""
+def _dhb_certificate(pair, v_expected):
+    """Certify generation of both members by the plan's prime, the
+    Beauville condition and the kind's v-difference; raise naming what fails."""
     j1 = jordan_certify(pair.w1, pair.prime)
     j2 = jordan_certify(pair.w2, pair.prime)
     ev = beauville_check(pair.w1, pair.w2)
@@ -187,12 +187,14 @@ def _dhb_certificate(pair):
     if not ev:
         raise CertificationError(f"Beauville condition failed: {ev.positions}")
     dv = (pair.w1.fixed_point_vector() - pair.w2.fixed_point_vector()).as_tuple()
+    if dv != v_expected:
+        raise CertificationError(f"v-difference {dv}, expected {v_expected}")
     return DHBCertificate(pair, j1, j2, ev, dv)
 
 
 def certify_dhb(plan):
     """Build the plan's pair and certify both generation and Beauville."""
-    return _dhb_certificate(build_pair(plan))
+    return _dhb_certificate(build_pair(plan), DHB_V_DIFFERENCE)
 
 
 def alternating_order_oracle(m):
@@ -270,8 +272,10 @@ def min_degree_search(g_max=3, count_max=(16, 12, 14)):
 # -- double cover --------------------------------------------------------------
 
 
-# Per parity fix: the v-difference it leaves and how much it adds to the
+# The v-difference of a pair, X_1 - X_2 = (6, 6, 0) - (2, 0, 7); per parity
+# fix of a cover, the v-difference it leaves and how much it adds to the
 # degree (a copy of E on one side, two copies of A on the other).
+DHB_V_DIFFERENCE = (4, 6, -7)
 COVER_BRANCHES = {"adjoin_E_2A": ((8, 3, -7), 28), "internal_join": ((8, 6, -7), 0)}
 
 
@@ -296,14 +300,11 @@ class CoverCertificate:
 
 
 def _cover_certificate(base, branch, extra_g):
-    """Add the double-cover conditions to a certified pair: both tau
-    values divisible by 4 and the v-difference the branch leaves."""
+    """Add the double-cover condition to a pair certified with the
+    branch's v-difference: both tau values divisible by 4."""
     tau1, tau2 = base.pair.w1.tau(), base.pair.w2.tau()
     if tau1 % 4 or tau2 % 4:
         raise CertificationError(f"tau values not divisible by 4: {tau1}, {tau2}")
-    expected = COVER_BRANCHES[branch][0]
-    if base.v_difference != expected:
-        raise CertificationError(f"v-difference {base.v_difference}, expected {expected}")
     return CoverCertificate(base, branch, extra_g, tau1, tau2)
 
 
@@ -346,7 +347,7 @@ def certify_cover(plan):
     else:
         # W_1 keeps the same two handles unused; degrees stay equal.
         w1, w2 = pair.w1, self_join(pair.w2, shared[-2], shared[-1])
-    base = _dhb_certificate(MapPair(w1, w2, pair.plan))
+    base = _dhb_certificate(MapPair(w1, w2, pair.plan), COVER_BRANCHES[branch][0])
     return _cover_certificate(base, branch, extra_g)
 
 
@@ -412,9 +413,11 @@ def _claims(cert):
 
 def certificate_from_json(text):
     """Parse a certificate document and check its schema; the maps come
-    from certificate_maps."""
+    from certificate_maps.  No field is a float, so a JSON float is kept
+    as its text, which equals no number: the check of its field refuses
+    it, naming the field."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=str)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise CertificationError(f"not a JSON document: {exc}") from None
     schema = doc.get("schema") if isinstance(doc, dict) else None
@@ -424,19 +427,30 @@ def certificate_from_json(text):
 
 
 def certificate_maps(doc):
-    """The members [w1, w2] rebuilt from a certificate document's cycle
-    text by map_from_doc.  Raises naming the field that is missing or
-    malformed, or whose image array disagrees with its cycle text."""
+    """The members [w1, w2] of a certificate document, each read by
+    map_from_doc; the one reader of a member section, which must hold
+    exactly MAP_FIELDS with *_images equal to the parsed images as JSON
+    integers.  Raises naming the field that is missing, malformed or
+    unknown, or whose image array disagrees with its cycle text."""
     maps = []
     for key in ("w1", "w2"):
         try:
             raw = doc[key]
             m = map_from_doc(raw)
             for gen in ("x", "y", "t"):
-                if raw[f"{gen}_images"] != getattr(m, gen).array.tolist():
+                images = raw[f"{gen}_images"]
+                want = getattr(m, gen).array.tolist()
+                # == takes true for 1 and false for 0 (and 0.0 for 0 in a
+                # document that certificate_from_json did not read)
+                if images != want or not all(
+                    type(images[want.index(v)]) is int for v in range(min(m.n, 2))
+                ):
                     raise CertificationError(
                         f"{key}.{gen}_images disagree with {key}.{gen}"
                     )
+            for name in raw:
+                if name not in MAP_FIELDS:
+                    raise CertificationError(f"unknown field {key}.{name}")
             maps.append(m)
         except KeyError as exc:
             name = exc.args[0]
@@ -460,28 +474,24 @@ def _canonical(node):
     return json.dumps(node, sort_keys=True)
 
 
-def verify_certificate(text_or_doc):
+def verify_certificate(text):
     """Re-verify a serialized certificate by deriving it again and comparing.
 
-    Stage 1, before any map is parsed: the stated plan (integer r and s, a
-    known variant) fixes the schema, the prime and the degree of the
-    certificate; for a cover the branch adds to the degree, and
-    extra_g_copies must be an int in 0..4 that leaves a valid stock.
-    Stage 2: the certificate is derived from the embedded maps by the
-    issuing code, and every field but the maps must equal the derived one
-    as serialized, key sets included; each map section must have exactly
-    the issued fields, and is read by map_from_doc, which bounds its
-    degree by its text.  Any defect, malformed input included, gives False.
+    The text is read by certificate_from_json.  Stage 1, before any map
+    is parsed: the stated plan (integer r and s, a known variant) fixes
+    the schema, the prime and the degree of the certificate; for a cover
+    the branch adds to the degree, and extra_g_copies must be an int in
+    0..4 that leaves a valid stock.  Stage 2: certificate_maps reads the
+    members, the certificate is derived from them by the issuing code,
+    which checks the v-difference the kind leaves, and every field but
+    the maps must equal the derived one as serialized, key sets included.
+    Any defect, malformed input included, gives False.
     """
     try:
-        doc = (
-            certificate_from_json(text_or_doc)
-            if isinstance(text_or_doc, str)
-            else text_or_doc
-        )
+        doc = certificate_from_json(text)
         plan = ConstructionPlan(**doc["plan"])
-        n = plan.degree
         kind = "cover" if doc["kind"] == "cover" else "dhb"
+        v_expected, added = DHB_V_DIFFERENCE, 0
         if kind == "cover":
             extra_g = doc["extra_g_copies"]
             # a bool is an int that == 0 or 1 and serializes as itself
@@ -489,13 +499,11 @@ def verify_certificate(text_or_doc):
                 return False
             # the plan before the extra copies of G must be valid too
             ConstructionPlan(plan.r, plan.s - 3 * extra_g, plan.variant)
-            n += COVER_BRANCHES[doc["branch"]][1]
-        fixed = _plan_claims(plan, kind, n)
+            v_expected, added = COVER_BRANCHES[doc["branch"]]
+        fixed = _plan_claims(plan, kind, plan.degree + added)
         if any(_canonical(doc[k]) != _canonical(v) for k, v in fixed.items()):
             return False
-        if any(set(doc[k]) != MAP_FIELDS for k in ("w1", "w2")):
-            return False
-        cert = _dhb_certificate(MapPair(*certificate_maps(doc), plan))
+        cert = _dhb_certificate(MapPair(*certificate_maps(doc), plan), v_expected)
         if kind == "cover":
             cert = _cover_certificate(cert, doc["branch"], extra_g)
         stated = {k: v for k, v in doc.items() if k not in ("w1", "w2")}

@@ -203,9 +203,6 @@ class MergeVerdict:
     ok: bool
     details: list
 
-    def __bool__(self):
-        return self.ok
-
 
 def merge_law_check(d1, h1, d2, h2, result):
     """Verify that result's w-cycles relate to d1's and d2's exactly per

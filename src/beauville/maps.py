@@ -142,7 +142,8 @@ class UsefulCycle:
 
 
 class HurwitzMap:
-    """Immutable validated map; see the module docstring."""
+    """Immutable validated map; see the module docstring.  Maps compare
+    by value and are not hashable."""
 
     def __init__(self, n, x, y, t):
         if not (n == x.degree == y.degree == t.degree):
@@ -187,9 +188,6 @@ class HurwitzMap:
             and self.y == other.y
             and self.t == other.t
         )
-
-    def __hash__(self):
-        return hash((self.n, self.x, self.y, self.t))
 
     # -- derived permutations ----------------------------------------------
 

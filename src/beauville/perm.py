@@ -199,20 +199,14 @@ class CycleType:
         if self.lengths and self.lengths[0] < 1:
             raise ValueError("cycle lengths must be >= 1")
 
-    def counter(self):
-        return Counter(self.lengths)
-
     def __eq__(self, other):
         if not isinstance(other, CycleType):
             return NotImplemented
         return self.lengths == other.lengths
 
-    def __hash__(self):
-        return hash(self.lengths)
-
     def __repr__(self):
         parts = []
-        for l, m in sorted(self.counter().items()):
+        for l, m in sorted(Counter(self.lengths).items()):
             parts.append(f"{l}^{m}" if m > 1 else f"{l}")
         return " ".join(parts)
 

@@ -4,6 +4,7 @@ import pytest
 
 from beauville import certify, construct, linlift
 from beauville.atlas import basic_map
+from beauville.cli import main
 from beauville.certify import (
     CertificationError,
     alternating_order_oracle,
@@ -17,7 +18,7 @@ from beauville.certify import (
     verify_certificate,
 )
 from beauville.compose import eval_expr, self_join
-from beauville.construct import ConstructionPlan, build_pair, minimal_plan
+from beauville.construct import ConstructionPlan, MapPair, build_pair, minimal_plan
 from beauville.maps import new_map
 from beauville.perm import from_cycles
 
@@ -193,7 +194,7 @@ class TestDHB:
             doc["w1"][f"{gen}_images"] = list(perm.images)
         with pytest.raises(CertificationError, match="w1: <x, y> is not transitive"):
             certificate_maps(doc)
-        assert verify_certificate(doc) is False
+        assert verify_certificate(json.dumps(doc)) is False
 
     MISSING = ("w1", "w2", "n", "prime", "jordan1", "jordan2", "v_difference")
 
@@ -208,7 +209,7 @@ class TestDHB:
             del doc[member]
         else:
             doc[member] = value
-        assert verify_certificate(doc) is False
+        assert verify_certificate(json.dumps(doc)) is False
 
     def test_tampered_v_difference_rejected(self):
         doc = json.loads(certificate_to_json(certify_dhb(minimal_plan(0))))
@@ -270,14 +271,14 @@ class TestVerifyEvidence:
     @pytest.mark.parametrize("kind", ["dhb", "cover"])
     def test_every_evidence_leaf_is_checked(self, kind, dhb_doc, cover_doc):
         doc = dhb_doc if kind == "dhb" else cover_doc
-        assert verify_certificate(doc)
+        assert verify_certificate(json.dumps(doc))
         paths = [p for p, _ in _leaves({k: v for k, v in doc.items() if k not in ("w1", "w2")})]
         assert len(paths) > 50
         for path in paths:
             for value in _tampered(_get(doc, path)):
                 bad = json.loads(json.dumps(doc))
                 _set(bad, path, value)
-                assert verify_certificate(bad) is False, (path, value)
+                assert verify_certificate(json.dumps(bad)) is False, (path, value)
 
     TAMPER = {
         "jordan1.cycle": lambda d: d["jordan1"]["cycle"].reverse(),
@@ -313,7 +314,6 @@ class TestVerifyEvidence:
         before = json.dumps(doc, sort_keys=True)
         tamper(doc)
         assert json.dumps(doc, sort_keys=True) != before
-        assert verify_certificate(doc) is False
         assert verify_certificate(json.dumps(doc)) is False
 
     @pytest.mark.parametrize(
@@ -325,6 +325,81 @@ class TestVerifyEvidence:
     def test_deeply_nested_text_is_false(self):
         # deeper than the JSON decoder's recursion limit
         assert verify_certificate("[" * 10**5) is False
+
+
+def _retype(doc, gen, value, new):
+    """Write w1's image entry equal to value as new, which == takes for it."""
+    images = doc["w1"][f"{gen}_images"]
+    images[images.index(value)] = new
+
+
+def _swapped(doc):
+    """The members swapped and every claim restated from the swapped maps,
+    so that only the v-difference tells which member carries X_1."""
+    doc = json.loads(json.dumps(doc))
+    doc["w1"], doc["w2"] = doc["w2"], doc["w1"]
+    doc["jordan1"], doc["jordan2"] = doc["jordan2"], doc["jordan1"]
+    doc["v_difference"] = [-v for v in doc["v_difference"]]
+    for position in doc["beauville"].values():
+        first, second = position["detail"].removeprefix("cycle types differ: ").split(" vs ")
+        position["detail"] = f"cycle types differ: {second} vs {first}"
+    return doc
+
+
+class TestOneCheckPerFact:
+    """A member section is read in one place, by verify and by lift
+    --pair alike, and the v-difference of every kind is checked."""
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        # stock s = 6 leaves the two shared handles that lift --pair needs
+        return certificate_to_json(certify_dhb(ConstructionPlan(0, 6, "standard")))
+
+    # a JSON float is refused like a bool: it equals no int once read
+    MEMBER_DEFECTS = {
+        "true": (lambda d: _retype(d, "x", 1, True), "w1.x_images disagree with w1.x"),
+        "false": (lambda d: _retype(d, "y", 0, False), "w1.y_images disagree with w1.y"),
+        "zero_float": (lambda d: _retype(d, "t", 0, 0.0), "w1.t_images disagree with w1.t"),
+        "five_float": (lambda d: _retype(d, "x", 5, 5.0), "w1.x_images disagree with w1.x"),
+        "unknown_key": (lambda d: _set(d, ("w1", "note"), "extra"), "unknown field w1.note"),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(MEMBER_DEFECTS))
+    def test_member_defect_refused_by_verify_and_lift(self, defect, text, tmp_path, capsys):
+        tamper, problem = self.MEMBER_DEFECTS[defect]
+        doc = json.loads(text)
+        tamper(doc)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        assert verify_certificate(path.read_text()) is False
+        assert main(["lift", "--p", "3", "--t1", "2", "--pair", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+
+    def test_non_int_zero_refused_in_a_document(self, text):
+        # a document not read from text can also hold 0.0 for 0
+        for new in (False, 0.0):
+            doc = json.loads(text)
+            _retype(doc, "x", 0, new)
+            with pytest.raises(CertificationError, match=r"^w1\.x_images disagree with w1\.x$"):
+                certificate_maps(doc)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [minimal_plan(0), minimal_plan(1), minimal_plan(8), ConstructionPlan(8, 3, "small_n"),
+         ConstructionPlan(10, 3, "s3_shortcut")],
+        ids=["minimal_r0", "minimal_r1", "minimal_r8", "small_n_r8", "s3_shortcut_r10"],
+    )
+    def test_swapped_members_refused(self, plan):
+        cert = certify_dhb(plan)
+        assert cert.v_difference == certify.DHB_V_DIFFERENCE == (4, 6, -7)
+        doc = json.loads(certificate_to_json(cert))
+        assert verify_certificate(json.dumps(doc)) is True
+        assert verify_certificate(json.dumps(_swapped(doc))) is False
+        swapped = MapPair(cert.pair.w2, cert.pair.w1, cert.plan)
+        with pytest.raises(
+            CertificationError, match=r"^v-difference \(-4, -6, 7\), expected \(4, 6, -7\)$"
+        ):
+            certify._dhb_certificate(swapped, certify.DHB_V_DIFFERENCE)
 
 
 class TestMinDegree:

@@ -18,6 +18,7 @@ from beauville import _atlas_data
 from beauville.atlas import BASIC_MAP_IDS, basic_map
 from beauville.certify import (
     CertificationError,
+    certificate_from_json,
     certificate_maps,
     certificate_to_json,
     certify_dhb,
@@ -98,12 +99,40 @@ def test_mutated_inputs_raise_only_the_declared_error(dhb_doc):
         got = outcome(certificate_maps, doc, CertificationError)
         refused += isinstance(got, CertificationError)
         if isinstance(got, list):
-            assert verify_certificate(doc) in (True, False)
+            assert verify_certificate(json.dumps(doc)) in (True, False)
         else:
-            assert verify_certificate(doc) is False
+            assert verify_certificate(json.dumps(doc)) is False
     # most mutations break a map; some, such as swapping spaces, do not
     assert refused > 1000
     assert time.process_time() - start < 2.0
+
+
+def retype_member(doc, rng):
+    """A copy of a certificate with one member entry that == still takes:
+    an image written as a float, or as a bool where it is 0 or 1, or an
+    unknown key."""
+    doc = copy.deepcopy(doc)
+    member = doc[rng.choice(["w1", "w2"])]
+    op = rng.randrange(3)
+    if op == 2:
+        member[rng.choice(["note", "z", "images", "x "])] = rng.choice(VALUES)
+        return doc
+    images = member[f"{rng.choice('xyt')}_images"]
+    value = rng.randrange(len(images) if op == 0 else 2)
+    images[images.index(value)] = float(value) if op == 0 else bool(value)
+    return doc
+
+
+def test_member_mutations_are_refused_naming_the_field(dhb_doc):
+    rng = random.Random(29)
+    start = time.process_time()
+    for _ in range(40):
+        text = json.dumps(retype_member(dhb_doc, rng))
+        named = r"^(unknown field w[12]\.|w([12])\.[xyt]_images disagree with w\2\.)"
+        with pytest.raises(CertificationError, match=named):
+            certificate_maps(certificate_from_json(text))
+        assert verify_certificate(text) is False
+    assert time.process_time() - start < 1.0
 
 
 HUGE = f"{10**15} points cannot all be moved by 4 characters of x and y"

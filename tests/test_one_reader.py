@@ -1,6 +1,8 @@
 """Cycle text from input is read in one place: `maps.map_from_doc`, which
 bounds a map's degree before anything of that size is allocated.  The
-only other reader is a character table's class representatives."""
+only other reader is a character table's class representatives.  A
+certificate's member sections are read in one place too:
+`certify.certificate_maps`."""
 
 import ast
 from pathlib import Path
@@ -8,8 +10,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "beauville"
 
 
-def calls_by_function(tree, name):
-    """Qualified names of the functions whose bodies call `name`."""
+def scopes_where(tree, match):
+    """Qualified names of the functions whose bodies hold a node that
+    `match` accepts ("" for module level)."""
     found = set()
 
     def visit(node, scope):
@@ -17,15 +20,33 @@ def calls_by_function(tree, name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called == name:
-                    found.add(".".join(scope))
+            if match(child):
+                found.add(".".join(scope))
             visit(child, scope)
 
     visit(tree, [])
     return found
+
+
+def calls_by_function(tree, name):
+    """Qualified names of the functions whose bodies call `name`."""
+
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+
+    return scopes_where(tree, match)
+
+
+def reads_by_function(tree, name):
+    """Qualified names of the functions whose bodies read the name `name`."""
+
+    def match(node):
+        return isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+
+    return scopes_where(tree, match)
 
 
 def test_parse_cycles_is_called_only_by_the_readers():
@@ -34,3 +55,9 @@ def test_parse_cycles_is_called_only_by_the_readers():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found |= {f"{path.stem}.{f}" for f in calls_by_function(tree, "parse_cycles")}
     assert found == {"maps.map_from_doc", "frobenius.CharacterTable.representatives"}
+
+
+def test_certificate_members_are_read_only_by_certificate_maps():
+    tree = ast.parse((SRC / "certify.py").read_text(encoding="utf-8"))
+    assert calls_by_function(tree, "map_from_doc") == {"certificate_maps"}
+    assert reads_by_function(tree, "MAP_FIELDS") == {"certificate_maps"}
