@@ -200,10 +200,13 @@ def certify_dhb(plan):
 def alternating_order_oracle(m):
     """Independent stabilizer-chain check that |<x, y>| = n!/2.
 
-    The generators are even, so `group_order` takes n!/2 as its bound and
-    stops as soon as the chain reaches it.  For a proper subgroup it
-    finishes with its exact Schreier-generator check, and the answer is
-    False.
+    The generators are even, so `group_order` takes n!/2 as its bound.
+    It stops sooner once its chain shows <x, y> 2-transitive, hence
+    primitive, with an order past 4^n: a primitive group not containing
+    A_n is smaller (Praeger and Saxl, 1980), so <x, y> = A_n.  For a
+    proper subgroup it finishes with its exact Schreier-generator check,
+    and the answer is False.  No certificate rests on this check: the
+    issuing path proves generation by Jordan's theorem.
     """
     if not (m.x.is_even and m.y.is_even):
         raise CertificationError("oracle needs even generators")

@@ -2,7 +2,9 @@
 bounds a map's degree before anything of that size is allocated.  The
 only other reader is a character table's class representatives.  A
 certificate's member sections are read in one place too:
-`certify.certificate_maps`."""
+`certify.certificate_maps`.  And no certificate rests on the
+stabilizer-chain oracle: only the oracle itself and the atlas check of
+map A use `perm.group_order`."""
 
 import ast
 from pathlib import Path
@@ -49,6 +51,18 @@ def reads_by_function(tree, name):
     return scopes_where(tree, match)
 
 
+def uses_by_function(tree, name):
+    """Qualified names of the functions whose bodies use `name`, bare or
+    as an attribute."""
+
+    def match(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == name
+        return isinstance(node, ast.Name) and node.id == name
+
+    return scopes_where(tree, match)
+
+
 def test_parse_cycles_is_called_only_by_the_readers():
     found = set()
     for path in sorted(SRC.glob("*.py")):
@@ -61,3 +75,18 @@ def test_certificate_members_are_read_only_by_certificate_maps():
     tree = ast.parse((SRC / "certify.py").read_text(encoding="utf-8"))
     assert calls_by_function(tree, "map_from_doc") == {"certificate_maps"}
     assert reads_by_function(tree, "MAP_FIELDS") == {"certificate_maps"}
+
+
+def test_group_order_is_used_only_by_the_oracle_and_the_atlas():
+    # the issuing path proves generation by Jordan's theorem; the oracle,
+    # which also rests on the Praeger-Saxl bound, stays a cross-check
+    found = set()
+    imports = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {f"{path.stem}.{f}" for f in uses_by_function(tree, "group_order")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imports |= {(path.stem, a.asname) for a in node.names if a.name == "group_order"}
+    assert found == {"atlas.validate_atlas", "certify.alternating_order_oracle"}
+    assert imports == {("atlas", None), ("certify", None)}

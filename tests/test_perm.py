@@ -27,8 +27,9 @@ from perm_helpers import brute_enumerate, random_permutation
 
 
 # sha256 of the bounded proofs' orders and strong generating sets for the
-# 14 V_r maps; see TestGroupOrder.test_bounded_proofs_are_pinned
-V_MAP_CHAINS = "a21831405d13c364ed4402f55a2db8538af8d3c46f0815e133f63ab1aa27aba6"
+# 14 V_r maps, each chain ended by the 2-transitive stop past 4^n; see
+# TestGroupOrder.test_bounded_proofs_are_pinned
+V_MAP_CHAINS = "5cb1dbe544efe169872f4b2c6141790d25fcfaa1000a25dfd8bafa1c81dec94c"
 
 
 def random_even_permutation(n, rng):
@@ -260,20 +261,23 @@ class TestGroupOrder:
         # n = 246: every transversal row of the chain would take about
         # 60 MB; the flat trees, one edge list per level, with no rows
         # built in the random phase, one shared base row and one array per
-        # strong generator, peak near 1.3 MiB
+        # strong generator, peak near 0.38 MiB once the chain stops past
+        # 4^n
         m = build_pair(ConstructionPlan(8, 3, "small_n")).w1
-        assert traced_peak_order(m) < 2 * 2**20
+        assert traced_peak_order(m) < 1 * 2**20
 
     def test_chain_memory_largest_pair(self):
         # n = 589, the largest minimal, small or shortcut pair: every row
         # would take about 820 MB; the trees are one list of n edge
-        # references per level, and peak near 7.0 MiB
+        # references per level, and the 131 levels built before the
+        # chain passes 4^n peak near 1.7 MiB
         m = build_pair(minimal_plan(1)).w1
         assert m.n == 589
-        assert traced_peak_order(m) < 10 * 2**20
+        assert traced_peak_order(m) < 3 * 2**20
 
     def test_chain_stores_each_piece_once(self, monkeypatch):
-        # after a bounded proof for A_301: a level's tree is its edge list
+        # after a bounded proof for A_301, which the 2-transitive stop
+        # ends at 75 levels: a level's tree is its edge list
         # alone, every level's base row and base edge are the chain's one
         # read-only identity, each strong generator is kept only as the
         # inverse array the trees' edges hold, and the bases and image
@@ -292,7 +296,7 @@ class TestGroupOrder:
         target = math.factorial(n) // 2
         assert group_order(gens, upper_bound=target) == target
         (chain,) = chains
-        assert len(chain.levels) == n - 2
+        assert len(chain.levels) == 75
         for lv in chain.levels:
             assert not hasattr(lv, "parent") and not hasattr(lv, "orbit")
             assert lv.rows[lv.base] is chain._id and lv.edge[lv.base] is chain._id
@@ -468,6 +472,74 @@ class TestGroupOrder:
                 assert group_order([m.x, m.y], upper_bound=target) == target, (seed, m.n)
 
 
+def recorded_chains(monkeypatch):
+    """The chains group_order builds, each with (top, order) after every
+    add.  A chain left below the returned order was ended by the stop."""
+    chains = []
+
+    class Recorded(perm._Chain):
+        def __init__(self, degree):
+            super().__init__(degree)
+            self.seen = []
+            chains.append(self)
+
+        def add(self, arr, start=0):
+            super().add(arr, start)
+            self.seen.append((self.top(), self.order))
+
+    monkeypatch.setattr(perm, "_Chain", Recorded)
+    return chains
+
+
+class TestPrimitiveStop:
+    """Levels 0 and 1 full make G 2-transitive, hence primitive, and a
+    primitive group not containing A_n has order below 4^n (Praeger and
+    Saxl 1980): once the orbit product passes 4^n, |G| is n!/2 or n!."""
+
+    def test_largest_minimal_member_stops_past_4_to_the_n(self, monkeypatch):
+        chains = recorded_chains(monkeypatch)
+        m = build_pair(minimal_plan(1)).w1
+        n = m.n
+        assert n == 589
+        assert group_order([m.x, m.y]) == math.factorial(n) // 2
+        (chain,) = chains
+        assert chain.top() >= 2
+        assert 4**n < chain.order < math.factorial(n) // 2
+        assert len(chain.levels) == 131
+
+    def test_imprimitive_group_passes_4_to_the_n_without_stopping(self, monkeypatch):
+        # map J: the chain passes 4^72 while level 1 is still open, and
+        # <x, y> is a proper subgroup, so the stop needs level 1 full
+        chains = recorded_chains(monkeypatch)
+        m = basic_map("J")
+        assert m.n == 72
+        order = group_order([m.x, m.y])
+        assert order < math.factorial(72) // 2
+        (chain,) = chains
+        assert any(top == 1 and seen > 4**72 for top, seen in chain.seen)
+        assert chain.order == order
+
+    def test_odd_generators_give_the_symmetric_group(self, monkeypatch):
+        chains = recorded_chains(monkeypatch)
+        n = 12
+        gens = [from_cycles(n, [(0, 1)]), from_cycles(n, [tuple(range(n))])]
+        assert group_order(gens) == math.factorial(n)
+        (chain,) = chains
+        assert chain.top() >= 2
+        assert 4**n < chain.order < math.factorial(n)
+
+    def test_bound_below_the_proved_order_raises(self, monkeypatch):
+        chains = recorded_chains(monkeypatch)
+        n = 101
+        gens = [from_cycles(n, [(0, 1, 2)]), from_cycles(n, [tuple(range(n))])]
+        bound = math.factorial(n) // 4
+        with pytest.raises(ValueError, match="bound"):
+            group_order(gens, upper_bound=bound)
+        (chain,) = chains
+        assert chain.top() >= 2
+        assert 4**n < chain.order < bound
+
+
 def traced_peak_order(m):
     """The tracemalloc peak, in bytes, of proving |<x, y>| = n!/2 for m."""
     target = math.factorial(m.n) // 2
@@ -541,8 +613,10 @@ class TestChain:
         assert group_order(gens, upper_bound=target) == target
         (chain,) = chains
         assert chain.adds > 8
-        # the random phase feeds the chain from below its closed levels
-        assert max(starts) > n // 2
+        # the random phase feeds the chain from below its closed levels,
+        # past half of the 66 that it builds before the 2-transitive stop
+        assert len(chain.levels) == 66
+        assert max(starts) > len(chain.levels) // 2
         check_strong_generating_set(chain, every_row=True)
 
 
