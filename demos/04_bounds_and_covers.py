@@ -11,7 +11,7 @@ arranges -- the two members always start with opposite parities.
 from beauville.certify import certify_cover, min_degree_search
 from beauville.construct import minimal_plan, x_map
 
-res = min_degree_search(g_max=2, count_max=12)
+res = min_degree_search()
 print("smallest degree admitting a valid signature pair:", res.n)
 print("witness signature pairs (genus; fixed points of x, y, z):")
 for s1, s2 in res.witnesses[:4]:

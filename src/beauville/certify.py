@@ -17,6 +17,7 @@ production certificates never depend on it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -222,54 +223,40 @@ class MinDegreeResult:
     witnesses: tuple  # pairs of signature tuples (g, alpha, beta, gamma)
 
 
-def min_degree_search(g_max=3, count_max=(16, 12, 14)):
+def min_degree_search():
     """Smallest degree admitting two (2,3,7)-signatures whose fixed point
     counts differ in all three coordinates.
 
-    Degrees satisfy n = 84(g-1) + 21a + 28b + 36c; two signatures of
-    equal degree automatically have a1 = a2 mod 4, b1 = b2 mod 3 and
-    c1 = c2 mod 7, and the Beauville condition forces all three
-    differences to be non-zero.  Negative bounds raise ValueError, and
-    bounds too small to contain any solution raise CertificationError
-    rather than returning silently.
+    A signature (g, a, b, c) has degree n = 84(g-1) + 21a + 28b + 36c, so
+    the degree bounds each term: g <= (n + 84)/84, and 21a, 28b and 36c
+    are each at most the remainder n - 84(g-1).  The search lists every
+    signature of degree n = 1, 2, ... in turn and returns the first degree
+    with a pair, which is therefore the minimum with no search bound to
+    choose; it ends at 168.  Two signatures of equal degree automatically
+    have a1 = a2 mod 4, b1 = b2 mod 3 and c1 = c2 mod 7, and the Beauville
+    condition forces all three differences to be non-zero.
     """
-    if isinstance(count_max, int):
-        count_max = (count_max, count_max, count_max)
-    if g_max < 0 or min(count_max) < 0:
-        raise ValueError(
-            f"search bounds must be non-negative: g_max={g_max}, count_max={count_max}"
-        )
-    a_max, b_max, c_max = count_max
-    by_degree = {}
-    for g in range(g_max + 1):
-        for a in range(a_max + 1):
-            for b in range(b_max + 1):
-                for c in range(c_max + 1):
-                    n = 84 * (g - 1) + 21 * a + 28 * b + 36 * c
-                    if n >= 1:
-                        by_degree.setdefault(n, []).append((g, a, b, c))
-    best = None
-    for n in sorted(by_degree):
-        sigs = by_degree[n]
+    for n in itertools.count(1):
+        sigs = []
+        for g in range(n // 84 + 2):
+            rest = n - 84 * (g - 1)
+            for a in range(rest // 21 + 1):
+                for b in range((rest - 21 * a) // 28 + 1):
+                    c, left = divmod(rest - 21 * a - 28 * b, 36)
+                    if not left:
+                        sigs.append((g, a, b, c))
         pairs = []
-        for i, s1 in enumerate(sigs):
-            for s2 in sigs[i + 1 :]:
-                da, db, dc = s1[1] - s2[1], s1[2] - s2[2], s1[3] - s2[3]
-                if da and db and dc:
-                    if da % 4 or db % 3 or dc % 7:
-                        raise CertificationError(
-                            f"signatures {s1} and {s2} of degree {n} break the "
-                            "congruences a = 0 mod 4, b = 0 mod 3, c = 0 mod 7"
-                        )
-                    pairs.append((s1, s2))
+        for s1, s2 in itertools.combinations(sigs, 2):
+            da, db, dc = s1[1] - s2[1], s1[2] - s2[2], s1[3] - s2[3]
+            if da and db and dc:
+                if da % 4 or db % 3 or dc % 7:
+                    raise CertificationError(
+                        f"signatures {s1} and {s2} of degree {n} break the "
+                        "congruences a = 0 mod 4, b = 0 mod 3, c = 0 mod 7"
+                    )
+                pairs.append((s1, s2))
         if pairs:
-            best = MinDegreeResult(n, tuple(pairs))
-            break
-    if best is None:
-        raise CertificationError(
-            f"no signature pair found with g <= {g_max}, counts <= {count_max}"
-        )
-    return best
+            return MinDegreeResult(n, tuple(pairs))
 
 
 # -- double cover --------------------------------------------------------------

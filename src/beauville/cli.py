@@ -171,32 +171,8 @@ def cmd_cover(args):
     return 0 if payload["verified"] else 1
 
 
-def _non_negative(text):
-    """`--g-max`: a search bound, a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
-    return value
-
-
-def _count_max(text):
-    """`--count-max`: one bound for all three fixed point counts, or three."""
-    try:
-        counts = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        counts = ()
-    if len(counts) not in (1, 3) or min(counts) < 0:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not one non-negative integer or three comma-separated ones"
-        )
-    return counts[0] if len(counts) == 1 else counts
-
-
 def cmd_min_degree(args):
-    res = min_degree_search(g_max=args.g_max, count_max=args.count_max)
+    res = min_degree_search()
     payload = {
         "n": res.n,
         "witnesses": [[list(a), list(b)] for a, b in res.witnesses],
@@ -299,8 +275,6 @@ def build_parser():
         p.set_defaults(func=func)
 
     p = sub.add_parser("min-degree")
-    p.add_argument("--g-max", type=_non_negative, default=3)
-    p.add_argument("--count-max", type=_count_max, default="16,12,14")
     p.add_argument("--out")
     p.set_defaults(func=cmd_min_degree)
 

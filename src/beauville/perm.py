@@ -682,20 +682,17 @@ def group_order(gens, upper_bound=None):
     An order above upper_bound, found any way, raises ValueError: that
     bound was not valid.
 
-    Random elements come from two product-replacement walks (Celler,
+    Random elements come from one product-replacement walk (Celler,
     Leedham-Green, Murray, Niemeyer and O'Brien, 1995).  The chain's
     leading levels 0..top-1 close first, their orbits full, so every
-    element of G strips through them; the walk that feeds the chain runs
-    in G_top, the stabilizer of their bases, and each time top rises
-    its elements are stripped through the newly closed levels only
-    (random Schreier-Sims in the point stabilizer, Seress 2003, 4.3).  A
-    random element then costs a few strips instead of one per closed
-    level.  Stripped repeatedly, that walk can be caught in a proper
-    subgroup of G_top, so after every 8 rounds without growth it is
-    re-derived from a second walk, in G and never stripped.  Exactness
-    never depends on the walks: every element fed in is a product of
-    elements of G, so the chain order stays a lower bound on |G|, and
-    the result is proved by reaching the bound or by the verification.
+    element of G strips through them; the walk runs in G_top, the
+    stabilizer of their bases, and each time top rises its elements are
+    stripped through the newly closed levels only (random Schreier-Sims
+    in the point stabilizer, Seress 2003, 4.3).  A random element then
+    costs a few strips instead of one per closed level.  Exactness never
+    depends on the walk: every element fed in is a product of elements
+    of G, so the chain order stays a lower bound on |G|, and the result
+    is proved in one of the three ways above.
 
     Memory: each level keeps a flat Schreier tree (Sims 1970), one list
     of n edges indexed by point, each None off the orbit or a reference
@@ -711,7 +708,7 @@ def group_order(gens, upper_bound=None):
     level's rows at a time.  Each strong generator keeps one array, its
     inverse, 8n bytes (about 1.5n generators for A_n): the trees' edges
     and verify() use that same array.  It also keeps an image list while
-    a level it extends is open.  The walks hold 14 arrays of 8n bytes.
+    a level it extends is open.  The walk holds 7 arrays of 8n bytes.
     The tracemalloc peak of an A_n proof, ended past 4^n, is 0.38 MiB at
     n = 246 and 1.7 MiB at n = 589 (131 levels instead of 587).
     """
@@ -735,16 +732,14 @@ def group_order(gens, upper_bound=None):
         if chain.order == bound:
             return chain.order
 
-    # Product replacement: `walk` runs in G and is never stripped; `low`
-    # runs in G_top, the stabilizer of the bases of the closed levels
-    # 0..top-1, and is what feeds the chain.
+    # Product replacement in G_top, the stabilizer of the bases of the
+    # closed levels 0..top-1 (top = 0 at the start: in G)
     state = list(arrays)
     while len(state) < 6:
         state.append(state[len(state) % len(arrays)])
     walk = _Walk(state, state[0])
     for _ in range(30):
         walk.step(rng)
-    low = _Walk(list(state), walk.acc)
     top = 0
 
     order = None  # set when the Praeger-Saxl stop proves A_n <= G
@@ -757,25 +752,18 @@ def group_order(gens, upper_bound=None):
             break
         # step before stripping: the accumulator just added now strips
         # to the identity through the levels it closed
-        low.step(rng)
+        walk.step(rng)
         closed = chain.top()
         if closed > top:
-            low = low.stripped(chain, top, closed)
+            walk = walk.stripped(chain, top, closed)
             top = closed
         before = chain.order
-        chain.add(low.acc, top)
+        chain.add(walk.acc, top)
         streak = streak + 1 if chain.order == before else 0
         if streak >= 24:
             while not chain.verify():
                 pass
             break
-        if streak and streak % 8 == 0:
-            # the stripped walk may be caught in a proper subgroup of
-            # G_top; fresh elements of G stripped down spread over all
-            # of G_top again
-            for _ in range(len(walk.state)):
-                walk.step(rng)
-            low = walk.stripped(chain, 0, top)
     if order is None:
         order = chain.order
     if order > bound:

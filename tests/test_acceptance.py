@@ -199,12 +199,12 @@ def test_criterion_6_independent_generation_oracle():
 
 def test_criterion_7_minimum_degree():
     t0 = time.time()
-    res = min_degree_search(g_max=2, count_max=12)
+    res = min_degree_search()
     assert res.n == 168
     sigs = {frozenset((a, b)) for a, b in res.witnesses}
     assert frozenset(((0, 4, 6, 0), (0, 0, 0, 7))) in sigs
     assert frozenset(((0, 8, 3, 0), (0, 0, 0, 7))) in sigs
-    report(7, t0, 1)
+    report(7, t0, 0.1)
 
 
 def test_criterion_8_double_cover():

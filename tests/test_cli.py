@@ -91,7 +91,7 @@ class TestReports:
         assert all(entry["verified"] for entry in doc["result"])
 
     def test_min_degree(self, capsys):
-        code, out = run(capsys, "min-degree", "--g-max", "2", "--count-max", "12")
+        code, out = run(capsys, "min-degree")
         assert code == 0
         assert json.loads(out)["result"]["n"] == 168
 
@@ -251,20 +251,12 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert named in err, err
 
-    @pytest.mark.parametrize("value", ["abc", "1,2", "-1", "16,-12,14"])
-    def test_min_degree_bad_count_max(self, capsys, value):
-        code = main(["min-degree", f"--count-max={value}"])
+    def test_min_degree_takes_no_bounds(self, capsys):
+        # the search runs by degree and needs no box
+        code = main(["min-degree", "--g-max", "2"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert f"error: argument --count-max: {value!r}" in err, err
-        assert err.count("error:") == 1, err
-
-    @pytest.mark.parametrize("value", ["-5", "abc"])
-    def test_min_degree_bad_g_max(self, capsys, value):
-        code = main(["min-degree", "--g-max", value])
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert f"error: argument --g-max: {value!r}" in err, err
+        assert "error: unrecognized arguments: --g-max 2" in err, err
         assert err.count("error:") == 1, err
 
     def test_usage_error(self, capsys):

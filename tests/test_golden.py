@@ -6,8 +6,8 @@ be made on purpose.  The construct cases are every valid (r, variant) at
 s = 3 and s = 4; every other (r, variant) pair at those stocks is a
 refusal, and their messages are pinned together by one digest.  The lift
 cases cover every residue class over F_2, F_3, F_5 and F_7, and one lift
-reads its pair from a certificate file.  The other commands, a usage
-error and every `--help` text are pinned too, with the terminal width
+reads its pair from a certificate file.  The other commands, two usage
+errors and every `--help` text are pinned too, with the terminal width
 fixed so that argparse wraps them the same way everywhere.
 """
 
@@ -352,9 +352,9 @@ GOLDEN = {
     "min-degree":
         "6d6fd86ab3f2861814fc78db5b90ee76315663dada74dd8f65411ab89307b180",
     "min-degree --g-max 2 --count-max 5":
-        "ccbd0151d41332ffb1c829f5fa93683ca7bf075088004c9ee27c4221725ee084",
+        "5f4b8675e9c4623b2827a4898cd36857af1bb5fc89bf884d92b22721a350c5b6",
     "min-degree --help":
-        "ab73609005718fe99d9fc1ca5784f599516216946530c3b2ce5e831bf0d39c87",
+        "b7439568ca3d8ec626b428f8db022ad348cb933edf9d99b6e0e8886e522b3e37",
     "no-such-command":
         "331767f3cc4f304808f946153f619bbc0283c3be0869fd571745ea480f01a632",
 }
