@@ -83,12 +83,11 @@ def cmd_atlas(args):
         }
         _emit(args, _report("atlas validate", payload, rep.ok))
         return 0 if rep.ok else 1
-    if args.action == "export":
-        if args.map not in BASIC_MAP_IDS:
-            raise PlanError(f"unknown map {args.map!r}")
-        _emit(args, map_to_text(basic_map(args.map)))
-        return 0
-    raise PlanError(f"unknown atlas action {args.action!r}")
+    # export, the other action argparse admits
+    if args.map not in BASIC_MAP_IDS:
+        raise PlanError(f"unknown map {args.map!r}")
+    _emit(args, map_to_text(basic_map(args.map)))
+    return 0
 
 
 def _plain(v):

@@ -368,9 +368,10 @@ def with_free_stock_handles(pair, labels):
 
     Returns (pair, extra copies, shared handles), the pair carrying the
     enlarged plan, or None when four extra copies do not suffice.  An
-    enlarged plan with the s*, degree and stock range of the plan just
-    tried gives the same pair, so it is skipped: at s = 3 the shifted and
-    r1_special plans already have s* = 6.
+    enlarged plan with the degree and stock range of the plan just tried
+    gives the same pair, so it is skipped: at s = 3 the shifted and
+    r1_special plans already have s* = 6, and a plan with no stock, such
+    as small_n's, is built once.
     """
     plan = pair.plan
     for extra_g in range(5):
@@ -389,5 +390,6 @@ def with_free_stock_handles(pair, labels):
 
 
 def _assembly(plan):
-    """What the maps built from a plan depend on beyond r and the variant."""
-    return plan.s_star, plan.degree, plan.stock_range
+    """What the maps built from a plan depend on beyond r and the variant
+    (s* only through the degree, as the stock has degree 14 s*)."""
+    return plan.degree, plan.stock_range

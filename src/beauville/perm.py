@@ -513,16 +513,15 @@ class _Chain:
         group strips through them."""
         return self.open[0] if self.open else len(self.levels)
 
-    def sift(self, arr, start=0, stop=None, keep=False):
+    def sift(self, arr, start=0, stop=None):
         """Strip arr through levels start..stop-1 (to the last level by
         default); return (residue, level index where it dropped out, or
         stop).
 
-        Each strip multiplies by the inverse coset row of the base image.
-        Without `keep` it applies the tree's edges to arr on the way up,
-        the same gathers as building the row, and builds no row.  With
-        `keep` it uses or gathers the row, and keeps it while the kept
-        rows take under _ROW_CACHE_BYTES.
+        Each strip multiplies by the inverse coset row of the base image:
+        the level's kept row if verify() kept one, and otherwise the
+        tree's edges applied to arr on the way up, the same gathers as
+        building the row.  A strip builds no row.
         """
         levels = self.levels
         if stop is None:
@@ -536,13 +535,8 @@ class _Chain:
             edge = lv.edge
             if edge[pt] is None:
                 return arr, i
-            if keep:
-                u = lv.rows.get(pt)
-                if u is None:
-                    u = lv.row(pt, lv.rows)
-                    if self.kept < _ROW_CACHE_BYTES:
-                        lv.rows[pt] = u
-                        self.kept += u.nbytes
+            u = lv.rows.get(pt)
+            if u is not None:
                 arr = u[arr]
             else:
                 while pt != base:
@@ -600,22 +594,29 @@ class _Chain:
         group, so by Schreier's lemma this is complete.  Returns True if
         the chain was already complete, False if it had to be extended
         (in which case call again).
+        Each level's rows are built once per call, and kept whole while
+        the kept rows take under _ROW_CACHE_BYTES.
         """
         for i in reversed(range(len(self.levels))):
             gens = [g for k, g in self.strong if k >= i]
             lv = self.levels[i]
             # the orbit in point order: each row is gathered down from the
             # nearest ancestor whose row is already built
+            orbit = [pt for pt, inv in enumerate(lv.edge) if inv is not None]
             rows = {lv.base: self._id}
-            for pt, inv in enumerate(lv.edge):
-                if inv is None:
-                    continue
-                rows[pt] = row = lv.row(pt, rows)
+            for pt in orbit:
+                rows[pt] = lv.row(pt, rows)
+            if self.kept < _ROW_CACHE_BYTES:
+                self.kept += (len(rows) - len(lv.rows)) * self._id.nbytes
+                lv.rows = rows
+            for pt in orbit:
                 u = np.empty(self.n, dtype=np.intp)
-                u[row] = self._id
+                u[rows[pt]] = self._id
                 for g in gens:
-                    # sifting u*g from level i strips the Schreier generator
-                    res, _ = self.sift(g[u], i, keep=True)
+                    # u*g times the row of its base image is the Schreier
+                    # generator, which fixes b_i
+                    ug = g[u]
+                    res, _ = self.sift(rows[ug.item(lv.base)][ug], i + 1)
                     if not is_identity_array(res):
                         self.add(res)
                         return False
@@ -659,12 +660,11 @@ def group_order(gens, upper_bound=None):
     b_0..b_{i-1}, and level i's basic orbit is the orbit of b_i under
     S^(i).
 
-    The result is always the exact order, proved in one of three ways;
-    the first two rest on the orbit product never exceeding |G|:
-    - the chain stops as soon as its order reaches a bound on |G|:
-      upper_bound when given (a proven bound such as n!/2 for even
-      generators), else n! (n!/2 when every generator is even), and
-      equality is a proof.  upper_bound only lets it stop early;
+    The result is always the exact order, and the run stops only on one
+    of three proofs; the first two rest on the orbit product never
+    exceeding |G|:
+    - the chain stops as soon as its order reaches n! (n!/2 when every
+      generator is even), a bound on |G|, and equality is a proof;
     - it stops once levels 0 and 1 are full and its order exceeds 4^n.
       Level 0's orbit then has n points and level 1's, under a subgroup
       of the point stabilizer, n - 1, so G is 2-transitive and hence
@@ -679,8 +679,8 @@ def group_order(gens, upper_bound=None):
       at each level i.  A "no" on an imprimitive group, such as atlas
       map J, ends this way and is the slow case (0.7 to 1.5 s for J on
       a 2-vCPU host).
-    An order above upper_bound, found any way, raises ValueError: that
-    bound was not valid.
+    upper_bound is only a check: a proved order above it raises
+    ValueError, as that bound was not valid.
 
     Random elements come from one product-replacement walk (Celler,
     Leedham-Green, Murray, Niemeyer and O'Brien, 1995).  The chain's
@@ -700,15 +700,16 @@ def group_order(gens, upper_bound=None):
     chain's one read-only identity, which is also every level's base
     row.  An open level's tree is rebuilt breadth-first over all its
     generators whenever it gains one, so its paths are shortest words
-    in them (Seress 2003, 4.4).  A random-phase strip applies the edges
-    from the base image up to the base straight to the element and
-    builds no coset row.  Only verify(), whose Schreier generators strip
-    through the same rows over and over, builds rows, 8n bytes each,
-    and keeps them up to _ROW_CACHE_BYTES (128 MiB); it builds one
-    level's rows at a time.  Each strong generator keeps one array, its
-    inverse, 8n bytes (about 1.5n generators for A_n): the trees' edges
-    and verify() use that same array.  It also keeps an image list while
-    a level it extends is open.  The walk holds 7 arrays of 8n bytes.
+    in them (Seress 2003, 4.4).  A strip reads a kept coset row, or
+    applies the edges from the base image up to the base straight to the
+    element.  Only verify() builds rows, 8n bytes each: once per call,
+    one level at a time, it builds a level's table, forms the Schreier
+    generators from it, and keeps whole tables while the kept rows take
+    under _ROW_CACHE_BYTES (128 MiB).  Each strong generator keeps one
+    array, its inverse, 8n bytes (about 1.5n generators for A_n): the
+    trees' edges and verify() use that same array.  It also keeps an
+    image list while a level it extends is open.  The walk holds 7
+    arrays of 8n bytes.
     The tracemalloc peak of an A_n proof, ended past 4^n, is 0.38 MiB at
     n = 246 and 1.7 MiB at n = 589 (131 levels instead of 587).
     """
@@ -722,15 +723,12 @@ def group_order(gens, upper_bound=None):
     # |<gens>| <= n!, or n!/2 if every generator is even: a chain reaching
     # it is complete, with no verification
     full = math.factorial(n) // (2 if all(g.is_even for g in gens) else 1)
-    bound = full if upper_bound is None else upper_bound
     primitive_cap = 4**n  # a primitive group without A_n is smaller
     chain = _Chain(n)
     # intp arrays, the dtype the chain's identity test compares against
     arrays = [g.array.astype(np.intp, copy=False) for g in gens]
     for arr in arrays:
         chain.add(arr)
-        if chain.order == bound:
-            return chain.order
 
     # Product replacement in G_top, the stabilizer of the bases of the
     # closed levels 0..top-1 (top = 0 at the start: in G)
@@ -744,7 +742,7 @@ def group_order(gens, upper_bound=None):
 
     order = None  # set when the Praeger-Saxl stop proves A_n <= G
     streak = 0
-    while chain.order < bound:
+    while chain.order < full:
         if chain.top() >= 2 and chain.order > primitive_cap:
             # levels 0 and 1 full: G is 2-transitive, so primitive, and
             # larger than any primitive group without A_n
@@ -766,7 +764,7 @@ def group_order(gens, upper_bound=None):
             break
     if order is None:
         order = chain.order
-    if order > bound:
+    if upper_bound is not None and order > upper_bound:
         raise ValueError("upper_bound exceeded; the bound was not valid")
     return order
 

@@ -376,10 +376,11 @@ class TestOneCheckPerFact:
         assert capsys.readouterr().err == f"error: {path}: {problem}\n"
 
     def test_non_int_zero_refused_in_a_document(self, text):
-        # a document not read from text can also hold 0.0 for 0
-        for new in (False, 0.0):
+        # a document not read from text can also hold 0.0 for 0, and a
+        # float for any other image, such as 5.0 for 5
+        for value, new in ((0, False), (0, 0.0), (5, 5.0)):
             doc = json.loads(text)
-            _retype(doc, "x", 0, new)
+            _retype(doc, "x", value, new)
             with pytest.raises(CertificationError, match=r"^w1\.x_images disagree with w1\.x$"):
                 certificate_maps(doc)
 
@@ -411,9 +412,6 @@ class TestMinDegree:
             ((0, 0, 0, 7), (0, 8, 3, 0)),
             ((0, 0, 0, 7), (1, 4, 3, 0)),
         )
-
-    def test_default_bounds(self):
-        assert min_degree_search().n == 168
 
 
 class TestCover:
@@ -471,6 +469,21 @@ class TestCover:
         built.clear()
         assert linlift.lift_pair(minimal_plan(6), 3, 2).extra_g_copies == 2
         assert built == [(3, 510), (9, 552)]
+
+    def test_stockless_plan_is_built_once(self, monkeypatch):
+        # a small_n plan has no stock, so every extra copy of G would
+        # assemble the same degree-252 pair before the refusal
+        built = []
+
+        def counting(plan):
+            built.append((plan.s, plan.degree))
+            return build_pair(plan)
+
+        for module in (certify, construct):
+            monkeypatch.setattr(module, "build_pair", counting)
+        with pytest.raises(CertificationError, match="could not provision"):
+            certify_cover(ConstructionPlan(0, 3, "small_n"))
+        assert built == [(3, 252)]
 
     @pytest.mark.parametrize("s", [3, 5])
     def test_every_class_verifies(self, s):

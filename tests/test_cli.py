@@ -259,6 +259,35 @@ class TestErrors:
         assert "error: unrecognized arguments: --g-max 2" in err, err
         assert err.count("error:") == 1, err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["certify"], "certify needs --r R or --all-minimal"),
+            (["lift", "--p", "3", "--t1", "2"], "lift needs --r R (or --pair FILE)"),
+            (
+                ["frobenius", "--table", "a5", "--classes", "2A,3A"],
+                "--classes needs exactly three class names X,Y,Z",
+            ),
+            (["atlas", "export", "--map", "Z"], "unknown map 'Z'"),
+        ],
+        ids=["certify-no-r", "lift-no-r", "frobenius-two-classes", "atlas-unknown-map"],
+    )
+    def test_refused_arguments_exit_2(self, capsys, argv, message):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n", err
+
+    def test_failed_check_exit_1(self, capsys):
+        # small_n has no stock, so no stock handle is ever free
+        code = main(["cover", "--r", "0", "--variant", "small_n"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == (
+            "check failed: could not provision enough unused stock handles "
+            "for variant 'small_n'\n"
+        ), err
+
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2
 

@@ -221,13 +221,21 @@ class TestGroupOrder:
             gens = [random_permutation(n, rng) for _ in range(2)]
             assert group_order(gens) == len(brute_enumerate(gens))
 
-    def test_upper_bound_shortcut(self):
+    def test_valid_bound_gives_the_order(self):
         n = 30
         rng = random.Random(11)
         gens = [random_even_permutation(n, rng) for _ in range(2)]
         bound = math.factorial(n) // 2
-        got = group_order(gens, upper_bound=bound)
-        assert got <= bound
+        assert group_order(gens, upper_bound=bound) == bound
+
+    def test_bound_below_the_order_is_no_proof(self):
+        # map A generates PSL(2, 13), of order 1092: a chain that passes
+        # 182 short of a proof goes on, and the proved order raises
+        m = basic_map("A")
+        with pytest.raises(ValueError, match="bound"):
+            group_order([m.x, m.y], upper_bound=182)
+        for bound in (1092, 2184):
+            assert group_order([m.x, m.y], upper_bound=bound) == 1092
 
     def test_unreached_bound_still_gives_the_order(self):
         # |S_3| = 6 never reaches the bound 12: the exact check ends it
@@ -367,8 +375,8 @@ class TestGroupOrder:
         assert sum(walked) < 80_000
 
     def test_only_verify_keeps_rows(self, monkeypatch):
-        # the random phase builds each row for one strip and drops it;
-        # verify() strips the same rows many times over and keeps them
+        # the random phase builds no row; verify() strips through the
+        # same rows many times over and keeps them
         chains = []
 
         class Recorded(perm._Chain):
@@ -391,8 +399,8 @@ class TestGroupOrder:
         assert any(len(lv.rows) > 1 for lv in chain.levels)
 
     def test_rows_past_the_cache_are_not_kept(self, monkeypatch):
-        # with no room for rows, every strip of verify() builds its row
-        # from the tree
+        # with no room for rows, every strip of verify() walks the tree's
+        # edges
         monkeypatch.setattr(perm, "_ROW_CACHE_BYTES", 0)
         chain = s4_chain()
         while not chain.verify():
