@@ -12,7 +12,10 @@ they build, and `verify_certificate` on the maps a document embeds,
 comparing the document it would issue with the stated one.
 
 An independent stabilizer-chain oracle cross-checks |<x, y>| = n!/2;
-production certificates never depend on it.
+production certificates never depend on it.  It too may end on Jordan's
+theorem, but on its own evidence: a p-cycle that is a power of a random
+element of <x, y>, not of w, and primitivity from its chain's
+2-transitivity, not from the useful-cycle witnesses.
 """
 
 from __future__ import annotations
@@ -200,13 +203,17 @@ def certify_dhb(plan):
 
 def alternating_order_oracle(m):
     """Independent stabilizer-chain check that |<x, y>| = n!/2, proved
-    by `group_order`: its chain reaches n!/2, or shows <x, y> primitive
-    past 4^n, so A_n <= <x, y> (Praeger and Saxl, 1980); for a proper
-    subgroup its exact check ends the run, and the answer is False.  An
-    odd generator needs no refusal: A_n, with no odd element, is the only
-    subgroup of index 2 in S_n, so the answer is False again.  No
-    certificate rests on this check: the issuing path proves generation
-    by Jordan's theorem.
+    by `group_order`: its chain reaches n!/2, or shows <x, y>
+    2-transitive, hence primitive, and then finds A_n <= <x, y> by
+    Jordan's theorem, from a p-cycle that is a power of a random element
+    of <x, y>, or by Praeger and Saxl's bound once it passes 4^n; for a
+    proper subgroup its exact check ends the run, and the answer is
+    False.  An odd generator needs no refusal: A_n, with no odd element,
+    is the only subgroup of index 2 in S_n, so the answer is False again.
+    No certificate rests on this check: the issuing path proves
+    generation by Jordan's theorem from w's useful cycle, and `perm`
+    imports no other module of the package, so the oracle reuses none of
+    that evidence.
     """
     return group_order([m.x, m.y]) == math.factorial(m.n) // 2
 

@@ -623,6 +623,17 @@ class _Chain:
         return True
 
 
+def _yields_prime_cycle(arr):
+    """Whether some power of the image array is a cycle of prime length
+    p <= n - 3: arr has a cycle of length p, and p divides no other
+    cycle's length, so arr to the product of the others is that cycle."""
+    lengths = _cycle_lengths(arr)
+    return any(
+        p <= arr.size - 3 and is_prime(p) and np.count_nonzero(lengths % p == 0) == 1
+        for p in set(lengths.tolist())
+    )
+
+
 class _Walk:
     """Product-replacement walk with an accumulator (Celler et al., 1995):
     a list of group elements and a running product, as intp arrays."""
@@ -661,24 +672,31 @@ def group_order(gens, upper_bound=None):
     S^(i).
 
     The result is always the exact order, and the run stops only on one
-    of three proofs; the first two rest on the orbit product never
+    of four proofs; the first three rest on the orbit product never
     exceeding |G|:
     - the chain stops as soon as its order reaches n! (n!/2 when every
       generator is even), a bound on |G|, and equality is a proof;
-    - it stops once levels 0 and 1 are full and its order exceeds 4^n.
-      Level 0's orbit then has n points and level 1's, under a subgroup
-      of the point stabilizer, n - 1, so G is 2-transitive and hence
-      primitive.  A primitive group of degree n not containing A_n has
-      order below 4^n (Praeger and Saxl, Bull. London Math. Soc. 12,
-      1980, whose proof does not use the classification of finite
-      simple groups), so A_n <= G, and |G| is n!/2 if every generator
-      is even, else n!;
-    - a chain that stops growing short of both, 24 random rounds in a
-      row, is finished off with the deterministic Schreier-generator
-      verification, which is complete because it runs over all of S^(i)
-      at each level i.  A "no" on an imprimitive group, such as atlas
-      map J, ends this way and is the slow case (0.7 to 1.5 s for J on
-      a 2-vCPU host).
+    - once levels 0 and 1 are full, level 0's orbit has n points and
+      level 1's, under a subgroup of the point stabilizer, n - 1, so G
+      is 2-transitive and hence primitive.  Then two stops prove
+      A_n <= G, so that |G| is n!/2 if every generator is even, else n!:
+      - Jordan's: a generator, or a walk element that grew the chain,
+        has a cycle of prime length p <= n - 3 whose length divides no
+        other cycle's, so a power of it is a p-cycle, and a primitive
+        group holding one contains A_n (Wielandt, Finite Permutation
+        Groups, 1964, 13.9).  Only those elements are checked, once
+        each, and the check draws no random numbers, so a run is the
+        same run as without this stop, cut short;
+      - Praeger and Saxl's: the order exceeds 4^n, and a primitive group
+        of degree n not containing A_n has order below 4^n (Bull.
+        London Math. Soc. 12, 1980, whose proof does not use the
+        classification of finite simple groups);
+    - a chain that stops growing short of all of these, 24 random rounds
+      in a row, is finished off with the deterministic
+      Schreier-generator verification, which is complete because it
+      runs over all of S^(i) at each level i.  A "no" on an imprimitive
+      group, such as atlas map J, ends this way and is the slow case
+      (0.7 to 1.5 s for J on a 2-vCPU host).
     upper_bound is only a check: a proved order above it raises
     ValueError, as that bound was not valid.
 
@@ -692,7 +710,7 @@ def group_order(gens, upper_bound=None):
     costs a few strips instead of one per closed level.  Exactness never
     depends on the walk: every element fed in is a product of elements
     of G, so the chain order stays a lower bound on |G|, and the result
-    is proved in one of the three ways above.
+    is proved in one of the four ways above.
 
     Memory: each level keeps a flat Schreier tree (Sims 1970), one list
     of n edges indexed by point, each None off the orbit or a reference
@@ -706,12 +724,13 @@ def group_order(gens, upper_bound=None):
     one level at a time, it builds a level's table, forms the Schreier
     generators from it, and keeps whole tables while the kept rows take
     under _ROW_CACHE_BYTES (128 MiB).  Each strong generator keeps one
-    array, its inverse, 8n bytes (about 1.5n generators for A_n): the
-    trees' edges and verify() use that same array.  It also keeps an
-    image list while a level it extends is open.  The walk holds 7
-    arrays of 8n bytes.
-    The tracemalloc peak of an A_n proof, ended past 4^n, is 0.38 MiB at
-    n = 246 and 1.7 MiB at n = 589 (131 levels instead of 587).
+    array, its inverse, 8n bytes: the trees' edges and verify() use that
+    same array.  It also keeps an image list while a level it extends is
+    open.  The walk holds 7 arrays of 8n bytes.
+    The tracemalloc peak of an A_n proof, ended by the Jordan stop, is
+    0.07 MiB at n = 246 and 0.16 MiB at n = 589 (4 levels and 5 strong
+    generators instead of 587 levels); past 4^n alone it was 0.38 and
+    1.7 MiB (131 levels at n = 589).
     """
     gens = [g for g in gens if not g.is_identity()]
     if not gens:
@@ -740,12 +759,16 @@ def group_order(gens, upper_bound=None):
         walk.step(rng)
     top = 0
 
-    order = None  # set when the Praeger-Saxl stop proves A_n <= G
+    order = None  # set when the Praeger-Saxl or the Jordan stop proves A_n <= G
+    # whether G holds a p-cycle, p prime <= n - 3, as a power of a
+    # generator or of a walk element that grew the chain
+    p_cycle = any(_yields_prime_cycle(arr) for arr in arrays)
     streak = 0
     while chain.order < full:
-        if chain.top() >= 2 and chain.order > primitive_cap:
+        if chain.top() >= 2 and (p_cycle or chain.order > primitive_cap):
             # levels 0 and 1 full: G is 2-transitive, so primitive, and
-            # larger than any primitive group without A_n
+            # either holds a p-cycle (Jordan) or is larger than any
+            # primitive group without A_n (Praeger-Saxl)
             order = full
             break
         # step before stripping: the accumulator just added now strips
@@ -757,7 +780,11 @@ def group_order(gens, upper_bound=None):
             top = closed
         before = chain.order
         chain.add(walk.acc, top)
-        streak = streak + 1 if chain.order == before else 0
+        if chain.order == before:
+            streak += 1
+        else:
+            streak = 0
+            p_cycle = p_cycle or _yields_prime_cycle(walk.acc)
         if streak >= 24:
             while not chain.verify():
                 pass

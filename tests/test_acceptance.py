@@ -194,7 +194,7 @@ def test_criterion_6_independent_generation_oracle():
         target = math.factorial(pair.degree) // 2
         for m in (pair.w1, pair.w2):
             assert group_order([m.x, m.y], upper_bound=target) == target
-    report(6, t0, 5)
+    report(6, t0, 1)
 
 
 def test_criterion_7_minimum_degree():

@@ -4,7 +4,8 @@ only other reader is a character table's class representatives.  A
 certificate's member sections are read in one place too:
 `certify.certificate_maps`.  And no certificate rests on the
 stabilizer-chain oracle: only the oracle itself and the atlas check of
-map A use `perm.group_order`."""
+map A use `perm.group_order`, and `perm` imports no other module of the
+package, so the oracle reuses none of the certificates' evidence."""
 
 import ast
 from pathlib import Path
@@ -90,3 +91,18 @@ def test_group_order_is_used_only_by_the_oracle_and_the_atlas():
                 imports |= {(path.stem, a.asname) for a in node.names if a.name == "group_order"}
     assert found == {"atlas.validate_atlas", "certify.alternating_order_oracle"}
     assert imports == {("atlas", None), ("certify", None)}
+
+
+def test_the_oracle_imports_no_other_module_of_the_package():
+    # perm's Jordan stop finds its own p-cycle in <x, y> and its own
+    # primitivity in the chain: it cannot reuse maps.jordan_cycle, the
+    # useful cycles or a certificate's witnesses
+    tree = ast.parse((SRC / "perm.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported, "perm.py imports nothing"
+    assert not {m for m in imported if m.startswith(".") or m.split(".")[0] == "beauville"}

@@ -11,7 +11,14 @@ import pytest
 
 from beauville import perm
 from beauville.atlas import basic_map
-from beauville.construct import ConstructionPlan, build_pair, minimal_plan, v_map
+from beauville.construct import (
+    S3_SHORTCUT_DEGREES,
+    SMALL_CASE_DEGREES,
+    ConstructionPlan,
+    build_pair,
+    minimal_plan,
+    v_map,
+)
 from beauville.perm import (
     CycleType,
     Permutation,
@@ -27,9 +34,17 @@ from perm_helpers import brute_enumerate, random_permutation
 
 
 # sha256 of the bounded proofs' orders and strong generating sets for the
-# 14 V_r maps, each chain ended by the 2-transitive stop past 4^n; see
-# TestGroupOrder.test_bounded_proofs_are_pinned
+# 14 V_r maps, each chain ended by the 2-transitive stop past 4^n with the
+# Jordan stop switched off; see TestGroupOrder.test_bounded_proofs_are_pinned
 V_MAP_CHAINS = "5cb1dbe544efe169872f4b2c6141790d25fcfaa1000a25dfd8bafa1c81dec94c"
+
+
+@pytest.fixture
+def no_jordan(monkeypatch):
+    """group_order with its Jordan stop switched off: no element yields
+    a prime cycle, so a 2-transitive chain runs on past 4^n (Praeger and
+    Saxl), as the pinned chains below were built."""
+    monkeypatch.setattr(perm, "_yields_prime_cycle", lambda arr: False)
 
 
 def random_even_permutation(n, rng):
@@ -269,20 +284,21 @@ class TestGroupOrder:
         # n = 246: every transversal row of the chain would take about
         # 60 MB; the flat trees, one edge list per level, with no rows
         # built in the random phase, one shared base row and one array per
-        # strong generator, peak near 0.38 MiB once the chain stops past
-        # 4^n
+        # strong generator, peak near 0.07 MiB once the Jordan stop ends
+        # the chain (0.38 MiB past 4^n)
         m = build_pair(ConstructionPlan(8, 3, "small_n")).w1
         assert traced_peak_order(m) < 1 * 2**20
 
     def test_chain_memory_largest_pair(self):
         # n = 589, the largest minimal, small or shortcut pair: every row
         # would take about 820 MB; the trees are one list of n edge
-        # references per level, and the 131 levels built before the
-        # chain passes 4^n peak near 1.7 MiB
+        # references per level, and the 4 levels built before the Jordan
+        # stop peak near 0.16 MiB (131 levels past 4^n took 1.7 MiB)
         m = build_pair(minimal_plan(1)).w1
         assert m.n == 589
-        assert traced_peak_order(m) < 3 * 2**20
+        assert traced_peak_order(m) < 2**19
 
+    @pytest.mark.usefixtures("no_jordan")
     def test_chain_stores_each_piece_once(self, monkeypatch):
         # after a bounded proof for A_301, which the 2-transitive stop
         # ends at 75 levels: a level's tree is its edge list
@@ -315,6 +331,7 @@ class TestGroupOrder:
         points |= {id(pt) for lv in chain.levels for images, _ in lv.gens or () for pt in images}
         assert len(points) <= n
 
+    @pytest.mark.usefixtures("no_jordan")
     def test_bounded_proofs_are_pinned(self, monkeypatch):
         # the orders and every strong generator, (entry level, inverse
         # array), of the bounded proofs for the 14 V_r maps (n = 36..216):
@@ -340,6 +357,7 @@ class TestGroupOrder:
                 digest.update(inv.astype("<i8").tobytes())
         assert digest.hexdigest() == V_MAP_CHAINS
 
+    @pytest.mark.usefixtures("no_jordan")
     def test_row_gathers_follow_short_paths(self, monkeypatch):
         # n = 589: about 4.5k strips through a level apply the edges from
         # the base image up to the base, and build no row; trees grown
@@ -463,14 +481,17 @@ class TestGroupOrder:
         assert sum(passed) < 1000
 
     def test_random_walk_never_stalls_on_other_seeds(self, monkeypatch):
-        # the random phase alone reaches the stop on all 280 runs, the
-        # 14 V_r maps under rng seeds 0..19: a run that stalls falls back
-        # on the exact check, which fails the test here
+        # the random phase alone reaches a stop on all 1,480 runs, the 14
+        # V_r maps and both members of criterion 6's 30 pairs under rng
+        # seeds 0..19: a run that stalls falls back on the exact check,
+        # which fails the test here.  With the Praeger-Saxl stop alone,
+        # 11 of them stalled, at n = 246..459
         def stalled(chain):
             raise AssertionError("the random phase stalled short of n!/2")
 
         monkeypatch.setattr(perm._Chain, "verify", stalled)
         maps = [v_map(r) for r in range(14)]
+        maps += [m for pair in criterion_6_pairs() for m in (pair.w1, pair.w2)]
         for seed in range(20):
             rng = SimpleNamespace(Random=lambda _, seed=seed: random.Random(seed))
             monkeypatch.setattr(perm, "random", rng)
@@ -501,8 +522,11 @@ def recorded_chains(monkeypatch):
 class TestPrimitiveStop:
     """Levels 0 and 1 full make G 2-transitive, hence primitive, and a
     primitive group not containing A_n has order below 4^n (Praeger and
-    Saxl 1980): once the orbit product passes 4^n, |G| is n!/2 or n!."""
+    Saxl 1980): once the orbit product passes 4^n, |G| is n!/2 or n!.
+    The tests that pass 4^n switch the Jordan stop off, which would end
+    their chains sooner."""
 
+    @pytest.mark.usefixtures("no_jordan")
     def test_largest_minimal_member_stops_past_4_to_the_n(self, monkeypatch):
         chains = recorded_chains(monkeypatch)
         m = build_pair(minimal_plan(1)).w1
@@ -526,6 +550,7 @@ class TestPrimitiveStop:
         assert any(top == 1 and seen > 4**72 for top, seen in chain.seen)
         assert chain.order == order
 
+    @pytest.mark.usefixtures("no_jordan")
     def test_odd_generators_give_the_symmetric_group(self, monkeypatch):
         chains = recorded_chains(monkeypatch)
         n = 12
@@ -535,6 +560,7 @@ class TestPrimitiveStop:
         assert chain.top() >= 2
         assert 4**n < chain.order < math.factorial(n)
 
+    @pytest.mark.usefixtures("no_jordan")
     def test_bound_below_the_proved_order_raises(self, monkeypatch):
         chains = recorded_chains(monkeypatch)
         n = 101
@@ -545,6 +571,82 @@ class TestPrimitiveStop:
         (chain,) = chains
         assert chain.top() >= 2
         assert 4**n < chain.order < bound
+
+
+class TestJordanStop:
+    """Levels 0 and 1 full make G 2-transitive, hence primitive, and a
+    primitive group holding a cycle of prime length p <= n - 3 contains
+    A_n (Jordan; Wielandt, Finite Permutation Groups, 1964, 13.9): once a
+    generator, or a walk element that grew the chain, has such a cycle
+    as a power, |G| is n!/2 or n!."""
+
+    def test_largest_minimal_member_stops_at_four_levels(self, monkeypatch):
+        # the Praeger-Saxl stop alone builds 131 levels here
+        chains = recorded_chains(monkeypatch)
+        m = build_pair(minimal_plan(1)).w1
+        n = m.n
+        assert n == 589
+        assert group_order([m.x, m.y]) == math.factorial(n) // 2
+        (chain,) = chains
+        assert chain.top() >= 2
+        assert chain.order < 4**n
+        assert len(chain.levels) == 4
+
+    def test_transitive_imprimitive_group_with_p_cycles(self):
+        # S_5 wr S_2 on 10 points, of order 2 * 120^2: transitive with the
+        # blocks {0..4} and {5..9}, and (0 1 2 3 4) is a 5-cycle, 5 <= n - 3.
+        # A stop that took level 0 full, transitivity alone, for
+        # primitivity would answer 10!
+        gens = [
+            parse_cycles("(0 1 2 3 4)", 10),
+            parse_cycles("(0 1)", 10),
+            parse_cycles("(0 5)(1 6)(2 7)(3 8)(4 9)", 10),
+        ]
+        assert is_transitive(gens, 10)
+        assert group_order(gens) == 2 * 120**2
+
+    @pytest.mark.parametrize(
+        "text, n, want",
+        [
+            ("(0 1 2)(3 4)", 8, True),  # the 3-cycle is its cube
+            ("(0 1)(2 3 4 5)", 8, False),  # 2 divides 4
+            ("(0 1 2)(3 4 5)", 9, False),  # two 3-cycles
+            ("(0 1 2)(3 4 5 6 7 8)", 9, False),  # 3 divides 6
+            ("(0 1 2 3 4 5)", 12, False),  # 6 is not prime
+            ("(0 1 2 3 4 5 6)", 9, False),  # 7 > n - 3
+            ("(0 1 2 3 4 5 6)", 10, True),
+            ("(0 1 2 3 4 5 6)(7 8 9 10 11)", 12, True),  # 5 and 7 both
+        ],
+    )
+    def test_which_elements_yield_a_prime_cycle(self, text, n, want):
+        assert perm._yields_prime_cycle(parse_cycles(text, n).array) is want
+
+    def test_only_elements_that_grew_the_chain_are_checked(self, monkeypatch):
+        # map A (PSL(2, 13) on 14 points): its two generators and the 3
+        # walk elements that grew the chain; its 7-elements have two
+        # 7-cycles, so no check says yes, and the run ends at 1092
+        checked = []
+        check = perm._yields_prime_cycle
+
+        def counting(arr):
+            checked.append(arr)
+            return check(arr)
+
+        monkeypatch.setattr(perm, "_yields_prime_cycle", counting)
+        m = basic_map("A")
+        assert group_order([m.x, m.y]) == 1092
+        assert 2 < len(checked) <= 5
+
+
+def criterion_6_pairs():
+    """The 30 pairs of acceptance criterion 6: every minimal, small and
+    shortcut pair."""
+    plans = [minimal_plan(r) for r in range(14)]
+    plans += [ConstructionPlan(r, 3, "small_n") for r in SMALL_CASE_DEGREES]
+    plans += [ConstructionPlan(r, 3, "s3_shortcut") for r in S3_SHORTCUT_DEGREES]
+    pairs = [build_pair(plan) for plan in plans]
+    assert len(pairs) == 30
+    return pairs
 
 
 def traced_peak_order(m):
@@ -590,6 +692,7 @@ class TestChain:
             pass
         assert chain.order == 24
 
+    @pytest.mark.usefixtures("no_jordan")
     def test_strong_generating_set_invariants(self, monkeypatch):
         # the A_257 generators of test_alternating_at_row_dtype_switch; the
         # invariants are checked every 8 additions, while levels still open
