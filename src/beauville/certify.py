@@ -205,11 +205,11 @@ def alternating_order_oracle(m):
     """Independent stabilizer-chain check that |<x, y>| = n!/2, proved
     by `group_order`: its chain reaches n!/2, or shows <x, y>
     2-transitive, hence primitive, and then finds A_n <= <x, y> by
-    Jordan's theorem, from a p-cycle that is a power of a random element
-    of <x, y>, or by Praeger and Saxl's bound once it passes 4^n; for a
-    proper subgroup its exact check ends the run, and the answer is
-    False.  An odd generator needs no refusal: A_n, with no odd element,
-    is the only subgroup of index 2 in S_n, so the answer is False again.
+    Jordan's theorem, from a p-cycle that is a power of a generator or
+    of a random element of <x, y>; for a proper subgroup its exact check
+    ends the run, and the answer is False.  An odd generator needs no
+    refusal: A_n, with no odd element, is the only subgroup of index 2
+    in S_n, so the answer is False again.
     No certificate rests on this check: the issuing path proves
     generation by Jordan's theorem from w's useful cycle, and `perm`
     imports no other module of the package, so the oracle reuses none of

@@ -509,14 +509,12 @@ class _Chain:
 
     def top(self):
         """The first level whose orbit is not full (the number of levels
-        if all are): levels 0..top-1 are closed, so any element of the
-        group strips through them."""
+        if all are)."""
         return self.open[0] if self.open else len(self.levels)
 
-    def sift(self, arr, start=0, stop=None):
-        """Strip arr through levels start..stop-1 (to the last level by
-        default); return (residue, level index where it dropped out, or
-        stop).
+    def sift(self, arr, start=0):
+        """Strip arr through levels start..last; return (residue, level
+        index where it dropped out, or the number of levels).
 
         Each strip multiplies by the inverse coset row of the base image:
         the level's kept row if verify() kept one, and otherwise the
@@ -524,9 +522,7 @@ class _Chain:
         building the row.  A strip builds no row.
         """
         levels = self.levels
-        if stop is None:
-            stop = len(levels)
-        for i in range(start, stop):
+        for i in range(start, len(levels)):
             lv = levels[i]
             base = lv.base
             pt = arr.item(base)
@@ -543,13 +539,12 @@ class _Chain:
                     inv = edge[pt]
                     arr = inv[arr]
                     pt = inv.item(pt)
-        return arr, stop
+        return arr, len(levels)
 
-    def add(self, arr, start=0):
-        """Sift from level `start` and, if a nontrivial residue remains,
-        extend the chain.  arr must fix the bases of the levels before
-        `start`."""
-        res, i = self.sift(arr, start)
+    def add(self, arr):
+        """Sift arr and, if a nontrivial residue remains, extend the
+        chain."""
+        res, i = self.sift(arr)
         while not is_identity_array(res):
             if i == len(self.levels):
                 # a new last level, whose tree is res's cycle through the
@@ -652,14 +647,6 @@ class _Walk:
                 state[i] = state[i][state[j]]
         self.acc = self.acc[state[rng.randrange(len(state))]]
 
-    def stripped(self, chain, start, stop):
-        """A new walk: every element stripped through levels
-        start..stop-1, all of them closed."""
-        return _Walk(
-            [chain.sift(x, start, stop)[0] for x in self.state],
-            chain.sift(self.acc, start, stop)[0],
-        )
-
 
 def group_order(gens, upper_bound=None):
     """Exact order of the group generated by gens (stabilizer chain).
@@ -672,45 +659,37 @@ def group_order(gens, upper_bound=None):
     S^(i).
 
     The result is always the exact order, and the run stops only on one
-    of four proofs; the first three rest on the orbit product never
-    exceeding |G|:
+    of three proofs:
     - the chain stops as soon as its order reaches n! (n!/2 when every
-      generator is even), a bound on |G|, and equality is a proof;
-    - once levels 0 and 1 are full, level 0's orbit has n points and
-      level 1's, under a subgroup of the point stabilizer, n - 1, so G
-      is 2-transitive and hence primitive.  Then two stops prove
-      A_n <= G, so that |G| is n!/2 if every generator is even, else n!:
-      - Jordan's: a generator, or a walk element that grew the chain,
-        has a cycle of prime length p <= n - 3 whose length divides no
-        other cycle's, so a power of it is a p-cycle, and a primitive
-        group holding one contains A_n (Wielandt, Finite Permutation
-        Groups, 1964, 13.9).  Only those elements are checked, once
-        each, and the check draws no random numbers, so a run is the
-        same run as without this stop, cut short;
-      - Praeger and Saxl's: the order exceeds 4^n, and a primitive group
-        of degree n not containing A_n has order below 4^n (Bull.
-        London Math. Soc. 12, 1980, whose proof does not use the
-        classification of finite simple groups);
-    - a chain that stops growing short of all of these, 24 random rounds
-      in a row, is finished off with the deterministic
-      Schreier-generator verification, which is complete because it
-      runs over all of S^(i) at each level i.  A "no" on an imprimitive
-      group, such as atlas map J, ends this way and is the slow case
-      (0.7 to 1.5 s for J on a 2-vCPU host).
+      generator is even), a bound on |G| that the orbit product never
+      exceeds, so equality is a proof;
+    - Jordan's stop: once levels 0 and 1 are full, level 0's orbit has
+      n points and level 1's, under a subgroup of the point stabilizer,
+      n - 1, so G is 2-transitive and hence primitive.  If then a
+      generator, or a walk element that grew the chain, has a cycle of
+      prime length p <= n - 3 whose length divides no other cycle's, a
+      power of it is a p-cycle, and a primitive group holding one
+      contains A_n (Wielandt, Finite Permutation Groups, 1964, 13.9), so
+      |G| is n!/2 if every generator is even, else n!.  Only those
+      elements are checked, once each, and the check draws no random
+      numbers, so a run is the same run as without this stop, cut short;
+    - a chain that stops growing short of both, 24 random rounds in a
+      row, is finished off with the deterministic Schreier-generator
+      verification, which is complete because it runs over all of
+      S^(i) at each level i.  A "no" on an imprimitive group, such as
+      atlas map J, ends this way and is the slow case.
     upper_bound is only a check: a proved order above it raises
     ValueError, as that bound was not valid.
 
-    Random elements come from one product-replacement walk (Celler,
-    Leedham-Green, Murray, Niemeyer and O'Brien, 1995).  The chain's
-    leading levels 0..top-1 close first, their orbits full, so every
-    element of G strips through them; the walk runs in G_top, the
-    stabilizer of their bases, and each time top rises its elements are
-    stripped through the newly closed levels only (random Schreier-Sims
-    in the point stabilizer, Seress 2003, 4.3).  A random element then
-    costs a few strips instead of one per closed level.  Exactness never
-    depends on the walk: every element fed in is a product of elements
-    of G, so the chain order stays a lower bound on |G|, and the result
-    is proved in one of the four ways above.
+    Random elements come from one product-replacement walk in G
+    (Celler, Leedham-Green, Murray, Niemeyer and O'Brien, 1995), each
+    fed to the chain from level 0.  A step replaces one element of the
+    walk's state by its product with another, so the state always
+    generates G and the walk cannot be caught in a proper subgroup, as a
+    walk stripped into a point stabilizer can, and then stall.
+    Exactness never depends on the walk: every element fed in is a
+    product of generators, so the chain order stays a lower bound on
+    |G|, and the result is proved in one of the three ways above.
 
     Memory: each level keeps a flat Schreier tree (Sims 1970), one list
     of n edges indexed by point, each None off the orbit or a reference
@@ -728,9 +707,8 @@ def group_order(gens, upper_bound=None):
     same array.  It also keeps an image list while a level it extends is
     open.  The walk holds 7 arrays of 8n bytes.
     The tracemalloc peak of an A_n proof, ended by the Jordan stop, is
-    0.07 MiB at n = 246 and 0.16 MiB at n = 589 (4 levels and 5 strong
-    generators instead of 587 levels); past 4^n alone it was 0.38 and
-    1.7 MiB (131 levels at n = 589).
+    0.06 MiB at n = 246 and 0.12 MiB at n = 589 (3 levels and 4 strong
+    generators instead of 587 levels).
     """
     gens = [g for g in gens if not g.is_identity()]
     if not gens:
@@ -742,44 +720,34 @@ def group_order(gens, upper_bound=None):
     # |<gens>| <= n!, or n!/2 if every generator is even: a chain reaching
     # it is complete, with no verification
     full = math.factorial(n) // (2 if all(g.is_even for g in gens) else 1)
-    primitive_cap = 4**n  # a primitive group without A_n is smaller
     chain = _Chain(n)
     # intp arrays, the dtype the chain's identity test compares against
     arrays = [g.array.astype(np.intp, copy=False) for g in gens]
     for arr in arrays:
         chain.add(arr)
 
-    # Product replacement in G_top, the stabilizer of the bases of the
-    # closed levels 0..top-1 (top = 0 at the start: in G)
+    # product replacement in G: each step keeps the state generating G
     state = list(arrays)
     while len(state) < 6:
         state.append(state[len(state) % len(arrays)])
     walk = _Walk(state, state[0])
     for _ in range(30):
         walk.step(rng)
-    top = 0
 
-    order = None  # set when the Praeger-Saxl or the Jordan stop proves A_n <= G
+    order = None  # set when the Jordan stop proves A_n <= G
     # whether G holds a p-cycle, p prime <= n - 3, as a power of a
     # generator or of a walk element that grew the chain
     p_cycle = any(_yields_prime_cycle(arr) for arr in arrays)
     streak = 0
     while chain.order < full:
-        if chain.top() >= 2 and (p_cycle or chain.order > primitive_cap):
+        if p_cycle and chain.top() >= 2:
             # levels 0 and 1 full: G is 2-transitive, so primitive, and
-            # either holds a p-cycle (Jordan) or is larger than any
-            # primitive group without A_n (Praeger-Saxl)
+            # holds a p-cycle (Jordan)
             order = full
             break
-        # step before stripping: the accumulator just added now strips
-        # to the identity through the levels it closed
         walk.step(rng)
-        closed = chain.top()
-        if closed > top:
-            walk = walk.stripped(chain, top, closed)
-            top = closed
         before = chain.order
-        chain.add(walk.acc, top)
+        chain.add(walk.acc)
         if chain.order == before:
             streak += 1
         else:

@@ -79,8 +79,9 @@ def test_certificate_members_are_read_only_by_certificate_maps():
 
 
 def test_group_order_is_used_only_by_the_oracle_and_the_atlas():
-    # the issuing path proves generation by Jordan's theorem; the oracle,
-    # which also rests on the Praeger-Saxl bound, stays a cross-check
+    # the issuing path proves generation by Jordan's theorem from w's
+    # useful cycle; the oracle, which finds its own p-cycle in a random
+    # walk, stays a cross-check
     found = set()
     imports = set()
     for path in sorted(SRC.glob("*.py")):

@@ -34,17 +34,9 @@ from perm_helpers import brute_enumerate, random_permutation
 
 
 # sha256 of the bounded proofs' orders and strong generating sets for the
-# 14 V_r maps, each chain ended by the 2-transitive stop past 4^n with the
-# Jordan stop switched off; see TestGroupOrder.test_bounded_proofs_are_pinned
-V_MAP_CHAINS = "5cb1dbe544efe169872f4b2c6141790d25fcfaa1000a25dfd8bafa1c81dec94c"
-
-
-@pytest.fixture
-def no_jordan(monkeypatch):
-    """group_order with its Jordan stop switched off: no element yields
-    a prime cycle, so a 2-transitive chain runs on past 4^n (Praeger and
-    Saxl), as the pinned chains below were built."""
-    monkeypatch.setattr(perm, "_yields_prime_cycle", lambda arr: False)
+# 14 V_r maps, each chain ended by the Jordan stop; see
+# TestGroupOrder.test_bounded_proofs_are_pinned
+V_MAP_CHAINS = "fda9cf490e8ade4c0f0751d471b6bc8f7c76e5c9403e71450b2031aa3dccb2f0"
 
 
 def random_even_permutation(n, rng):
@@ -284,43 +276,32 @@ class TestGroupOrder:
         # n = 246: every transversal row of the chain would take about
         # 60 MB; the flat trees, one edge list per level, with no rows
         # built in the random phase, one shared base row and one array per
-        # strong generator, peak near 0.07 MiB once the Jordan stop ends
-        # the chain (0.38 MiB past 4^n)
+        # strong generator, peak near 0.06 MiB once the Jordan stop ends
+        # the chain
         m = build_pair(ConstructionPlan(8, 3, "small_n")).w1
         assert traced_peak_order(m) < 1 * 2**20
 
     def test_chain_memory_largest_pair(self):
         # n = 589, the largest minimal, small or shortcut pair: every row
         # would take about 820 MB; the trees are one list of n edge
-        # references per level, and the 4 levels built before the Jordan
-        # stop peak near 0.16 MiB (131 levels past 4^n took 1.7 MiB)
+        # references per level, and the 3 levels built before the Jordan
+        # stop peak near 0.12 MiB
         m = build_pair(minimal_plan(1)).w1
         assert m.n == 589
-        assert traced_peak_order(m) < 2**19
+        assert traced_peak_order(m) < 2**18
 
-    @pytest.mark.usefixtures("no_jordan")
     def test_chain_stores_each_piece_once(self, monkeypatch):
-        # after a bounded proof for A_301, which the 2-transitive stop
-        # ends at 75 levels: a level's tree is its edge list
-        # alone, every level's base row and base edge are the chain's one
-        # read-only identity, each strong generator is kept only as the
-        # inverse array the trees' edges hold, and the bases and image
-        # lists refer to at most n int objects (Python caches only those
-        # to 256)
-        n = 301
-        chains = []
-
-        class Recorded(perm._Chain):
-            def __init__(self, degree):
-                super().__init__(degree)
-                chains.append(self)
-
-        monkeypatch.setattr(perm, "_Chain", Recorded)
-        gens = [from_cycles(n, [(0, 1, 2)]), from_cycles(n, [tuple(range(n))])]
-        target = math.factorial(n) // 2
-        assert group_order(gens, upper_bound=target) == target
+        # after map J's "no", which verify() finishes at 35 levels: a
+        # level's tree is its edge list alone, every level's base row and
+        # base edge are the chain's one read-only identity, each strong
+        # generator is kept only as the inverse array the trees' edges
+        # hold, and the bases and image lists refer to at most n int
+        # objects
+        chains = recorded_chains(monkeypatch)
+        m = basic_map("J")
+        group_order([m.x, m.y])
         (chain,) = chains
-        assert len(chain.levels) == 75
+        assert len(chain.levels) == 35
         for lv in chain.levels:
             assert not hasattr(lv, "parent") and not hasattr(lv, "orbit")
             assert lv.rows[lv.base] is chain._id and lv.edge[lv.base] is chain._id
@@ -329,9 +310,8 @@ class TestGroupOrder:
         assert all(id(inv) in edges for _, inv in chain.strong)
         points = {id(lv.base) for lv in chain.levels}
         points |= {id(pt) for lv in chain.levels for images, _ in lv.gens or () for pt in images}
-        assert len(points) <= n
+        assert len(points) <= m.n
 
-    @pytest.mark.usefixtures("no_jordan")
     def test_bounded_proofs_are_pinned(self, monkeypatch):
         # the orders and every strong generator, (entry level, inverse
         # array), of the bounded proofs for the 14 V_r maps (n = 36..216):
@@ -356,41 +336,6 @@ class TestGroupOrder:
                 digest.update(f"{tag}:".encode())
                 digest.update(inv.astype("<i8").tobytes())
         assert digest.hexdigest() == V_MAP_CHAINS
-
-    @pytest.mark.usefixtures("no_jordan")
-    def test_row_gathers_follow_short_paths(self, monkeypatch):
-        # n = 589: about 4.5k strips through a level apply the edges from
-        # the base image up to the base, and build no row; trees grown
-        # along the first generator's cycle walked 170,473 edges for such
-        # strips, the breadth-first trees about 55k
-        walked = []
-        sift = perm._Chain.sift
-
-        def counting(chain, arr, start=0, stop=None):
-            # each level through the real sift, counting the edges from
-            # the base image up to the base before it strips
-            stop = len(chain.levels) if stop is None else stop
-            for i in range(start, stop):
-                lv = chain.levels[i]
-                pt = arr.item(lv.base)
-                if lv.edge[pt] is None:
-                    return arr, i
-                if pt != lv.base:
-                    walked.append(tree_depth(lv, pt))
-                arr, _ = sift(chain, arr, i, i + 1)
-            return arr, stop
-
-        def no_row(lv, pt, rows):
-            raise AssertionError("the bounded path built a row")
-
-        monkeypatch.setattr(perm._Chain, "sift", counting)
-        monkeypatch.setattr(perm._Level, "row", no_row)
-        m = build_pair(minimal_plan(1)).w1
-        target = math.factorial(m.n) // 2
-        assert m.n == 589
-        assert group_order([m.x, m.y], upper_bound=target) == target
-        assert len(walked) > 1000
-        assert sum(walked) < 80_000
 
     def test_only_verify_keeps_rows(self, monkeypatch):
         # the random phase builds no row; verify() strips through the
@@ -447,52 +392,56 @@ class TestGroupOrder:
         ]
         assert group_order(gens) == 720
 
-    def test_matches_enumeration_sweep(self):
+    def test_matches_enumeration_sweep(self, monkeypatch):
         # group_order, and a bare chain finished by verify() alone, with
-        # no random elements to fill it first
+        # no random elements to fill it first.  Product replacement keeps
+        # the walk's state generating the group (Celler et al., 1995), so
+        # the last state of each run's walk generates a group of the order
+        # returned
+        walks = []
+
+        class Recorded(perm._Walk):
+            def __init__(self, state, acc):
+                super().__init__(state, acc)
+                walks.append(self)
+
+        monkeypatch.setattr(perm, "_Walk", Recorded)
         rng = random.Random(2017)
         for _ in range(300):
             n = rng.randrange(3, 8)
             gens = [random_permutation(n, rng) for _ in range(rng.randrange(1, 4))]
             want = len(brute_enumerate(gens))
+            walks.clear()
             assert group_order(gens) == want, gens
+            if walks:
+                state = [Permutation(x.tolist()) for x in walks[-1].state]
+                assert len(brute_enumerate(state)) == want, gens
             chain = chain_of(gens)
             while not chain.verify():
                 pass
             assert chain.order == want, gens
 
-    def test_random_phase_strips_below_closed_levels(self, monkeypatch):
-        # the levels each sift passes in all: 451 on this map; feeding
-        # every random element from level 0 passes 3,057, one per closed
-        # level on top of the few open ones
-        passed = []
-        sift = perm._Chain.sift
-
-        def counting(chain, arr, start=0, stop=None):
-            res, i = sift(chain, arr, start, stop)
-            passed.append(i - start)
-            return res, i
-
-        monkeypatch.setattr(perm._Chain, "sift", counting)
-        m = v_map(6)
-        target = math.factorial(m.n) // 2
-        assert m.n == 216
-        assert group_order([m.x, m.y], upper_bound=target) == target
-        assert sum(passed) < 1000
-
     def test_random_walk_never_stalls_on_other_seeds(self, monkeypatch):
-        # the random phase alone reaches a stop on all 1,480 runs, the 14
+        # the random phase alone reaches a stop on all 1,628 runs, the 14
         # V_r maps and both members of criterion 6's 30 pairs under rng
-        # seeds 0..19: a run that stalls falls back on the exact check,
-        # which fails the test here.  With the Praeger-Saxl stop alone,
-        # 11 of them stalled, at n = 246..459
-        def stalled(chain):
-            raise AssertionError("the random phase stalled short of n!/2")
+        # seeds 0..19, 198 and 225, within 16 levels (13 at most over
+        # seeds 0..299): a run that stalls falls back on the exact check,
+        # and a chain past 16 levels is lost, both failing the test here.
+        # On seeds 198 and 225 a walk stripped into a point stabilizer is
+        # caught in a proper subgroup, and its chain passes 200 levels
+        class Bounded(perm._Chain):
+            def _enter(self, res, i):
+                super()._enter(res, i)
+                if len(self.levels) > 16:
+                    raise AssertionError("the chain passed 16 levels")
 
-        monkeypatch.setattr(perm._Chain, "verify", stalled)
+            def verify(self):
+                raise AssertionError("the random phase stalled short of n!/2")
+
+        monkeypatch.setattr(perm, "_Chain", Bounded)
         maps = [v_map(r) for r in range(14)]
         maps += [m for pair in criterion_6_pairs() for m in (pair.w1, pair.w2)]
-        for seed in range(20):
+        for seed in [*range(20), 198, 225]:
             rng = SimpleNamespace(Random=lambda _, seed=seed: random.Random(seed))
             monkeypatch.setattr(perm, "random", rng)
             for m in maps:
@@ -511,8 +460,8 @@ def recorded_chains(monkeypatch):
             self.seen = []
             chains.append(self)
 
-        def add(self, arr, start=0):
-            super().add(arr, start)
+        def add(self, arr):
+            super().add(arr)
             self.seen.append((self.top(), self.order))
 
     monkeypatch.setattr(perm, "_Chain", Recorded)
@@ -520,27 +469,14 @@ def recorded_chains(monkeypatch):
 
 
 class TestPrimitiveStop:
-    """Levels 0 and 1 full make G 2-transitive, hence primitive, and a
-    primitive group not containing A_n has order below 4^n (Praeger and
-    Saxl 1980): once the orbit product passes 4^n, |G| is n!/2 or n!.
-    The tests that pass 4^n switch the Jordan stop off, which would end
-    their chains sooner."""
-
-    @pytest.mark.usefixtures("no_jordan")
-    def test_largest_minimal_member_stops_past_4_to_the_n(self, monkeypatch):
-        chains = recorded_chains(monkeypatch)
-        m = build_pair(minimal_plan(1)).w1
-        n = m.n
-        assert n == 589
-        assert group_order([m.x, m.y]) == math.factorial(n) // 2
-        (chain,) = chains
-        assert chain.top() >= 2
-        assert 4**n < chain.order < math.factorial(n) // 2
-        assert len(chain.levels) == 131
+    """The Jordan stop needs levels 0 and 1 full, which make G
+    2-transitive, hence primitive: a transitive group alone, or a chain
+    order past 4^n with level 1 open, proves nothing."""
 
     def test_imprimitive_group_passes_4_to_the_n_without_stopping(self, monkeypatch):
         # map J: the chain passes 4^72 while level 1 is still open, and
-        # <x, y> is a proper subgroup, so the stop needs level 1 full
+        # <x, y> is a proper subgroup; a stop on the order alone would
+        # answer A_72
         chains = recorded_chains(monkeypatch)
         m = basic_map("J")
         assert m.n == 72
@@ -550,7 +486,6 @@ class TestPrimitiveStop:
         assert any(top == 1 and seen > 4**72 for top, seen in chain.seen)
         assert chain.order == order
 
-    @pytest.mark.usefixtures("no_jordan")
     def test_odd_generators_give_the_symmetric_group(self, monkeypatch):
         chains = recorded_chains(monkeypatch)
         n = 12
@@ -558,9 +493,8 @@ class TestPrimitiveStop:
         assert group_order(gens) == math.factorial(n)
         (chain,) = chains
         assert chain.top() >= 2
-        assert 4**n < chain.order < math.factorial(n)
+        assert chain.order < math.factorial(n)
 
-    @pytest.mark.usefixtures("no_jordan")
     def test_bound_below_the_proved_order_raises(self, monkeypatch):
         chains = recorded_chains(monkeypatch)
         n = 101
@@ -570,7 +504,7 @@ class TestPrimitiveStop:
             group_order(gens, upper_bound=bound)
         (chain,) = chains
         assert chain.top() >= 2
-        assert 4**n < chain.order < bound
+        assert chain.order < bound
 
 
 class TestJordanStop:
@@ -580,8 +514,7 @@ class TestJordanStop:
     generator, or a walk element that grew the chain, has such a cycle
     as a power, |G| is n!/2 or n!."""
 
-    def test_largest_minimal_member_stops_at_four_levels(self, monkeypatch):
-        # the Praeger-Saxl stop alone builds 131 levels here
+    def test_largest_minimal_member_stops_at_three_levels(self, monkeypatch):
         chains = recorded_chains(monkeypatch)
         m = build_pair(minimal_plan(1)).w1
         n = m.n
@@ -590,7 +523,7 @@ class TestJordanStop:
         (chain,) = chains
         assert chain.top() >= 2
         assert chain.order < 4**n
-        assert len(chain.levels) == 4
+        assert len(chain.levels) == 3
 
     def test_transitive_imprimitive_group_with_p_cycles(self):
         # S_5 wr S_2 on 10 points, of order 2 * 120^2: transitive with the
@@ -622,20 +555,35 @@ class TestJordanStop:
         assert perm._yields_prime_cycle(parse_cycles(text, n).array) is want
 
     def test_only_elements_that_grew_the_chain_are_checked(self, monkeypatch):
-        # map A (PSL(2, 13) on 14 points): its two generators and the 3
-        # walk elements that grew the chain; its 7-elements have two
-        # 7-cycles, so no check says yes, and the run ends at 1092
+        # map A (PSL(2, 13) on 14 points): its two generators and each
+        # walk element that grew the chain, no more; its 7-elements have
+        # two 7-cycles, so no check says yes, and verify() ends the run
+        # at 1092
         checked = []
-        check = perm._yields_prime_cycle
+        grew = []  # per add before verify(), whether the order rose
+        check, add, verify = perm._yields_prime_cycle, perm._Chain.add, perm._Chain.verify
 
         def counting(arr):
             checked.append(arr)
             return check(arr)
 
+        def recorded(chain, *args):
+            before = chain.order
+            add(chain, *args)
+            grew.append(chain.order > before)
+
+        def verified(chain):
+            # the elements verify() adds are no walk elements
+            monkeypatch.setattr(perm._Chain, "add", add)
+            return verify(chain)
+
         monkeypatch.setattr(perm, "_yields_prime_cycle", counting)
+        monkeypatch.setattr(perm._Chain, "add", recorded)
+        monkeypatch.setattr(perm._Chain, "verify", verified)
         m = basic_map("A")
         assert group_order([m.x, m.y]) == 1092
-        assert 2 < len(checked) <= 5
+        assert any(grew[2:])
+        assert len(checked) == 2 + sum(grew[2:])
 
 
 def criterion_6_pairs():
@@ -692,13 +640,10 @@ class TestChain:
             pass
         assert chain.order == 24
 
-    @pytest.mark.usefixtures("no_jordan")
     def test_strong_generating_set_invariants(self, monkeypatch):
-        # the A_257 generators of test_alternating_at_row_dtype_switch; the
-        # invariants are checked every 8 additions, while levels still open
-        n = 257
+        # map J, whose "no" verify() finishes with 35 levels, 34 of them
+        # open; the invariants are checked every 8 additions
         chains = []
-        starts = []
 
         class Checked(perm._Chain):
             def __init__(self, degree):
@@ -706,27 +651,19 @@ class TestChain:
                 self.adds = 0
                 chains.append(self)
 
-            def add(self, arr, start=0):
-                # an element fed in below the closed levels must already
-                # fix their bases
-                bases = [lv.base for lv in self.levels[:start]]
-                assert (arr[bases] == bases).all()
-                starts.append(start)
-                super().add(arr, start)
+            def add(self, arr):
+                super().add(arr)
                 self.adds += 1
                 if self.adds % 8 == 0:
                     check_strong_generating_set(self)
 
         monkeypatch.setattr(perm, "_Chain", Checked)
-        gens = [from_cycles(n, [(0, 1, 2)]), from_cycles(n, [tuple(range(n))])]
-        target = math.factorial(n) // 2
-        assert group_order(gens, upper_bound=target) == target
+        m = basic_map("J")
+        assert group_order([m.x, m.y]) < math.factorial(m.n) // 2
         (chain,) = chains
         assert chain.adds > 8
-        # the random phase feeds the chain from below its closed levels,
-        # past half of the 66 that it builds before the 2-transitive stop
-        assert len(chain.levels) == 66
-        assert max(starts) > len(chain.levels) // 2
+        assert len(chain.levels) == 35
+        assert len(chain.open) == 34
         check_strong_generating_set(chain, every_row=True)
 
 
@@ -789,15 +726,6 @@ def bfs_distances(start, image_lists):
                 distance[images[pt]] = distance[pt] + 1
                 queue.append(images[pt])
     return distance
-
-
-def tree_depth(lv, pt):
-    """The number of edges from pt up to the base of the level's tree."""
-    depth = 0
-    while pt != lv.base:
-        pt = lv.edge[pt].item(pt)
-        depth += 1
-    return depth
 
 
 # -- kernels against a pure-Python reference ----------------------------------
