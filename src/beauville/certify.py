@@ -81,7 +81,10 @@ def jordan_certify(m, p):
     `HurwitzMap.jordan_cycle`.  (i) holds for every map, so it is not
     re-checked: a map is only built after it passes
     `HurwitzMap._validate`, which refuses an intransitive <x, y>, or
-    relabels one that has.
+    relabels one that has.  It takes the p-cycle and its witnesses from
+    `jordan_cycle`, checks that x and y are even, and states w's cycle
+    type from the vector pass `jordan_cycle` memoized on w; no other
+    cycle of w is walked.
     """
     try:
         u = m.jordan_cycle(p)
@@ -95,7 +98,7 @@ def jordan_certify(m, p):
         cycle=u.cycle,
         x_witness=u.x_witness,
         y_witness=u.y_witness,
-        w_cycle_type=m.w_cycles.lengths(),
+        w_cycle_type=m.w.cycle_type().lengths,
         conclusion=(
             f"<x,y,t> >= A_{m.n}; x, y even and [<x,y,t>:<x,y>] <= 2, "
             f"so <x,y> = A_{m.n}"

@@ -271,32 +271,37 @@ class HurwitzMap:
     @cached_property
     def _useful_cycles(self):
         xa, ya = self.x.array.tolist(), self.y.array.tolist()
-        handle_pts = self.handle_points
-        out = []
-        for cyc in self.w_cycles:
-            members = set(cyc)
-            x_wit = None
-            y_wit = None
-            for pt in sorted(members):
-                if x_wit is None and xa[pt] in members:
-                    if not (xa[pt] == pt and pt in handle_pts):
-                        x_wit = pt
-                if y_wit is None and ya[pt] in members:
-                    y_wit = pt
-                if x_wit is not None and y_wit is not None:
-                    break
+        found = (self._useful(cyc, xa, ya) for cyc in self.w_cycles)
+        return tuple(u for u in found if u is not None)
+
+    def _useful(self, cyc, xa, ya):
+        """The w-cycle cyc as a UsefulCycle with its least witnesses, or
+        None when it lacks one; xa and ya are the image lists of x and y.
+        handle_points is read only for a fixed point of x in cyc."""
+        members = set(cyc)
+        x_wit = None
+        y_wit = None
+        for pt in sorted(members):
+            if x_wit is None and xa[pt] in members:
+                if not (xa[pt] == pt and pt in self.handle_points):
+                    x_wit = pt
+            if y_wit is None and ya[pt] in members:
+                y_wit = pt
             if x_wit is not None and y_wit is not None:
-                out.append(UsefulCycle(cyc, x_wit, y_wit))
-        return tuple(out)
+                return UsefulCycle(cyc, x_wit, y_wit)
+        return None
 
     def jordan_cycle(self, p):
         """The useful w-cycle of prime length p that Jordan's theorem needs.
 
         Hypotheses: (ii) some w-cycle has prime length p <= n-3; (iii) p
         is coprime to every other cycle length of w; (iv) that cycle is
-        useful.  Raises MapError naming the first that fails.
+        useful.  Raises MapError naming the first that fails.  (ii) and
+        (iii) read w's cycle type, from one vector pass; then only the
+        one p-cycle is walked and tested for usefulness, and the handles
+        are found only if a fixed point of x is a candidate x-witness.
         """
-        lengths = self.w_cycles.lengths()
+        lengths = self.w.cycle_type().lengths
         if not is_prime(p):
             raise MapError(f"hypothesis (ii): {p} is not prime")
         if p not in lengths:
@@ -309,10 +314,12 @@ class HurwitzMap:
         bad = [l for l in lengths if l % p == 0][1:]
         if bad:
             raise MapError(f"hypothesis (iii): p = {p} not coprime to cycle length {bad[0]}")
-        useful = [u for u in self.useful_cycles() if len(u) == p]
-        if not useful:
+        # by (iii) there is exactly one p-cycle
+        (cyc,) = self.w.cycles_of_length(p)
+        useful = self._useful(cyc, self.x.array.tolist(), self.y.array.tolist())
+        if useful is None:
             raise MapError(f"hypothesis (iv): the {p}-cycle is not useful")
-        return useful[0]
+        return useful
 
     def useful_lengths(self):
         return tuple(sorted(len(c) for c in self.useful_cycles()))

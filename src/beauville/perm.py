@@ -33,16 +33,18 @@ class Permutation:
     """A bijection on {0..n-1}, stored as its read-only array of images.
 
     Permutations are immutable, so each one memoizes what it learns of its
-    cycles.  `order`, `cycle_type`, `is_even` and `parity` read the cycle
-    lengths, which one vector pass finds (`_cycle_lengths`) without
-    visiting the points one by one; `cycles` and `cycle_string`, which
-    need the points, read one walk of the cycles (`_walk_cycles`).
+    cycles.  One vector pass (`_cycle_counts`), which visits no point one
+    by one, finds each cycle's least point and its length there; `order`,
+    `cycle_type`, `is_even`, `parity` and `cycles_of_length` read that.
+    `cycles` and `cycle_string`, which need every point, read one walk of
+    the cycles (`_walk_cycles`); `cycles_of_length` walks only the cycles
+    it returns.
     Every constructor stores an int64 array, and equality and hash both
     read its bytes: two permutations are equal when their stored hashes
     and image bytes are, so permutations of different degrees never are.
     """
 
-    __slots__ = ("_arr", "_hash", "_cycles", "_lengths", "_ctype")
+    __slots__ = ("_arr", "_hash", "_cycles", "_counts", "_ctype")
 
     def __init__(self, images):
         # a copy: the caller's array stays its own, writable and unaliased
@@ -59,7 +61,7 @@ class Permutation:
         arr.setflags(write=False)
         self._arr = arr
         self._hash = hash(arr.tobytes())
-        self._cycles = self._lengths = self._ctype = None
+        self._cycles = self._counts = self._ctype = None
 
     @classmethod
     def _trusted(cls, arr):
@@ -68,7 +70,7 @@ class Permutation:
         arr.setflags(write=False)
         self._arr = arr
         self._hash = hash(arr.tobytes())
-        self._cycles = self._lengths = self._ctype = None
+        self._cycles = self._counts = self._ctype = None
         return self
 
     @property
@@ -132,11 +134,16 @@ class Permutation:
             self._cycles = _walk_cycles(self._arr.tolist())
         return self._cycles
 
+    def _all_counts(self):
+        # The memoized length of each cycle at its least point, 0 elsewhere.
+        if self._counts is None:
+            self._counts = _cycle_counts(self._arr)
+        return self._counts
+
     def _all_lengths(self):
-        # The memoized lengths of every cycle, fixed points included.
-        if self._lengths is None:
-            self._lengths = _cycle_lengths(self._arr)
-        return self._lengths
+        # The lengths of every cycle, fixed points included.
+        counts = self._all_counts()
+        return counts[counts > 0]
 
     def cycles(self, include_fixed=False):
         """Disjoint cycles, each rotated to start at its least point,
@@ -144,6 +151,21 @@ class Permutation:
         if include_fixed:
             return list(self._all_cycles())
         return [c for c in self._all_cycles() if len(c) > 1]
+
+    def cycles_of_length(self, k):
+        """The cycles of length k, fixed points too when k is 1, each
+        rotated to start at its least point, ordered by that least point.
+        Walks only their points."""
+        images = self._arr.tolist()
+        out = []
+        for start in np.flatnonzero(self._all_counts() == k).tolist():
+            cyc = [start]
+            pt = images[start]
+            while pt != start:
+                cyc.append(pt)
+                pt = images[pt]
+            out.append(tuple(cyc))
+        return out
 
     def cycle_type(self):
         if self._ctype is None:
@@ -181,9 +203,8 @@ class Permutation:
         cycs = self.cycles()
         if not cycs:
             return "id"
-        # str((0, 1, 2)) is "(0, 1, 2)"; without its commas it is the
-        # notation (cycles() leaves out 1-cycles, whose str is "(5,)").
-        return "".join(map(str, cycs)).replace(",", "")
+        template = "".join(map(_cycle_template, map(len, cycs)))
+        return template % tuple(itertools.chain.from_iterable(cycs))
 
     def __repr__(self):
         return f"Permutation[{self.degree}] {self.cycle_string()}"
@@ -213,7 +234,8 @@ class CycleType:
 
 def _walk_cycles(images):
     """Every cycle of the image list, fixed points included, each starting
-    at its least point and ordered by it.  The package's one cycle walk."""
+    at its least point and ordered by it.  The package's one walk of
+    every cycle."""
     seen = bytearray(len(images))
     out = []
     for start, pt in enumerate(images):
@@ -228,10 +250,24 @@ def _walk_cycles(images):
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def _cycle_template(k):
+    # "(%d %d %d)" for k = 3: a k-cycle's text, given its points
+    return "(" + " ".join(["%d"] * k) + ")"
+
+
 def _cycle_lengths(arr):
     """The length of every cycle of an image array, fixed points included,
     ordered by least point, as an int64 array: map(len, _walk_cycles)
-    without a Python step per point.
+    without a Python step per point."""
+    counts = _cycle_counts(arr)
+    return counts[counts > 0]
+
+
+def _cycle_counts(arr):
+    """For each point of an image array, the length of its cycle if it is
+    that cycle's least point, else 0, as an int64 array of the array's
+    size.
 
     Pointer doubling (Hillis and Steele, "Data parallel algorithms",
     CACM 29(12), 1986): after round r, lab[a] is the least point among
@@ -250,8 +286,7 @@ def _cycle_lengths(arr):
             break
         total = after
         p = p[p]
-    counts = np.bincount(lab)
-    return counts[counts > 0]
+    return np.bincount(lab, minlength=arr.size)
 
 
 @lru_cache(maxsize=4)

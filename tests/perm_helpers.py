@@ -2,8 +2,9 @@
 an enumeration oracle independent of the package's own."""
 
 import random
+from operator import itemgetter
 
-from beauville.perm import Permutation, identity
+from beauville.perm import Permutation
 
 
 def random_permutation(n, rng=None):
@@ -13,18 +14,29 @@ def random_permutation(n, rng=None):
     return Permutation(images)
 
 
-def brute_enumerate(gens):
-    """Independent oracle: full closure under right multiplication."""
+def brute_closure(gens):
+    """Independent oracle: the image tuples of the closure of gens under
+    right multiplication, taken on tuples: p * g sends a to g[p[a]]."""
     n = gens[0].degree
-    seen = {identity(n)}
-    frontier = [identity(n)]
+    images = [g.images for g in gens]
+    start = tuple(range(n))
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
         for p in frontier:
-            for g in gens:
-                q = p * g
+            # itemgetter of one point returns that point, not a 1-tuple;
+            # on one point every permutation is the identity, so p * g = g
+            times = itemgetter(*p) if n > 1 else tuple
+            for g in images:
+                q = times(g)
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
     return seen
+
+
+def brute_enumerate(gens):
+    """brute_closure's elements as Permutations."""
+    return set(map(Permutation, brute_closure(gens)))

@@ -1,9 +1,10 @@
+import itertools
 import json
 
 import pytest
 
-from beauville import certify, construct, linlift
-from beauville.atlas import basic_map
+from beauville import certify, construct, linlift, maps, perm
+from beauville.atlas import BASIC_MAP_IDS, basic_map
 from beauville.cli import main
 from beauville.certify import (
     CertificationError,
@@ -17,10 +18,10 @@ from beauville.certify import (
     min_degree_search,
     verify_certificate,
 )
-from beauville.compose import eval_expr, self_join
+from beauville.compose import CompositionError, eval_expr, self_join
 from beauville.construct import ConstructionPlan, MapPair, build_pair, minimal_plan
-from beauville.maps import new_map
-from beauville.perm import from_cycles
+from beauville.maps import MapError, UsefulCycle, new_map
+from beauville.perm import Permutation, from_cycles, is_prime
 
 
 class TestJordan:
@@ -60,6 +61,130 @@ class TestJordan:
         assert cert.n == 294 and cert.prime == 17
         assert len(cert.cycle) == 17
         assert cert.conclusion.endswith("<x,y> = A_294")
+
+
+def reference_jordan_cycle(m, p):
+    """jordan_cycle by the route that walks every cycle of w: the lengths
+    from WCycles, and the cycle from every useful cycle of w."""
+    lengths = m.w_cycles.lengths()
+    if not is_prime(p):
+        raise MapError(f"hypothesis (ii): {p} is not prime")
+    if p not in lengths:
+        raise MapError(
+            f"hypothesis (ii): no w-cycle of length {p} (cycle type {list(lengths)})"
+        )
+    if p > m.n - 3:
+        raise MapError(f"hypothesis (ii): p = {p} > n - 3 = {m.n - 3}")
+    bad = [l for l in lengths if l % p == 0][1:]
+    if bad:
+        raise MapError(f"hypothesis (iii): p = {p} not coprime to cycle length {bad[0]}")
+    useful = [u for u in m.useful_cycles() if len(u) == p]
+    if not useful:
+        raise MapError(f"hypothesis (iv): the {p}-cycle is not useful")
+    return useful[0]
+
+
+def _outcome(route, m, p):
+    try:
+        return route(m, p)
+    except MapError as exc:
+        return (type(exc), str(exc))
+
+
+def _relabelled_b():
+    """Map B with the points 0 and 11 swapped: the handle point 11 becomes
+    the least point of the useful 5-cycle of w."""
+    m = basic_map("B")
+    images = list(range(m.n))
+    images[0], images[11] = 11, 0
+    sigma = Permutation(images)
+    return new_map(m.n, *(g.conjugate_by(sigma) for g in (m.x, m.y, m.t)))
+
+
+@pytest.fixture(scope="module")
+def jordan_maps():
+    """The atlas maps, V_0..V_13, X_1, X_2, every composable two-piece
+    chain P(k)Q, the members of the 14 minimal pairs and of their 14
+    covers, and B relabelled, by name."""
+    got = {mid: basic_map(mid) for mid in BASIC_MAP_IDS}
+    got.update((f"V_{r}", construct.v_map(r)) for r in range(14))
+    got.update((f"X_{i}", construct.x_map(i)) for i in (1, 2))
+    for a, k, b in itertools.product(BASIC_MAP_IDS, (1, 2, 3), BASIC_MAP_IDS):
+        try:
+            got[f"{a}({k}){b}"] = eval_expr(f"{a}({k}){b}")
+        except CompositionError:
+            pass
+    for r in range(14):
+        for kind, pair in (
+            ("minimal", build_pair(minimal_plan(r))),
+            ("cover", certify_cover(minimal_plan(r)).base.pair),
+        ):
+            got[f"{kind} r={r} W_1"], got[f"{kind} r={r} W_2"] = pair.w1, pair.w2
+    got["B relabelled"] = _relabelled_b()
+    return got
+
+
+class TestJordanCycleRoutes:
+    """jordan_cycle reads w's cycle type and walks only its p-cycle; the
+    reference walks every cycle of w and finds every useful cycle."""
+
+    def test_same_cycle_or_same_refusal_for_every_prime(self, jordan_maps):
+        # of the 146 pairs of maps with a (k)-handle each, the 13 that
+        # join B's one (2)-handle pick one without a reflection pair
+        assert len(jordan_maps) == 14 + 14 + 2 + 133 + 56 + 1
+        issued = 0
+        for name, m in jordan_maps.items():
+            for p in filter(is_prime, range(2, m.n + 1)):
+                got = _outcome(maps.HurwitzMap.jordan_cycle, m, p)
+                assert got == _outcome(reference_jordan_cycle, m, p), (name, p)
+                issued += isinstance(got, UsefulCycle)
+        assert issued == 198
+
+    def test_handle_point_exclusion_moves_the_x_witness_on_a_5_cycle(self):
+        # unexcluded, the least point 0 of the cycle would be its x-witness
+        u = _relabelled_b().jordan_cycle(5)
+        assert u == UsefulCycle((0, 10, 5, 11, 7), x_witness=5, y_witness=10)
+
+
+class TestWorkCounts:
+    """Certificates read w's cycle type, not its cycles: no re-verification
+    walks a cycle or finds useful cycles, and issuing walks only the
+    cycles of the x, y and t texts."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        got = {"walks": 0, "useful": 0}
+        real_walk = perm._walk_cycles
+        useful = maps.HurwitzMap.__dict__["_useful_cycles"]
+        real_useful = useful.func
+
+        def counting_walk(images):
+            got["walks"] += 1
+            return real_walk(images)
+
+        def counting_useful(m):
+            got["useful"] += 1
+            return real_useful(m)
+
+        monkeypatch.setattr(perm, "_walk_cycles", counting_walk)
+        monkeypatch.setattr(useful, "func", counting_useful)
+        return got
+
+    @pytest.fixture(scope="class")
+    def minimal_texts(self):
+        return [certificate_to_json(certify_dhb(minimal_plan(r))) for r in range(14)]
+
+    def test_reverifying_walks_no_cycle(self, minimal_texts, spies):
+        assert all(verify_certificate(text) for text in minimal_texts)
+        assert spies == {"walks": 0, "useful": 0}
+
+    def test_issuing_walks_the_six_generator_texts(self, minimal_texts, spies):
+        plan = minimal_plan(0)
+        certificate_to_json(certify_dhb(plan))
+        spies["walks"] = 0
+        # one walk per cycle text: x, y and t of each member
+        assert certificate_to_json(certify_dhb(plan)) == minimal_texts[0]
+        assert spies == {"walks": 6, "useful": 0}
 
 
 class TestBeauville:

@@ -30,7 +30,7 @@ from beauville.perm import (
 )
 
 from frozen_parse_cycles import parse_cycles as frozen_parse_cycles
-from perm_helpers import brute_enumerate, random_permutation
+from perm_helpers import brute_closure, random_permutation
 
 
 # sha256 of the bounded proofs' orders and strong generating sets for the
@@ -195,7 +195,7 @@ class TestTransitivity:
 class TestGroupOrder:
     def test_a5(self):
         gens = [parse_cycles("(0 1 2 3 4)", 5), parse_cycles("(0 1 2)", 5)]
-        assert len(brute_enumerate(gens)) == 60
+        assert len(brute_closure(gens)) == 60
         assert group_order(gens) == 60
 
     def test_trivial_and_small(self):
@@ -219,14 +219,14 @@ class TestGroupOrder:
             ),
         ]
         for gens, want in cases:
-            assert group_order(gens) == want == len(brute_enumerate(gens))
+            assert group_order(gens) == want == len(brute_closure(gens))
 
     def test_matches_enumeration_on_random_groups(self):
         rng = random.Random(5)
         for _ in range(20):
             n = rng.randrange(3, 8)
             gens = [random_permutation(n, rng) for _ in range(2)]
-            assert group_order(gens) == len(brute_enumerate(gens))
+            assert group_order(gens) == len(brute_closure(gens))
 
     def test_valid_bound_gives_the_order(self):
         n = 30
@@ -410,12 +410,12 @@ class TestGroupOrder:
         for _ in range(300):
             n = rng.randrange(3, 8)
             gens = [random_permutation(n, rng) for _ in range(rng.randrange(1, 4))]
-            want = len(brute_enumerate(gens))
+            want = len(brute_closure(gens))
             walks.clear()
             assert group_order(gens) == want, gens
             if walks:
                 state = [Permutation(x.tolist()) for x in walks[-1].state]
-                assert len(brute_enumerate(state)) == want, gens
+                assert len(brute_closure(state)) == want, gens
             chain = chain_of(gens)
             while not chain.verify():
                 pass
@@ -822,20 +822,20 @@ class TestKernelsAgainstReference:
 class TestCycleMemo:
     @pytest.fixture
     def passes(self, monkeypatch):
-        """The degree of each cycle walk and of each cycle-length pass."""
+        """The degree of each cycle walk and of each vector pass."""
         got = SimpleNamespace(walks=[], lengths=[])
-        real_walk, real_lengths = perm._walk_cycles, perm._cycle_lengths
+        real_walk, real_counts = perm._walk_cycles, perm._cycle_counts
 
         def counting_walk(images):
             got.walks.append(len(images))
             return real_walk(images)
 
-        def counting_lengths(arr):
+        def counting_counts(arr):
             got.lengths.append(arr.size)
-            return real_lengths(arr)
+            return real_counts(arr)
 
         monkeypatch.setattr(perm, "_walk_cycles", counting_walk)
-        monkeypatch.setattr(perm, "_cycle_lengths", counting_lengths)
+        monkeypatch.setattr(perm, "_cycle_counts", counting_counts)
         return got
 
     def test_lengths_come_from_one_pass_and_no_walk(self, passes):
