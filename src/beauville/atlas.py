@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import _atlas_data
 from .maps import map_from_doc
-from .perm import group_order
+from .perm import closure
 
 __all__ = [
     "BASIC_MAP_IDS",
@@ -105,7 +105,8 @@ def validate_atlas():
     definition.  (The published marking is a curated subset: cycles such
     as the 13-cycle of map A carry witnesses yet are not marked.)  All
     other fields must match exactly; map A additionally has its monodromy
-    group order checked against 1092.
+    group order, counted by its closure up to 1092 elements, checked
+    against 1092.
     """
     results = {}
     for mid in BASIC_MAP_IDS:
@@ -125,7 +126,12 @@ def validate_atlas():
         fields["useful_lengths"] = (contained, ul, row.useful_lengths)
         fields["genus"] = (m.genus() == 0, m.genus(), 0)
         if mid == "A":
-            order = group_order([m.x, m.y])
+            # counted under a cap of the published order: a larger group
+            # reads as a failed field
+            try:
+                order = len(closure([m.x, m.y], MAP_A_GROUP_ORDER))
+            except ValueError:
+                order = f"> {MAP_A_GROUP_ORDER}"
             fields["group_order"] = (order == MAP_A_GROUP_ORDER, order, MAP_A_GROUP_ORDER)
         results[mid] = fields
     return AtlasReport(results)

@@ -10,26 +10,18 @@ and every hypothesis needed to re-verify them offline.
 One derivation defines a certificate: the issuers run it on the pairs
 they build, and `verify_certificate` on the maps a document embeds,
 comparing the document it would issue with the stated one.
-
-An independent stabilizer-chain oracle cross-checks |<x, y>| = n!/2;
-production certificates never depend on it.  It too may end on Jordan's
-theorem, but on its own evidence: a p-cycle that is a power of a random
-element of <x, y>, not of w, and primitivity from its chain's
-2-transitivity, not from the useful-cycle witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import asdict, dataclass
 
 from .atlas import basic_map
 from .construct import ConstructionPlan, MapPair, build_pair, with_free_stock_handles
 from .compose import k_compose, pick_handle, self_join
 from .maps import FieldError, MapError, map_doc, map_from_doc
-from .perm import group_order
 
 __all__ = [
     "CertificationError",
@@ -43,7 +35,6 @@ __all__ = [
     "min_degree_search",
     "CoverCertificate",
     "certify_cover",
-    "alternating_order_oracle",
     "verify_certificate",
     "certificate_to_json",
     "certificate_from_json",
@@ -202,23 +193,6 @@ def _dhb_certificate(pair, v_expected):
 def certify_dhb(plan):
     """Build the plan's pair and certify both generation and Beauville."""
     return _dhb_certificate(build_pair(plan), DHB_V_DIFFERENCE)
-
-
-def alternating_order_oracle(m):
-    """Independent stabilizer-chain check that |<x, y>| = n!/2, proved
-    by `group_order`: its chain reaches n!/2, or shows <x, y>
-    2-transitive, hence primitive, and then finds A_n <= <x, y> by
-    Jordan's theorem, from a p-cycle that is a power of a generator or
-    of a random element of <x, y>; for a proper subgroup its exact check
-    ends the run, and the answer is False.  An odd generator needs no
-    refusal: A_n, with no odd element, is the only subgroup of index 2
-    in S_n, so the answer is False again.
-    No certificate rests on this check: the issuing path proves
-    generation by Jordan's theorem from w's useful cycle, and `perm`
-    imports no other module of the package, so the oracle reuses none of
-    that evidence.
-    """
-    return group_order([m.x, m.y]) == math.factorial(m.n) // 2
 
 
 # -- minimum degree search -----------------------------------------------------

@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .perm import Permutation, _read_cycles, parse_cycles
+from .perm import _read_cycles, enumerate_group, parse_cycles
 
 __all__ = [
     "TableError",
@@ -346,36 +346,7 @@ def class_sum_coefficient(table, x_name, y_name, z_name):
 
 
 # -- enumeration oracle ---------------------------------------------------------
-
-
-def enumerate_group(gens, cap=10_000):
-    """All elements of <gens> as Permutations, sorted by their images;
-    raises if the order exceeds the cap.
-
-    A breadth-first search from the identity on int64 image arrays, in
-    which a product is new when its image bytes are.  One Permutation is
-    made per element at the end, in np.lexsort order of the images.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = gens[0].degree
-    for g in gens:
-        if g.degree != n:
-            raise ValueError(f"degree mismatch: {n} vs {g.degree}")
-    found = [np.arange(n, dtype=np.int64)]
-    seen = {found[0].tobytes()}
-    for p in found:  # the loop also visits what it appends: breadth-first
-        for g in gens:
-            q = g.array[p]
-            key = q.tobytes()
-            if key not in seen:
-                if len(seen) >= cap:
-                    raise ValueError(f"group order exceeds the cap {cap}")
-                seen.add(key)
-                found.append(q)
-    order = np.lexsort(np.stack(found).T[::-1])
-    return [Permutation._trusted(found[i]) for i in order.tolist()]
+# The elements come from perm.enumerate_group, the package's one enumerator.
 
 
 def conjugacy_classes(elements, gens):

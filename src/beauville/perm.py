@@ -3,6 +3,12 @@
 Permutations act on the right: the image of a point ``a`` under ``p`` is
 ``p[a]``, and products compose left to right, so ``(p * q)[a] == q[p[a]]``.
 All values are immutable; every operation returns a new permutation.
+
+The module also holds an exact group-order oracle, `group_order`, which
+imports nothing else of the package.  It proves A_n <= G by the giant
+test, a cycle of prime length p with n/2 < p <= n - 3 met by a random
+walk in a transitive G, and otherwise counts G's `closure` up to
+CLOSURE_CAP elements; `enumerate_group` lists that closure.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import math
 import random
 from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -24,6 +31,8 @@ __all__ = [
     "is_transitive",
     "orbit",
     "group_order",
+    "closure",
+    "enumerate_group",
     "is_prime",
     "prime_divisors",
 ]
@@ -256,14 +265,6 @@ def _cycle_template(k):
     return "(" + " ".join(["%d"] * k) + ")"
 
 
-def _cycle_lengths(arr):
-    """The length of every cycle of an image array, fixed points included,
-    ordered by least point, as an int64 array: map(len, _walk_cycles)
-    without a Python step per point."""
-    counts = _cycle_counts(arr)
-    return counts[counts > 0]
-
-
 def _cycle_counts(arr):
     """For each point of an image array, the length of its cycle if it is
     that cycle's least point, else 0, as an int64 array of the array's
@@ -455,218 +456,66 @@ def is_transitive(gens, n):
     return len(orbit(gens, 0)) == n
 
 
-_ROW_CACHE_BYTES = 2**27  # verify() keeps rows for later strips up to this
+# group_order's giant test walks at most WALK_STEPS steps; otherwise it
+# counts the group's closure up to CLOSURE_CAP elements
+WALK_STEPS = 1000
+CLOSURE_CAP = 28_800
 
 
-class _Level:
-    __slots__ = ("base", "edge", "size", "rows", "gens")
+def closure(gens, cap):
+    """The elements of <gens> as a list of image tuples, so its length is
+    the group's order; raises ValueError once the order passes cap.
 
-    def __init__(self, base, identity):
-        self.base = base
-        # flat Schreier tree (Sims 1970), indexed by point: edge[pt] is
-        # None off the orbit, and otherwise the inverse array of a
-        # generator g with parent^g = pt, so edge[pt][pt] is pt's parent.
-        # The base's edge is the chain's one read-only identity, so the
-        # base is its own parent.  While the level is open the tree is
-        # breadth-first over all of its generators
-        self.edge = [None] * len(identity)
-        self.edge[base] = identity
-        self.size = 1  # the number of orbit points
-        # point -> inverse of a coset representative u with base^u =
-        # point: the base's row, the identity, and the rows verify() kept
-        self.rows = {base: identity}
-        # (image list, inverse array) of each generator of S^(i), shared
-        # with the other levels; None once the orbit is full
-        self.gens = []
-
-    def extend(self, gen):
-        """Add a generator of S^(i) and rebuild the flat tree
-        breadth-first from the base over all the generators (Seress 2003,
-        4.4), so each path is a shortest word in them; only extending the
-        old tree would keep its paths along the first generator's cycle.
-        One queue loop builds the edges; with one generator it walks that
-        generator's cycle.  Rows kept by verify() stay valid, each the
-        inverse of some element taking the base to its point."""
-        self.gens.append(gen)
-        gens = self.gens
-        base = self.base
-        edge = [None] * len(self.edge)
-        edge[base] = self.edge[base]
-        queue = [base]
-        for pt in queue:  # the loop also visits what it appends
-            for images, inv in gens:
-                img = images[pt]
-                if edge[img] is None:
-                    edge[img] = inv
-                    queue.append(img)
-        self.edge, self.size = edge, len(queue)
-
-    def row(self, pt, rows):
-        """The inverse coset row of an orbit point: walk up the tree to
-        the nearest point with a row in `rows`, then gather down from it
-        (u_pt = u_parent * g along each edge)."""
-        edge = self.edge
-        path = []
-        row = rows.get(pt)
-        while row is None:
-            inv = edge[pt]
-            path.append(inv)
-            pt = inv.item(pt)
-            row = rows.get(pt)
-        for inv in reversed(path):
-            row = row[inv]
-        return row
+    The list grows from the identity, and each element in it is taken
+    once times every generator g: g * p sends a to p[g[a]], so its
+    images are p's at g's, one call of g's itemgetter.  It holds at most
+    cap tuples of n points."""
+    gens = list(gens)
+    if not gens:
+        raise ValueError("need at least one generator")
+    n = gens[0].degree
+    for g in gens:
+        if g.degree != n:
+            raise ValueError(f"degree mismatch: {n} vs {g.degree}")
+    elements = [tuple(range(n))]
+    if n == 1:  # itemgetter of one point returns it, not a 1-tuple
+        return elements
+    times = [itemgetter(*g.images) for g in gens]
+    seen = set(elements)
+    done = 0
+    while done < len(elements):
+        layer = elements[done:]
+        done = len(elements)
+        for g_times in times:
+            for q in map(g_times, layer):
+                if q not in seen:
+                    if len(elements) >= cap:
+                        raise ValueError(f"group order exceeds the cap {cap}")
+                    seen.add(q)
+                    elements.append(q)
+    return elements
 
 
-class _Chain:
-    """Stabilizer chain on one strong generating set S.
-
-    Each strong generator is tagged with the level i where it entered: it
-    fixes the bases b_0..b_{i-1} and moves b_i.  S^(i), the generators of
-    level i or deeper, is thus S intersected with the stabilizer of
-    b_0..b_{i-1}, and level i's orbit is closed under S^(i).
-    """
-
-    def __init__(self, n):
-        self.n = n
-        self.levels = []
-        # (entry level, inverse array) per strong generator: the array
-        # the trees' edges hold; S^(i) and its inverses generate one group
-        self.strong = []
-        self.open = []  # indices of the levels whose orbit is not yet full
-        self.order = 1  # product of the basic orbit sizes, kept by add
-        self.kept = 0  # bytes of the levels' kept rows, base rows aside
-        self._id = np.arange(n, dtype=np.intp)
-        self._id.flags.writeable = False
-        # the ints 0..n-1, one object each: the bases and every open
-        # level's image lists refer to these
-        self._ints = np.arange(n, dtype=object)
-
-    def top(self):
-        """The first level whose orbit is not full (the number of levels
-        if all are)."""
-        return self.open[0] if self.open else len(self.levels)
-
-    def sift(self, arr, start=0):
-        """Strip arr through levels start..last; return (residue, level
-        index where it dropped out, or the number of levels).
-
-        Each strip multiplies by the inverse coset row of the base image:
-        the level's kept row if verify() kept one, and otherwise the
-        tree's edges applied to arr on the way up, the same gathers as
-        building the row.  A strip builds no row.
-        """
-        levels = self.levels
-        for i in range(start, len(levels)):
-            lv = levels[i]
-            base = lv.base
-            pt = arr.item(base)
-            if pt == base:
-                continue
-            edge = lv.edge
-            if edge[pt] is None:
-                return arr, i
-            u = lv.rows.get(pt)
-            if u is not None:
-                arr = u[arr]
-            else:
-                while pt != base:
-                    inv = edge[pt]
-                    arr = inv[arr]
-                    pt = inv.item(pt)
-        return arr, len(levels)
-
-    def add(self, arr):
-        """Sift arr and, if a nontrivial residue remains, extend the
-        chain."""
-        res, i = self.sift(arr)
-        while not is_identity_array(res):
-            if i == len(self.levels):
-                # a new last level, whose tree is res's cycle through the
-                # moved base: res now sifts to the identity there
-                moved = self._ints[np.flatnonzero(res != self._id)[0]]
-                self.levels.append(_Level(moved, self._id))
-                self.open.append(i)
-                self._enter(res, i)
-                return
-            self._enter(res, i)
-            # res fixes the bases of the levels before i, so its re-sift
-            # starts at level i, where base^res is now in the orbit
-            res, i = self.sift(res, i)
-
-    def _enter(self, res, i):
-        """Make res a strong generator of level i: extend every open level
-        k <= i, and close the levels whose orbit reaches n - k points,
-        the most any group fixing b_0..b_{k-1} can have."""
-        inv = np.empty_like(res)
-        inv[res] = self._id
-        self.strong.append((i, inv))
-        gen = (self._ints[res].tolist(), inv)
-        still_open = []
-        for k in self.open:
-            if k <= i:
-                lv = self.levels[k]
-                before = lv.size
-                lv.extend(gen)
-                self.order = self.order // before * lv.size
-                if lv.size == self.n - k:
-                    lv.gens = None
-                    continue
-            still_open.append(k)
-        self.open = still_open
-
-    def verify(self):
-        """Deterministic Schreier generator closure, bottom-up.
-
-        Every Schreier generator u * g * rep((b_i)^(u*g))^-1 of level i,
-        for u a coset representative and g the inverse of a generator in
-        S^(i), must sift to the identity; those inverses generate the same
-        group, so by Schreier's lemma this is complete.  Returns True if
-        the chain was already complete, False if it had to be extended
-        (in which case call again).
-        Each level's rows are built once per call, and kept whole while
-        the kept rows take under _ROW_CACHE_BYTES.
-        """
-        for i in reversed(range(len(self.levels))):
-            gens = [g for k, g in self.strong if k >= i]
-            lv = self.levels[i]
-            # the orbit in point order: each row is gathered down from the
-            # nearest ancestor whose row is already built
-            orbit = [pt for pt, inv in enumerate(lv.edge) if inv is not None]
-            rows = {lv.base: self._id}
-            for pt in orbit:
-                rows[pt] = lv.row(pt, rows)
-            if self.kept < _ROW_CACHE_BYTES:
-                self.kept += (len(rows) - len(lv.rows)) * self._id.nbytes
-                lv.rows = rows
-            for pt in orbit:
-                u = np.empty(self.n, dtype=np.intp)
-                u[rows[pt]] = self._id
-                for g in gens:
-                    # u*g times the row of its base image is the Schreier
-                    # generator, which fixes b_i
-                    ug = g[u]
-                    res, _ = self.sift(rows[ug.item(lv.base)][ug], i + 1)
-                    if not is_identity_array(res):
-                        self.add(res)
-                        return False
-        return True
+def enumerate_group(gens, cap=10_000):
+    """All elements of <gens> as Permutations, sorted by their images;
+    raises if the order exceeds the cap.  One Permutation is made per
+    element of the closure, in the sorted order of its image tuples."""
+    rows = np.array(sorted(closure(gens, cap)), dtype=np.int64)
+    return [Permutation._trusted(row) for row in rows]
 
 
-def _yields_prime_cycle(arr):
-    """Whether some power of the image array is a cycle of prime length
-    p <= n - 3: arr has a cycle of length p, and p divides no other
-    cycle's length, so arr to the product of the others is that cycle."""
-    lengths = _cycle_lengths(arr)
-    return any(
-        p <= arr.size - 3 and is_prime(p) and np.count_nonzero(lengths % p == 0) == 1
-        for p in set(lengths.tolist())
-    )
+def _has_giant_cycle(arr):
+    """Whether the image array has a cycle of prime length p with
+    n/2 < p <= n - 3.  At most one cycle is longer than n/2, so it is
+    the longest one."""
+    n = arr.size
+    p = int(_cycle_counts(arr).max())
+    return 2 * p > n and p <= n - 3 and is_prime(p)
 
 
 class _Walk:
     """Product-replacement walk with an accumulator (Celler et al., 1995):
-    a list of group elements and a running product, as intp arrays."""
+    a list of group elements and a running product, as image arrays."""
 
     __slots__ = ("state", "acc")
 
@@ -683,67 +532,49 @@ class _Walk:
         self.acc = self.acc[state[rng.randrange(len(state))]]
 
 
+def _walk_finds_giant_cycle(gens, n):
+    """Whether <gens> is transitive and a product-replacement walk in it
+    meets, within WALK_STEPS steps after 30 unchecked ones, an element
+    with a cycle of prime length p, n/2 < p <= n - 3."""
+    if not any(map(is_prime, range(n // 2 + 1, n - 2))) or not is_transitive(gens, n):
+        return False
+    rng = random.Random(0x237)
+    state = [g.array for g in gens]
+    while len(state) < 6:
+        state.append(state[len(state) % len(gens)])
+    walk = _Walk(state, state[0])
+    for _ in range(30):
+        walk.step(rng)
+    for _ in range(WALK_STEPS):
+        walk.step(rng)
+        if _has_giant_cycle(walk.acc):
+            return True
+    return False
+
+
 def group_order(gens, upper_bound=None):
-    """Exact order of the group generated by gens (stabilizer chain).
+    """Exact order of the group G generated by gens, by one of two proofs.
 
-    The chain keeps one strong generating set S.  Each strong generator
-    enters at some level i: it fixes the base points b_0..b_{i-1} and
-    moves b_i.  S^(i) is the set of strong generators that entered at
-    level i or deeper, that is S intersected with the stabilizer of
-    b_0..b_{i-1}, and level i's basic orbit is the orbit of b_i under
-    S^(i).
+    - The giant test (Seress, Permutation Group Algorithms, 2003, 10.2).
+      If G is transitive, a product-replacement walk in G (Celler,
+      Leedham-Green, Murray, Niemeyer and O'Brien, 1995) looks, for at
+      most WALK_STEPS steps, for an element with a cycle of prime length
+      p, n/2 < p <= n - 3.  Its other cycles are shorter than p, so a
+      power of it is a p-cycle.  A p-cycle cannot move a block of G,
+      since p blocks of two or more points would take more than n, and
+      it cannot fit inside one, since a block has at most n/2 points; so
+      G is primitive, and a primitive group holding a p-cycle with
+      p <= n - 3 contains A_n (Jordan; Wielandt, Finite Permutation
+      Groups, 1964, 13.9).  |G| is then n!/2 if every generator is even,
+      else n!.
+    - Otherwise the closure of G is counted, up to CLOSURE_CAP elements.
 
-    The result is always the exact order, and the run stops only on one
-    of three proofs:
-    - the chain stops as soon as its order reaches n! (n!/2 when every
-      generator is even), a bound on |G| that the orbit product never
-      exceeds, so equality is a proof;
-    - Jordan's stop: once levels 0 and 1 are full, level 0's orbit has
-      n points and level 1's, under a subgroup of the point stabilizer,
-      n - 1, so G is 2-transitive and hence primitive.  If then a
-      generator, or a walk element that grew the chain, has a cycle of
-      prime length p <= n - 3 whose length divides no other cycle's, a
-      power of it is a p-cycle, and a primitive group holding one
-      contains A_n (Wielandt, Finite Permutation Groups, 1964, 13.9), so
-      |G| is n!/2 if every generator is even, else n!.  Only those
-      elements are checked, once each, and the check draws no random
-      numbers, so a run is the same run as without this stop, cut short;
-    - a chain that stops growing short of both, 24 random rounds in a
-      row, is finished off with the deterministic Schreier-generator
-      verification, which is complete because it runs over all of
-      S^(i) at each level i.  A "no" on an imprimitive group, such as
-      atlas map J, ends this way and is the slow case.
+    When neither applies, ValueError names WALK_STEPS and CLOSURE_CAP:
+    the answer is never guessed.  The walk starts from the seed 0x237,
+    so a run is repeatable, and it holds 7 image arrays of n points; the
+    closure holds at most CLOSURE_CAP tuples of n points.
     upper_bound is only a check: a proved order above it raises
     ValueError, as that bound was not valid.
-
-    Random elements come from one product-replacement walk in G
-    (Celler, Leedham-Green, Murray, Niemeyer and O'Brien, 1995), each
-    fed to the chain from level 0.  A step replaces one element of the
-    walk's state by its product with another, so the state always
-    generates G and the walk cannot be caught in a proper subgroup, as a
-    walk stripped into a point stabilizer can, and then stall.
-    Exactness never depends on the walk: every element fed in is a
-    product of generators, so the chain order stays a lower bound on
-    |G|, and the result is proved in one of the three ways above.
-
-    Memory: each level keeps a flat Schreier tree (Sims 1970), one list
-    of n edges indexed by point, each None off the orbit or a reference
-    to a strong generator's inverse array; the base's edge is the
-    chain's one read-only identity, which is also every level's base
-    row.  An open level's tree is rebuilt breadth-first over all its
-    generators whenever it gains one, so its paths are shortest words
-    in them (Seress 2003, 4.4).  A strip reads a kept coset row, or
-    applies the edges from the base image up to the base straight to the
-    element.  Only verify() builds rows, 8n bytes each: once per call,
-    one level at a time, it builds a level's table, forms the Schreier
-    generators from it, and keeps whole tables while the kept rows take
-    under _ROW_CACHE_BYTES (128 MiB).  Each strong generator keeps one
-    array, its inverse, 8n bytes: the trees' edges and verify() use that
-    same array.  It also keeps an image list while a level it extends is
-    open.  The walk holds 7 arrays of 8n bytes.
-    The tracemalloc peak of an A_n proof, ended by the Jordan stop, is
-    0.06 MiB at n = 246 and 0.12 MiB at n = 589 (3 levels and 4 strong
-    generators instead of 587 levels).
     """
     gens = [g for g in gens if not g.is_identity()]
     if not gens:
@@ -751,49 +582,17 @@ def group_order(gens, upper_bound=None):
     n = gens[0].degree
     if any(g.degree != n for g in gens):
         raise ValueError("generator degree mismatch")
-    rng = random.Random(0x237)
-    # |<gens>| <= n!, or n!/2 if every generator is even: a chain reaching
-    # it is complete, with no verification
-    full = math.factorial(n) // (2 if all(g.is_even for g in gens) else 1)
-    chain = _Chain(n)
-    # intp arrays, the dtype the chain's identity test compares against
-    arrays = [g.array.astype(np.intp, copy=False) for g in gens]
-    for arr in arrays:
-        chain.add(arr)
-
-    # product replacement in G: each step keeps the state generating G
-    state = list(arrays)
-    while len(state) < 6:
-        state.append(state[len(state) % len(arrays)])
-    walk = _Walk(state, state[0])
-    for _ in range(30):
-        walk.step(rng)
-
-    order = None  # set when the Jordan stop proves A_n <= G
-    # whether G holds a p-cycle, p prime <= n - 3, as a power of a
-    # generator or of a walk element that grew the chain
-    p_cycle = any(_yields_prime_cycle(arr) for arr in arrays)
-    streak = 0
-    while chain.order < full:
-        if p_cycle and chain.top() >= 2:
-            # levels 0 and 1 full: G is 2-transitive, so primitive, and
-            # holds a p-cycle (Jordan)
-            order = full
-            break
-        walk.step(rng)
-        before = chain.order
-        chain.add(walk.acc)
-        if chain.order == before:
-            streak += 1
-        else:
-            streak = 0
-            p_cycle = p_cycle or _yields_prime_cycle(walk.acc)
-        if streak >= 24:
-            while not chain.verify():
-                pass
-            break
-    if order is None:
-        order = chain.order
+    if _walk_finds_giant_cycle(gens, n):
+        order = math.factorial(n) // (2 if all(g.is_even for g in gens) else 1)
+    else:
+        try:
+            order = len(closure(gens, CLOSURE_CAP))
+        except ValueError:
+            raise ValueError(
+                f"order not proved: the giant test, at most {WALK_STEPS} walk steps"
+                " in a transitive group, found no cycle of prime length p with"
+                f" n/2 < p <= n - 3, and the group has more than {CLOSURE_CAP} elements"
+            ) from None
     if upper_bound is not None and order > upper_bound:
         raise ValueError("upper_bound exceeded; the bound was not valid")
     return order

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from beauville import atlas
 from beauville.atlas import (
     BASIC_MAP_IDS,
     basic_map,
@@ -67,6 +68,14 @@ class TestConformance:
         m = basic_map("A")
         assert group_order([m.x, m.y]) == 1092
 
+    def test_map_a_order_past_the_cap_is_a_failed_field(self, monkeypatch):
+        # the atlas counts map A's closure under a cap of the published
+        # order, so a larger group is a failed field, not a raise
+        monkeypatch.setattr(atlas, "MAP_A_GROUP_ORDER", 1000)
+        report = validate_atlas()
+        assert not report.ok
+        assert report.failures() == [("A", "group_order", "> 1000", 1000)]
+
     def test_monodromy_orders_divisible_by_42(self):
         # the group contains elements of orders 2, 3 and 7; several maps
         # land exactly on classical simple groups, which pins the
@@ -76,6 +85,12 @@ class TestConformance:
         known = {"A": 1092, "C": 168, "E": 504, "F": 12180, "G": 1092}
         for mid in BASIC_MAP_IDS:
             m = basic_map(mid)
+            if mid == "J":
+                # imprimitive, with more elements than the closure's cap:
+                # the order is not proved, and the oracle says so
+                with pytest.raises(ValueError, match="not proved"):
+                    group_order([m.x, m.y])
+                continue
             order = group_order([m.x, m.y])
             assert order % 42 == 0, mid
             if mid in known:

@@ -8,7 +8,6 @@ from beauville.atlas import BASIC_MAP_IDS, basic_map
 from beauville.cli import main
 from beauville.certify import (
     CertificationError,
-    alternating_order_oracle,
     beauville_check,
     certificate_maps,
     certificate_to_json,
@@ -625,15 +624,3 @@ class TestCover:
         assert cov.tau1 % 4 == 0 and cov.tau2 % 4 == 0
         assert cov.v_difference in ((8, 3, -7), (8, 6, -7))
 
-
-class TestOracle:
-    def test_small_pair(self):
-        pair = build_pair(ConstructionPlan(8, 3, "small_n"))  # n = 246
-        assert alternating_order_oracle(pair.w1)
-        assert alternating_order_oracle(pair.w2)
-
-    def test_proper_subgroup_is_refused(self):
-        # atlas map A generates PSL(2,13) of order 1092 on 14 points, and
-        # map J a proper subgroup of A_72: the answer is no, not a stall
-        assert alternating_order_oracle(basic_map("A")) is False
-        assert alternating_order_oracle(basic_map("J")) is False

@@ -2,13 +2,15 @@
 bounds a map's degree before anything of that size is allocated.  The
 only other reader is a character table's class representatives.  A
 certificate's member sections are read in one place too:
-`certify.certificate_maps`.  And no certificate rests on the
-stabilizer-chain oracle: only the oracle itself and the atlas check of
-map A use `perm.group_order`, and `perm` imports no other module of the
-package, so the oracle reuses none of the certificates' evidence."""
+`certify.certificate_maps`.  And no certificate rests on the group-order
+oracle: no module of the package calls `perm.group_order`, and `perm`
+imports no other module of the package, so the oracle reuses none of the
+certificates' evidence."""
 
 import ast
 from pathlib import Path
+
+from beauville import frobenius, perm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "beauville"
 
@@ -78,10 +80,10 @@ def test_certificate_members_are_read_only_by_certificate_maps():
     assert reads_by_function(tree, "MAP_FIELDS") == {"certificate_maps"}
 
 
-def test_group_order_is_used_only_by_the_oracle_and_the_atlas():
+def test_group_order_has_no_caller_in_src():
     # the issuing path proves generation by Jordan's theorem from w's
-    # useful cycle; the oracle, which finds its own p-cycle in a random
-    # walk, stays a cross-check
+    # useful cycle, and the atlas counts map A's closure; the oracle stays
+    # for tests, demos and the benchmark.  The one enumerator is perm's
     found = set()
     imports = set()
     for path in sorted(SRC.glob("*.py")):
@@ -90,13 +92,14 @@ def test_group_order_is_used_only_by_the_oracle_and_the_atlas():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 imports |= {(path.stem, a.asname) for a in node.names if a.name == "group_order"}
-    assert found == {"atlas.validate_atlas", "certify.alternating_order_oracle"}
-    assert imports == {("atlas", None), ("certify", None)}
+    assert found == set()
+    assert imports == set()
+    assert frobenius.enumerate_group is perm.enumerate_group
 
 
 def test_the_oracle_imports_no_other_module_of_the_package():
-    # perm's Jordan stop finds its own p-cycle in <x, y> and its own
-    # primitivity in the chain: it cannot reuse maps.jordan_cycle, the
+    # perm's giant test finds its own p-cycle in <x, y>, and primitivity
+    # follows from that cycle: it cannot reuse maps.jordan_cycle, the
     # useful cycles or a certificate's witnesses
     tree = ast.parse((SRC / "perm.py").read_text(encoding="utf-8"))
     imported = set()

@@ -1,8 +1,8 @@
-import hashlib
 import itertools
 import math
 import random
 import re
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -11,6 +11,7 @@ import pytest
 
 from beauville import perm
 from beauville.atlas import basic_map
+from beauville.compose import eval_expr
 from beauville.construct import (
     S3_SHORTCUT_DEGREES,
     SMALL_CASE_DEGREES,
@@ -31,12 +32,6 @@ from beauville.perm import (
 
 from frozen_parse_cycles import parse_cycles as frozen_parse_cycles
 from perm_helpers import brute_closure, random_permutation
-
-
-# sha256 of the bounded proofs' orders and strong generating sets for the
-# 14 V_r maps, each chain ended by the Jordan stop; see
-# TestGroupOrder.test_bounded_proofs_are_pinned
-V_MAP_CHAINS = "fda9cf490e8ade4c0f0751d471b6bc8f7c76e5c9403e71450b2031aa3dccb2f0"
 
 
 def random_even_permutation(n, rng):
@@ -236,8 +231,9 @@ class TestGroupOrder:
         assert group_order(gens, upper_bound=bound) == bound
 
     def test_bound_below_the_order_is_no_proof(self):
-        # map A generates PSL(2, 13), of order 1092: a chain that passes
-        # 182 short of a proof goes on, and the proved order raises
+        # map A generates PSL(2, 13), of order 1092, with no 11-cycle: the
+        # walk finds none, the closure counts 1092, and that proved order
+        # raises against 182
         m = basic_map("A")
         with pytest.raises(ValueError, match="bound"):
             group_order([m.x, m.y], upper_bound=182)
@@ -245,7 +241,7 @@ class TestGroupOrder:
             assert group_order([m.x, m.y], upper_bound=bound) == 1092
 
     def test_unreached_bound_still_gives_the_order(self):
-        # |S_3| = 6 never reaches the bound 12: the exact check ends it
+        # |S_3| = 6 never reaches the bound 12: the closure counts it
         gens = [parse_cycles("(0 1)", 3), parse_cycles("(1 2)", 3)]
         assert group_order(gens, upper_bound=12) == 6
 
@@ -254,137 +250,52 @@ class TestGroupOrder:
         with pytest.raises(ValueError, match="bound"):
             group_order(gens, upper_bound=30)  # |A_5| = 60 exceeds it
 
-    def test_invalid_bound_detected_by_verify(self, monkeypatch):
-        # with the walk standing still, the chain of map A stays at order
-        # 14 until the stall rule runs verify(), which completes it to
-        # |PSL(2, 13)| = 1092 > 500
-        verified = []
-        verify = perm._Chain.verify
+    def test_degree_mismatch_is_refused(self):
+        gens = [parse_cycles("(0 1 2)", 3), parse_cycles("(0 1)", 4)]
+        with pytest.raises(ValueError, match="generator degree mismatch"):
+            group_order(gens)
 
-        def recorded(chain):
-            verified.append(chain.order)
-            return verify(chain)
-
-        monkeypatch.setattr(perm._Walk, "step", lambda walk, rng: None)
-        monkeypatch.setattr(perm._Chain, "verify", recorded)
-        m = basic_map("A")
-        with pytest.raises(ValueError, match="bound"):
-            group_order([m.x, m.y], upper_bound=500)
-        assert verified[0] == 14
-
-    def test_chain_memory_small_case(self):
-        # n = 246: every transversal row of the chain would take about
-        # 60 MB; the flat trees, one edge list per level, with no rows
-        # built in the random phase, one shared base row and one array per
-        # strong generator, peak near 0.06 MiB once the Jordan stop ends
-        # the chain
+    def test_oracle_memory_small_case(self):
+        # n = 246: the giant test holds the walk's 7 image arrays, 2 KB
+        # each, and the orbit of point 0
         m = build_pair(ConstructionPlan(8, 3, "small_n")).w1
-        assert traced_peak_order(m) < 1 * 2**20
+        assert traced_peak_order(m) < 2**18
 
-    def test_chain_memory_largest_pair(self):
-        # n = 589, the largest minimal, small or shortcut pair: every row
-        # would take about 820 MB; the trees are one list of n edge
-        # references per level, and the 3 levels built before the Jordan
-        # stop peak near 0.12 MiB
+    def test_oracle_memory_largest_pair(self):
+        # n = 589, the largest minimal, small or shortcut pair
         m = build_pair(minimal_plan(1)).w1
         assert m.n == 589
         assert traced_peak_order(m) < 2**18
 
-    def test_chain_stores_each_piece_once(self, monkeypatch):
-        # after map J's "no", which verify() finishes at 35 levels: a
-        # level's tree is its edge list alone, every level's base row and
-        # base edge are the chain's one read-only identity, each strong
-        # generator is kept only as the inverse array the trees' edges
-        # hold, and the bases and image lists refer to at most n int
-        # objects
-        chains = recorded_chains(monkeypatch)
-        m = basic_map("J")
-        group_order([m.x, m.y])
-        (chain,) = chains
-        assert len(chain.levels) == 35
-        for lv in chain.levels:
-            assert not hasattr(lv, "parent") and not hasattr(lv, "orbit")
-            assert lv.rows[lv.base] is chain._id and lv.edge[lv.base] is chain._id
-        assert not chain._id.flags.writeable
-        edges = {id(inv) for lv in chain.levels for inv in lv.edge if inv is not None}
-        assert all(id(inv) in edges for _, inv in chain.strong)
-        points = {id(lv.base) for lv in chain.levels}
-        points |= {id(pt) for lv in chain.levels for images, _ in lv.gens or () for pt in images}
-        assert len(points) <= m.n
-
     def test_bounded_proofs_are_pinned(self, monkeypatch):
-        # the orders and every strong generator, (entry level, inverse
-        # array), of the bounded proofs for the 14 V_r maps (n = 36..216):
-        # a change to how a strip applies the trees must keep them
-        chains = []
-
-        class Recorded(perm._Chain):
-            def __init__(self, degree):
-                super().__init__(degree)
-                chains.append(self)
-
-        monkeypatch.setattr(perm, "_Chain", Recorded)
-        digest = hashlib.sha256()
+        # the walk step at which the giant test meets its cycle, for the
+        # bounded proofs of the 14 V_r maps (n = 36..216): a change to the
+        # walk, its seed or the cycle test moves them
+        checked = []
+        check = perm._has_giant_cycle
+        monkeypatch.setattr(perm, "_has_giant_cycle", lambda arr: checked.append(arr) or check(arr))
+        steps = []
         for r in range(14):
             m = v_map(r)
             target = math.factorial(m.n) // 2
-            digest.update(f"{group_order([m.x, m.y], upper_bound=target)}\n".encode())
-        assert len(chains) == 14
-        for chain in chains:
-            digest.update(f"{len(chain.strong)}\n".encode())
-            for tag, inv in chain.strong:
-                digest.update(f"{tag}:".encode())
-                digest.update(inv.astype("<i8").tobytes())
-        assert digest.hexdigest() == V_MAP_CHAINS
-
-    def test_only_verify_keeps_rows(self, monkeypatch):
-        # the random phase builds no row; verify() strips through the
-        # same rows many times over and keeps them
-        chains = []
-
-        class Recorded(perm._Chain):
-            def __init__(self, degree):
-                super().__init__(degree)
-                chains.append(self)
-
-        monkeypatch.setattr(perm, "_Chain", Recorded)
-        m = v_map(6)
-        target = math.factorial(m.n) // 2
-        assert group_order([m.x, m.y], upper_bound=target) == target
-        (chain,) = chains
-        assert chain.kept == 0
-        assert all(list(lv.rows) == [lv.base] for lv in chain.levels)
-        chain = s4_chain()
-        while not chain.verify():
-            pass
-        assert chain.order == 24
-        assert chain.kept > 0
-        assert any(len(lv.rows) > 1 for lv in chain.levels)
-
-    def test_rows_past_the_cache_are_not_kept(self, monkeypatch):
-        # with no room for rows, every strip of verify() walks the tree's
-        # edges
-        monkeypatch.setattr(perm, "_ROW_CACHE_BYTES", 0)
-        chain = s4_chain()
-        while not chain.verify():
-            pass
-        assert chain.order == 24
-        assert chain.kept == 0
-        assert all(list(lv.rows) == [lv.base] for lv in chain.levels)
+            checked.clear()
+            assert group_order([m.x, m.y], upper_bound=target) == target
+            steps.append(len(checked))
+        assert steps == [20, 8, 14, 1, 8, 3, 2, 2, 8, 4, 15, 13, 6, 13]
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_alternating_at_row_dtype_switch(self, n):
-        # A_256 and A_257, where the rows once changed from 1 to 2 bytes.
-        # (0 1 2) with the cycle on 0..n-1 (n odd) or 1..n-1 (n even)
-        # generates A_n.
+        # A_256 and A_257, the degrees where a stabilizer chain's rows
+        # changed width.  (0 1 2) with the cycle on 0..n-1 (n odd) or
+        # 1..n-1 (n even) generates A_n.
         cycle = tuple(range(n % 2 == 0, n))
         gens = [from_cycles(n, [(0, 1, 2)]), from_cycles(n, [cycle])]
         target = math.factorial(n) // 2
         assert group_order(gens, upper_bound=target) == target
 
     def test_verification_is_complete(self):
-        # S_6; a check of each level's own generators only stops at 600,
-        # which does not divide 720
+        # S_6: (3, 3] holds no prime, so no walk runs, and the closure
+        # counts all 720 elements of a group given by three generators
         gens = [
             parse_cycles("(0 1 3)(4 5)", 6),
             parse_cycles("(0 1 3 4)(2 5)", 6),
@@ -393,11 +304,9 @@ class TestGroupOrder:
         assert group_order(gens) == 720
 
     def test_matches_enumeration_sweep(self, monkeypatch):
-        # group_order, and a bare chain finished by verify() alone, with
-        # no random elements to fill it first.  Product replacement keeps
-        # the walk's state generating the group (Celler et al., 1995), so
-        # the last state of each run's walk generates a group of the order
-        # returned
+        # Product replacement keeps the walk's state generating the group
+        # (Celler et al., 1995), so the last state of each run's walk
+        # generates a group of the order returned
         walks = []
 
         class Recorded(perm._Walk):
@@ -416,29 +325,15 @@ class TestGroupOrder:
             if walks:
                 state = [Permutation(x.tolist()) for x in walks[-1].state]
                 assert len(brute_closure(state)) == want, gens
-            chain = chain_of(gens)
-            while not chain.verify():
-                pass
-            assert chain.order == want, gens
 
     def test_random_walk_never_stalls_on_other_seeds(self, monkeypatch):
-        # the random phase alone reaches a stop on all 1,628 runs, the 14
-        # V_r maps and both members of criterion 6's 30 pairs under rng
-        # seeds 0..19, 198 and 225, within 16 levels (13 at most over
-        # seeds 0..299): a run that stalls falls back on the exact check,
-        # and a chain past 16 levels is lost, both failing the test here.
-        # On seeds 198 and 225 a walk stripped into a point stabilizer is
-        # caught in a proper subgroup, and its chain passes 200 levels
-        class Bounded(perm._Chain):
-            def _enter(self, res, i):
-                super()._enter(res, i)
-                if len(self.levels) > 16:
-                    raise AssertionError("the chain passed 16 levels")
-
-            def verify(self):
-                raise AssertionError("the random phase stalled short of n!/2")
-
-        monkeypatch.setattr(perm, "_Chain", Bounded)
+        # the walk meets a cycle of prime length in (n/2, n - 3] within
+        # WALK_STEPS steps on all 1,628 runs, the 14 V_r maps and both
+        # members of criterion 6's 30 pairs under rng seeds 0..19, 198 and
+        # 225: a run that misses falls to the closure, which raises past
+        # its cap.  Over seeds 0..299 the longest run took 66 steps, and
+        # the mean 8.25.  Seeds 198 and 225 are kept because they hung an
+        # earlier oracle
         maps = [v_map(r) for r in range(14)]
         maps += [m for pair in criterion_6_pairs() for m in (pair.w1, pair.w2)]
         for seed in [*range(20), 198, 225]:
@@ -449,141 +344,95 @@ class TestGroupOrder:
                 assert group_order([m.x, m.y], upper_bound=target) == target, (seed, m.n)
 
 
-def recorded_chains(monkeypatch):
-    """The chains group_order builds, each with (top, order) after every
-    add.  A chain left below the returned order was ended by the stop."""
-    chains = []
-
-    class Recorded(perm._Chain):
-        def __init__(self, degree):
-            super().__init__(degree)
-            self.seen = []
-            chains.append(self)
-
-        def add(self, arr):
-            super().add(arr)
-            self.seen.append((self.top(), self.order))
-
-    monkeypatch.setattr(perm, "_Chain", Recorded)
-    return chains
-
-
 class TestPrimitiveStop:
-    """The Jordan stop needs levels 0 and 1 full, which make G
-    2-transitive, hence primitive: a transitive group alone, or a chain
-    order past 4^n with level 1 open, proves nothing."""
+    """A cycle of prime length p, n/2 < p <= n - 3, in a transitive group
+    makes it primitive, and then Jordan's theorem gives A_n: the order is
+    n! with an odd generator, else n!/2, and a bound below it raises."""
 
-    def test_imprimitive_group_passes_4_to_the_n_without_stopping(self, monkeypatch):
-        # map J: the chain passes 4^72 while level 1 is still open, and
-        # <x, y> is a proper subgroup; a stop on the order alone would
-        # answer A_72
-        chains = recorded_chains(monkeypatch)
-        m = basic_map("J")
-        assert m.n == 72
-        order = group_order([m.x, m.y])
-        assert order < math.factorial(72) // 2
-        (chain,) = chains
-        assert any(top == 1 and seen > 4**72 for top, seen in chain.seen)
-        assert chain.order == order
-
-    def test_odd_generators_give_the_symmetric_group(self, monkeypatch):
-        chains = recorded_chains(monkeypatch)
+    def test_odd_generators_give_the_symmetric_group(self):
         n = 12
         gens = [from_cycles(n, [(0, 1)]), from_cycles(n, [tuple(range(n))])]
         assert group_order(gens) == math.factorial(n)
-        (chain,) = chains
-        assert chain.top() >= 2
-        assert chain.order < math.factorial(n)
 
-    def test_bound_below_the_proved_order_raises(self, monkeypatch):
-        chains = recorded_chains(monkeypatch)
+    def test_bound_below_the_proved_order_raises(self):
         n = 101
         gens = [from_cycles(n, [(0, 1, 2)]), from_cycles(n, [tuple(range(n))])]
         bound = math.factorial(n) // 4
         with pytest.raises(ValueError, match="bound"):
             group_order(gens, upper_bound=bound)
-        (chain,) = chains
-        assert chain.top() >= 2
-        assert chain.order < bound
 
 
 class TestJordanStop:
-    """Levels 0 and 1 full make G 2-transitive, hence primitive, and a
-    primitive group holding a cycle of prime length p <= n - 3 contains
-    A_n (Jordan; Wielandt, Finite Permutation Groups, 1964, 13.9): once a
-    generator, or a walk element that grew the chain, has such a cycle
-    as a power, |G| is n!/2 or n!."""
-
-    def test_largest_minimal_member_stops_at_three_levels(self, monkeypatch):
-        chains = recorded_chains(monkeypatch)
-        m = build_pair(minimal_plan(1)).w1
-        n = m.n
-        assert n == 589
-        assert group_order([m.x, m.y]) == math.factorial(n) // 2
-        (chain,) = chains
-        assert chain.top() >= 2
-        assert chain.order < 4**n
-        assert len(chain.levels) == 3
+    """The giant test's boundaries: each group below holds cycles of
+    prime length that miss (n/2, n - 3] at one end, or is intransitive,
+    so its order is counted, never taken for n!/2 or n!."""
 
     def test_transitive_imprimitive_group_with_p_cycles(self):
-        # S_5 wr S_2 on 10 points, of order 2 * 120^2: transitive with the
-        # blocks {0..4} and {5..9}, and (0 1 2 3 4) is a 5-cycle, 5 <= n - 3.
-        # A stop that took level 0 full, transitivity alone, for
-        # primitivity would answer 10!
+        # S_5 wr S_2 on 10 points, of order 2 * 120^2 = CLOSURE_CAP:
+        # transitive with the blocks {0..4} and {5..9}, and (0 1 2 3 4) is
+        # a 5-cycle with p = n/2.  A test without 2p > n would answer 10!
         gens = [
             parse_cycles("(0 1 2 3 4)", 10),
             parse_cycles("(0 1)", 10),
             parse_cycles("(0 5)(1 6)(2 7)(3 8)(4 9)", 10),
         ]
         assert is_transitive(gens, 10)
-        assert group_order(gens) == 2 * 120**2
+        assert group_order(gens) == 2 * 120**2 == perm.CLOSURE_CAP
+
+    @pytest.mark.parametrize(
+        "texts, n, want",
+        [
+            # A_5 = PSL(2, 5) on the projective line, infinity at 5:
+            # z + 1 and -1/z; its 5-cycles have p > n - 3
+            (["(0 1 2 3 4)", "(0 5)(1 4)"], 6, 60),
+            # PGammaL(2, 8) on GF(8) = F_2[a]/(a^3 + a + 1), elements as
+            # bit masks, infinity at 8: z + 1, az, 1/z and z^2.  Its
+            # 7-cycles have p > n - 3, and it has no 5-cycle
+            (
+                ["(0 1)(2 3)(4 5)(6 7)", "(1 2 4 3 6 7 5)", "(0 8)(2 5)(3 6)(4 7)", "(2 4 6)(3 5 7)"],
+                9,
+                1512,
+            ),
+            # intransitive: A_7 on 0..6 of 10 points, with a 7-cycle
+            (["(0 1 2 3 4 5 6)", "(0 1 2)"], 10, 2520),
+        ],
+        ids=["PSL(2,5) on 6", "PGammaL(2,8) on 9", "A_7 on 10"],
+    )
+    def test_primitive_or_intransitive_groups_are_counted(self, texts, n, want):
+        gens = [parse_cycles(text, n) for text in texts]
+        assert len(brute_closure(gens)) == want
+        assert group_order(gens) == want
 
     @pytest.mark.parametrize(
         "text, n, want",
         [
-            ("(0 1 2)(3 4)", 8, True),  # the 3-cycle is its cube
-            ("(0 1)(2 3 4 5)", 8, False),  # 2 divides 4
+            ("(0 1 2)(3 4)", 8, False),  # 3 < n/2
+            ("(0 1)(2 3 4 5)", 8, False),  # 4 is not prime
             ("(0 1 2)(3 4 5)", 9, False),  # two 3-cycles
-            ("(0 1 2)(3 4 5 6 7 8)", 9, False),  # 3 divides 6
+            ("(0 1 2)(3 4 5 6 7 8)", 9, False),  # 6 is not prime
             ("(0 1 2 3 4 5)", 12, False),  # 6 is not prime
             ("(0 1 2 3 4 5 6)", 9, False),  # 7 > n - 3
             ("(0 1 2 3 4 5 6)", 10, True),
-            ("(0 1 2 3 4 5 6)(7 8 9 10 11)", 12, True),  # 5 and 7 both
+            ("(0 1 2 3 4 5 6)(7 8 9 10 11)", 12, True),  # 7 > n/2, 5 is not
+            ("(0 1 2 3 4)(5 6 7 8 9)", 10, False),  # 5 = n/2
+            ("(0 1 2 3 4)(5 6 7)", 8, True),  # 5 = n - 3
         ],
     )
     def test_which_elements_yield_a_prime_cycle(self, text, n, want):
-        assert perm._yields_prime_cycle(parse_cycles(text, n).array) is want
+        assert perm._has_giant_cycle(parse_cycles(text, n).array) is want
 
-    def test_only_elements_that_grew_the_chain_are_checked(self, monkeypatch):
-        # map A (PSL(2, 13) on 14 points): its two generators and each
-        # walk element that grew the chain, no more; its 7-elements have
-        # two 7-cycles, so no check says yes, and verify() ends the run
-        # at 1092
-        checked = []
-        grew = []  # per add before verify(), whether the order rose
-        check, add, verify = perm._yields_prime_cycle, perm._Chain.add, perm._Chain.verify
 
-        def counting(arr):
-            checked.append(arr)
-            return check(arr)
+class TestBoundedNo:
+    """A group that is neither proved A_n nor S_n by the walk nor counted
+    under the cap raises, naming both limits, and does so quickly."""
 
-        def recorded(chain, *args):
-            before = chain.order
-            add(chain, *args)
-            grew.append(chain.order > before)
-
-        def verified(chain):
-            # the elements verify() adds are no walk elements
-            monkeypatch.setattr(perm._Chain, "add", add)
-            return verify(chain)
-
-        monkeypatch.setattr(perm, "_yields_prime_cycle", counting)
-        monkeypatch.setattr(perm._Chain, "add", recorded)
-        monkeypatch.setattr(perm._Chain, "verify", verified)
-        m = basic_map("A")
-        assert group_order([m.x, m.y]) == 1092
-        assert any(grew[2:])
-        assert len(checked) == 2 + sum(grew[2:])
+    @pytest.mark.parametrize("text", ["J", "I(2)I", "L(2)L"])
+    def test_imprimitive_maps_raise_within_half_a_second(self, text):
+        m = eval_expr(text)
+        t0 = time.process_time()
+        with pytest.raises(ValueError, match=f"{perm.WALK_STEPS} walk steps.*{perm.CLOSURE_CAP}"):
+            group_order([m.x, m.y])
+        assert time.process_time() - t0 < 0.5
 
 
 def criterion_6_pairs():
@@ -606,126 +455,6 @@ def traced_peak_order(m):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def chain_of(gens):
-    chain = perm._Chain(gens[0].degree)
-    for g in gens:
-        chain.add(g.array)
-    return chain
-
-
-def s4_chain():
-    """A chain at order 12 for S_4, which verify() must extend."""
-    return chain_of([parse_cycles("(0 3 2 1)", 4), parse_cycles("(1 3 2)", 4)])
-
-
-class TestChain:
-    def test_deeper_generator_extends_upper_orbits(self):
-        # (1 2) fixes the base 0, so it enters at level 1; level 0's orbit
-        # must still close under it
-        chain = chain_of([parse_cycles("(0 1)", 3), parse_cycles("(1 2)", 3)])
-        assert chain.order == 6
-        assert chain.verify()
-
-    def test_verify_runs_over_deeper_generators(self):
-        # S_4: both levels are full, so the chain sits at 4 * 3 = 12.  The
-        # Schreier generators of level 0 built from its own generator
-        # (0 3 2 1) all sift; one built from (1 3 2), which entered at
-        # level 1, does not
-        chain = s4_chain()
-        assert chain.order == 12
-        assert not chain.verify()
-        while not chain.verify():
-            pass
-        assert chain.order == 24
-
-    def test_strong_generating_set_invariants(self, monkeypatch):
-        # map J, whose "no" verify() finishes with 35 levels, 34 of them
-        # open; the invariants are checked every 8 additions
-        chains = []
-
-        class Checked(perm._Chain):
-            def __init__(self, degree):
-                super().__init__(degree)
-                self.adds = 0
-                chains.append(self)
-
-            def add(self, arr):
-                super().add(arr)
-                self.adds += 1
-                if self.adds % 8 == 0:
-                    check_strong_generating_set(self)
-
-        monkeypatch.setattr(perm, "_Chain", Checked)
-        m = basic_map("J")
-        assert group_order([m.x, m.y]) < math.factorial(m.n) // 2
-        (chain,) = chains
-        assert chain.adds > 8
-        assert len(chain.levels) == 35
-        assert len(chain.open) == 34
-        check_strong_generating_set(chain, every_row=True)
-
-
-def check_strong_generating_set(chain, every_row=False):
-    """Each strong generator fixes the bases above its entry level j and
-    moves b_j.  Each level's orbit, the points with an edge, is closed
-    under S^(i), and its size is the level's; the base's edge is the
-    chain's identity, so the base is its own parent.  Every other edge is
-    the inverse of a generator in S^(i) and takes its point to a parent
-    one step nearer the base.  Each open level's tree is breadth-first
-    over its generators, and each point's row maps it back to the base.
-    Without every_row only the kept rows are read: a row built from the
-    tree costs one gather per edge of its path."""
-    bases = [lv.base for lv in chain.levels]
-    for j, g in chain.strong:
-        assert (g[bases[:j]] == bases[:j]).all()
-        assert g[bases[j]] != bases[j]
-    tags = np.array([j for j, _ in chain.strong])
-    strong = np.array([g for _, g in chain.strong])
-    open_levels = set(chain.open)
-    for i, lv in enumerate(chain.levels):
-        points = [pt for pt, inv in enumerate(lv.edge) if inv is not None]
-        assert len(points) == lv.size
-        in_orbit = np.zeros(chain.n, dtype=bool)
-        in_orbit[points] = True
-        assert in_orbit[strong[tags >= i][:, points]].all(), f"level {i} not closed"
-        assert lv.edge[lv.base] is chain._id
-        level_gens = {id(g) for j, g in chain.strong if j >= i}
-        depth = {lv.base: 0}
-        for pt in points:
-            # walk up to a point of known depth, each edge a generator's
-            # inverse taking its point to a parent in the orbit; a walk
-            # longer than the orbit has met a cycle
-            path = []
-            while pt not in depth:
-                inv = lv.edge[pt]
-                assert id(inv) in level_gens
-                path.append(pt)
-                pt = inv.item(pt)
-                assert in_orbit[pt] and len(path) <= len(points)
-            for child in reversed(path):
-                depth[child] = depth[pt] + 1
-                pt = child
-        if i in open_levels:
-            # an open level's tree is breadth-first over its generators:
-            # each point lies as deep as its distance from the base
-            distance = bfs_distances(lv.base, [images for images, _ in lv.gens])
-            assert depth == distance, f"level {i} not breadth-first"
-        for pt in points if every_row else list(lv.rows):
-            assert lv.row(pt, lv.rows)[pt] == lv.base
-
-
-def bfs_distances(start, image_lists):
-    """Each point's distance from start in the graph of the image lists."""
-    distance = {start: 0}
-    queue = [start]
-    for pt in queue:
-        for images in image_lists:
-            if images[pt] not in distance:
-                distance[images[pt]] = distance[pt] + 1
-                queue.append(images[pt])
-    return distance
 
 
 # -- kernels against a pure-Python reference ----------------------------------
@@ -1021,7 +750,7 @@ class TestCycleLengths:
 
     @staticmethod
     def check(p):
-        got = perm._cycle_lengths(p.array)
+        got = p._all_lengths()
         assert got.dtype == np.int64
         assert sorted(got.tolist()) == sorted(map(len, perm._walk_cycles(p.array.tolist())))
 
@@ -1040,4 +769,4 @@ class TestCycleLengths:
         self.check(identity(n))
         cycle = from_cycles(n, [tuple(range(n))])
         self.check(cycle)
-        assert perm._cycle_lengths(cycle.array).tolist() == [n]
+        assert cycle._all_lengths().tolist() == [n]
