@@ -18,8 +18,17 @@ import itertools
 import json
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .atlas import basic_map
-from .construct import ConstructionPlan, MapPair, build_pair, with_free_stock_handles
+from .construct import (
+    ConstructionPlan,
+    MapPair,
+    build_pair,
+    realize,
+    schedule,
+    with_free_stock_handles,
+)
 from .compose import k_compose, pick_handle, self_join
 from .maps import FieldError, MapError, map_doc, map_from_doc
 
@@ -81,6 +90,11 @@ def jordan_certify(m, p):
         u = m.jordan_cycle(p)
     except MapError as exc:
         raise CertificationError(str(exc)) from None
+    return _jordan_certificate(m, p, u)
+
+
+def _jordan_certificate(m, p, u):
+    """jordan_certify's certificate for m, given its useful p-cycle u."""
     if not (m.x.is_even and m.y.is_even):
         raise CertificationError("x and y must be even permutations")
     return JordanCertificate(
@@ -176,9 +190,12 @@ class DHBCertificate:
 
 def _dhb_certificate(pair, v_expected):
     """Certify generation of both members by the plan's prime, the
-    Beauville condition and the kind's v-difference; raise naming what fails."""
-    j1 = jordan_certify(pair.w1, pair.prime)
-    j2 = jordan_certify(pair.w2, pair.prime)
+    Beauville condition and the kind's v-difference; raise naming what fails.
+    A member whose useful p-cycle build_pair found is not searched again."""
+    j1, j2 = (
+        jordan_certify(m, pair.prime) if u is None else _jordan_certificate(m, pair.prime, u)
+        for m, u in zip((pair.w1, pair.w2), pair.cycles or (None, None))
+    )
     ev = beauville_check(pair.w1, pair.w2)
     # a defence only: orders 2, 3 and 7 make fixed-point counts fix cycle
     # types, and MapPair makes all three counts differ
@@ -293,16 +310,17 @@ def certify_cover(plan):
       leaving the same two handles unused in W_1 (degree unchanged after
       any stock enlargement); the v-difference becomes (8,6,-7).
     """
-    base_pair = build_pair(plan)
-    t1 = base_pair.w1.tau() // 2
-    t2 = base_pair.w2.tau() // 2
+    # tau/2 of each member of the plan's own pair, from its realized x
+    t1, t2 = (
+        int(np.count_nonzero(x != np.arange(x.size))) // 4 for x, _, _ in realize(schedule(plan))
+    )
     if t1 % 2 == t2 % 2:
         raise CertificationError(
             f"tau/2 parities should always be opposite, got {t1}, {t2}"
         )
     branch = "adjoin_E_2A" if t1 % 2 == 1 else "internal_join"
     # either branch needs two free stock (1)-handles
-    found = with_free_stock_handles(base_pair, None)
+    found = with_free_stock_handles(plan, None)
     if found is None:
         raise CertificationError(
             "could not provision enough unused stock handles "
@@ -336,7 +354,7 @@ def certificate_to_json(cert):
 
 def _map_doc(m):
     # both forms travel: cycle text for humans, image arrays for machines
-    images = {f"{g}_images": list(getattr(m, g).images) for g in "xyt"}
+    images = {f"{g}_images": getattr(m, g).array.tolist() for g in "xyt"}
     return {**map_doc(m), **images}
 
 

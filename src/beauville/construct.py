@@ -25,13 +25,17 @@ recipes with the minimal stock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from ._atlas_data import BASIC_MAPS
 from .atlas import basic_map
-from .compose import eval_expr, join, pick_handle
-from .maps import MapError
+from .compose import CompositionError, eval_expr, pick_handle
+from .maps import Handle, HurwitzMap, MapError
+from .perm import Permutation
 
 __all__ = [
     "PlanError",
@@ -41,6 +45,9 @@ __all__ = [
     "stock_U",
     "v_map",
     "x_map",
+    "Schedule",
+    "schedule",
+    "realize",
     "build_pair",
     "shared_handles",
     "with_free_stock_handles",
@@ -239,11 +246,13 @@ def all_minimal_plans():
 @dataclass(frozen=True)
 class MapPair:
     """Two maps of equal degree with fixed point vectors differing in all
-    three coordinates."""
+    three coordinates.  `cycles` holds each member's useful cycle of the
+    plan's prime when build_pair has found it, else None."""
 
     w1: object
     w2: object
     plan: ConstructionPlan
+    cycles: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.w1.n != self.w2.n:
@@ -320,33 +329,134 @@ def x_map(i):
 # -- pair assembly -----------------------------------------------------------
 
 
-def build_pair(plan):
-    """Assemble the pair of maps for a plan and validate it."""
-    pieces, chain = plan._layout
-    w = None
-    for name in pieces:
-        if name == "U":
-            piece = stock_U(plan.s_star)
-        elif name == "V":
-            piece = v_map(chain)
-        else:
-            piece = basic_map(name)
-        w = piece if w is None else join(w, 1, piece)
-    w1 = join(w, 1, x_map(1))
-    w2 = join(w, 1, x_map(2))
+@dataclass(frozen=True)
+class Schedule:
+    """A plan compiled to the joins that build its pair, one entry per
+    member in each of `pieces`, `swaps` and `handles`.
+
+    A member's pieces are (map, offset) pairs, the cached ingredients
+    placed side by side in join order; its swaps are the transpositions
+    (i, j) that its joins make in x, two per join; its handles are the
+    free (1)-handles of the map it realizes, ascending by least point.
+    """
+
+    pieces: tuple
+    swaps: tuple
+    handles: tuple
+    degree: int
+    stock_range: tuple
+
+
+def schedule(plan):
+    """The plan's join schedule, read from its pieces' handle data.
+
+    A join fixes y and t and changes x only at its four handle points,
+    which stop being fixed.  So it creates no (1)-handle, every
+    (1)-handle that misses those points survives, and the handle
+    `pick_handle` would take at each (1)-join is the last one still free.
+    The (2)-handle of the r8 tail is read off the realized arrays.
+    """
+    names, chain = plan._layout
+    first, *rest = (
+        stock_U(plan.s_star) if name == "U" else v_map(chain) if name == "V" else basic_map(name)
+        for name in names
+    )
+    w = _Chain(((first, 0),), (), tuple(first.find_handles(1)), first.n)
+    for piece in rest:
+        w = w.joined(w.last_handle(), piece)
+    members = [w.joined(w.last_handle(), x_map(i)) for i in (1, 2)]
     tail = RECIPES[plan.variant].tail
     if tail:
-        w1 = join(w1, 2, basic_map(tail))
-        w2 = join(w2, 2, basic_map(tail))
-    pair = MapPair(w1, w2, plan)
-    for which, m in (("W_1", pair.w1), ("W_2", pair.w2)):
+        members = [m.joined(m.last_handle_in_arrays(2), basic_map(tail)) for m in members]
+    if members[0].degree != plan.degree:
+        raise PlanError(f"assembled degree {members[0].degree} != planned {plan.degree}")
+    pieces, swaps, handles, _ = zip(*members)
+    return Schedule(pieces, swaps, handles, plan.degree, plan.stock_range)
+
+
+class _Chain(NamedTuple):
+    """A map under construction, as schedule follows it: its pieces
+    (map, offset), its swaps of x, its free (1)-handles, its degree."""
+
+    pieces: tuple
+    swaps: tuple
+    handles: tuple
+    degree: int
+
+    def last_handle(self):
+        """`pick_handle(m, 1)` on the map m this chain realizes."""
+        if not self.handles:
+            raise CompositionError("no free (1)-handle available")
+        return self.handles[-1]
+
+    def last_handle_in_arrays(self, k):
+        """`pick_handle(m, k)` on the map m this chain realizes, from its arrays."""
+        x, y, t = _arrays(self.pieces, self.swaps)
+        step = xy = y[x]
+        for _ in range(k - 1):
+            step = xy[step]
+        pts = np.arange(x.size)
+        fixed = x == pts
+        a = np.flatnonzero(fixed & (step != pts) & fixed[step])
+        if not a.size:
+            raise CompositionError(f"no free ({k})-handle available")
+        b = step[a]
+        # find_handles' order: by least point, then by a
+        i = np.lexsort((a, np.minimum(a, b)))[-1]
+        return Handle(k, int(a[i]), int(b[i]), mirror_paired=bool(t[a[i]] == b[i]))
+
+    def joined(self, h1, piece):
+        """This chain joined along its handle h1 to `piece`, by the piece's
+        canonical handle of h1's kind, as `compose.join` would."""
+        h2 = pick_handle(piece, h1.k)
+        for h in (h1, h2):
+            if not h.mirror_paired:
+                raise CompositionError(
+                    f"handle {h} is not reflection-paired; the joined map would "
+                    "have no inherited reflection"
+                )
+        n = self.degree
+        a2, b2 = h2.a + n, h2.b + n
+        used = {h1.a, h1.b, a2, b2}
+        moved = tuple(Handle(1, h.a + n, h.b + n, h.mirror_paired) for h in piece.find_handles(1))
+        return _Chain(
+            self.pieces + ((piece, n),),
+            self.swaps + ((h1.a, a2), (h1.b, b2)),
+            tuple(h for h in self.handles + moved if used.isdisjoint(h.points)),
+            n + piece.n,
+        )
+
+
+def _arrays(pieces, swaps):
+    x, y, t = (
+        np.concatenate([getattr(m, g).array + off for m, off in pieces]) for g in "xyt"
+    )
+    if swaps:
+        i, j = np.array(swaps).T
+        x[i], x[j] = j, i
+    return x, y, t
+
+
+def realize(sched):
+    """Each member's x, y and t image arrays: its pieces' arrays at their
+    offsets in one concatenation, then x swapped on the listed pairs."""
+    return tuple(_arrays(p, s) for p, s in zip(sched.pieces, sched.swaps))
+
+
+def build_pair(plan):
+    """Realize the plan's schedule, validate each member once as a map,
+    and find the plan's prime as a useful w-cycle of both."""
+    w1, w2 = (
+        HurwitzMap(plan.degree, *map(Permutation._trusted, arrays))
+        for arrays in realize(schedule(plan))
+    )
+    cycles = []
+    for which, m in (("W_1", w1), ("W_2", w2)):
         try:
-            m.jordan_cycle(plan.prime)
+            cycles.append(m.jordan_cycle(plan.prime))
         except MapError as exc:
             raise PlanError(f"{which}: {exc}") from None
-    if pair.degree != plan.degree:
-        raise PlanError(f"assembled degree {pair.degree} != planned {plan.degree}")
-    return pair
+    return MapPair(w1, w2, plan, tuple(cycles))
 
 
 def shared_handles(w1, w2, lo, hi):
@@ -354,42 +464,31 @@ def shared_handles(w1, w2, lo, hi):
     lo..hi-1, ascending by least point.  The members share labels and
     reflection on their common prefix, so inside the stock these are
     exactly the unused stock handles, and each is a handle of both."""
-    h2 = set(w2.find_handles(1))
-    return [
-        h for h in w1.find_handles(1) if h in h2 and all(lo <= p < hi for p in h.points)
-    ]
+    return _common_handles(w1.find_handles(1), w2.find_handles(1), lo, hi)
 
 
-def with_free_stock_handles(pair, labels):
-    """Starting from `pair`, built from its plan, rebuild with the fewest
-    extra whole copies of G in the stock (s + 3 each, at most 4) that leave
-    two shared free (1)-handles inside the stock, or inside its first
-    `labels` labels.
+def _common_handles(handles1, handles2, lo, hi):
+    h2 = set(handles2)
+    return [h for h in handles1 if h in h2 and all(lo <= p < hi for p in h.points)]
 
-    Returns (pair, extra copies, shared handles), the pair carrying the
-    enlarged plan, or None when four extra copies do not suffice.  An
-    enlarged plan with the degree and stock range of the plan just tried
-    gives the same pair, so it is skipped: at s = 3 the shifted and
-    r1_special plans already have s* = 6, and a plan with no stock, such
-    as small_n's, is built once.
+
+def with_free_stock_handles(plan, labels):
+    """The pair of `plan` with the fewest extra whole copies of G in the
+    stock (s + 3 each, at most 4) that leave two shared free (1)-handles
+    inside the stock, or inside its first `labels` labels.
+
+    The handles are read off each enlarged plan's schedule, so only the
+    pair returned is built.  Returns (pair, extra copies, shared
+    handles), the pair carrying the enlarged plan, or None when four
+    extra copies do not suffice, as for a plan with no stock.
     """
-    plan = pair.plan
     for extra_g in range(5):
-        if extra_g:
-            bigger = ConstructionPlan(plan.r, plan.s + 3 * extra_g, plan.variant)
-            if _assembly(bigger) == _assembly(pair.plan):
-                continue
-            pair = build_pair(bigger)
-        lo, hi = pair.plan.stock_range
+        bigger = ConstructionPlan(plan.r, plan.s + 3 * extra_g, plan.variant)
+        sched = schedule(bigger)
+        lo, hi = sched.stock_range
         if labels is not None:
             hi = lo + labels
-        shared = shared_handles(pair.w1, pair.w2, lo, hi)
+        shared = _common_handles(*sched.handles, lo, hi)
         if len(shared) >= 2:
-            return pair, extra_g, shared
+            return build_pair(bigger), extra_g, shared
     return None
-
-
-def _assembly(plan):
-    """What the maps built from a plan depend on beyond r and the variant
-    (s* only through the degree, as the stock has degree 14 s*)."""
-    return plan.degree, plan.stock_range

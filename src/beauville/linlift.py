@@ -29,7 +29,6 @@ import numpy as np
 
 from .construct import (
     ConstructionPlan,
-    build_pair,
     shared_handles,
     with_free_stock_handles,
 )
@@ -403,7 +402,7 @@ def lift_pair(plan, p, t1):
     matching the construction's stated degree penalty.
     """
     # inside the first stock copy
-    found = with_free_stock_handles(build_pair(plan), 42)
+    found = with_free_stock_handles(plan, 42)
     if found is None:
         raise LiftError("could not free two stock handles for the lift")
     pair, extra_g, shared = found

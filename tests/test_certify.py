@@ -563,8 +563,8 @@ class TestCover:
         assert cov.base.pair.w1.genus() == 0
 
     def test_builds_each_stock_once(self, monkeypatch):
-        # r = 0 needs one extra copy of G: the pair at s = 3 gives the tau
-        # parities and is the first stock tried, so only s = 6 is rebuilt.
+        # r = 0 needs one extra copy of G: the tau parities and the free
+        # handles at s = 3 come from schedules, so only s = 6 is built.
         built = []
 
         def counting(plan):
@@ -574,29 +574,29 @@ class TestCover:
         monkeypatch.setattr(certify, "build_pair", counting)
         monkeypatch.setattr(construct, "build_pair", counting)
         assert certify_cover(minimal_plan(0)).extra_g_copies == 1
-        assert built == [(0, 3), (0, 6)]
+        assert built == [(0, 6)]
 
     def test_skips_a_stock_it_already_built(self, monkeypatch):
         # the shifted plan at s = 3 already has s* = 6, so one extra copy
         # of G (s = 6) would assemble the degree-510 pair again; the cover
-        # and the lift both go on to s = 9
+        # and the lift both go on to s = 9, and build only that pair
         built = []
 
         def counting(plan):
             built.append((plan.s, plan.degree))
             return build_pair(plan)
 
-        for module in (certify, construct, linlift):
+        for module in (certify, construct):
             monkeypatch.setattr(module, "build_pair", counting)
         assert certify_cover(minimal_plan(6)).extra_g_copies == 2
-        assert built == [(3, 510), (9, 552)]
+        assert built == [(9, 552)]
         built.clear()
         assert linlift.lift_pair(minimal_plan(6), 3, 2).extra_g_copies == 2
-        assert built == [(3, 510), (9, 552)]
+        assert built == [(9, 552)]
 
-    def test_stockless_plan_is_built_once(self, monkeypatch):
-        # a small_n plan has no stock, so every extra copy of G would
-        # assemble the same degree-252 pair before the refusal
+    def test_stockless_plan_is_never_built(self, monkeypatch):
+        # a small_n plan has no stock, so no extra copy of G frees a
+        # handle; the cover builds at most the pair it keeps, so none
         built = []
 
         def counting(plan):
@@ -607,7 +607,7 @@ class TestCover:
             monkeypatch.setattr(module, "build_pair", counting)
         with pytest.raises(CertificationError, match="could not provision"):
             certify_cover(ConstructionPlan(0, 3, "small_n"))
-        assert built == [(3, 252)]
+        assert built == []
 
     @pytest.mark.parametrize("s", [3, 5])
     def test_every_class_verifies(self, s):

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from beauville import construct
+from beauville import certify, compose, construct
 from beauville.atlas import basic_map
 from beauville.compose import join, pick_handle
 from beauville.construct import (
@@ -10,15 +10,21 @@ from beauville.construct import (
     S3_SHORTCUT_DEGREES,
     SMALL_CASE_DEGREES,
     CHAIN_RECIPES,
+    RECIPES,
+    VARIANTS,
     ConstructionPlan,
     PlanError,
     build_pair,
     minimal_plan,
+    realize,
+    schedule,
     shared_handles,
     stock_U,
     v_map,
+    with_free_stock_handles,
     x_map,
 )
+from beauville.maps import HurwitzMap
 
 
 def _chained_stock(s):
@@ -31,6 +37,37 @@ def _chained_stock(s):
         out = join(out, 1, basic_map("A"))
     elif s % 3 == 2:
         out = join(out, 1, basic_map("E"))
+    return out
+
+
+def _folded_pair(plan):
+    """A plan's members as joined one piece at a time: the pieces by their
+    (1)-handles, then each marker, then the tail by (2)-handles."""
+    names, chain = plan._layout
+    w = None
+    for name in names:
+        if name == "U":
+            piece = stock_U(plan.s_star)
+        elif name == "V":
+            piece = v_map(chain)
+        else:
+            piece = basic_map(name)
+        w = piece if w is None else join(w, 1, piece)
+    members = [join(w, 1, x_map(i)) for i in (1, 2)]
+    tail = RECIPES[plan.variant].tail
+    if tail:
+        members = [join(m, 2, basic_map(tail)) for m in members]
+    return members
+
+
+def _admitted_plans(r, stocks):
+    out = []
+    for variant in VARIANTS:
+        for s in stocks:
+            try:
+                out.append(ConstructionPlan(r, s, variant))
+            except PlanError:
+                break
     return out
 
 
@@ -201,3 +238,74 @@ class TestBuildPair:
         for m in (pair.w1, pair.w2):
             assert m.genus() == 0
             assert m.x.order() == 2 and m.y.order() == 3 and m.z.order() == 7
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("r", range(14))
+    def test_realize_equals_the_join_fold(self, r, monkeypatch):
+        # every stock 3..60 of every variant, and 0-4 extra copies of G
+        # on each: the realized arrays and the free (1)-handles are the
+        # fold's, and so are the cover's and the lift's enlargement choices
+        folded, by_inputs = {}, {}
+        for plan in _admitted_plans(r, range(3, 73)):
+            # the fold reads s only through the stock, as s*
+            inputs = (plan.variant, plan.s_star if "U" in plan._layout[0] else None)
+            if inputs not in by_inputs:
+                by_inputs[inputs] = _folded_pair(plan)
+            members = by_inputs[inputs]
+            sched = schedule(plan)
+            assert sched.degree == plan.degree == members[0].n
+            assert sched.stock_range == plan.stock_range
+            for m, arrays, handles in zip(members, realize(sched), sched.handles):
+                for g, arr in zip("xyt", arrays):
+                    assert arr.tobytes() == getattr(m, g).array.tobytes(), (plan, g)
+                assert handles == tuple(m.find_handles(1)), plan
+            folded[plan] = members
+
+        def expected(plan, labels):
+            for extra_g in range(5):
+                bigger = ConstructionPlan(plan.r, plan.s + 3 * extra_g, plan.variant)
+                lo, hi = bigger.stock_range
+                shared = shared_handles(*folded[bigger], lo, hi if labels is None else lo + labels)
+                if len(shared) >= 2:
+                    return bigger, extra_g, shared
+            return None
+
+        monkeypatch.setattr(construct, "build_pair", lambda plan: plan)
+        for plan in _admitted_plans(r, range(3, 61)):
+            for labels in (None, 42):
+                assert with_free_stock_handles(plan, labels) == expected(plan, labels), plan
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        counts = {"validate": 0, "join": 0}
+        validate, join_ = HurwitzMap._validate, compose.join
+
+        def counting_validate(m):
+            counts["validate"] += 1
+            validate(m)
+
+        def counting_join(*args):
+            counts["join"] += 1
+            return join_(*args)
+
+        monkeypatch.setattr(HurwitzMap, "_validate", counting_validate)
+        monkeypatch.setattr(compose, "join", counting_join)
+        return counts
+
+    @pytest.mark.parametrize("r", range(14))
+    def test_build_pair_validates_each_member_once(self, r, counted):
+        plan = minimal_plan(r)
+        schedule(plan)  # fills the ingredient caches
+        counted.update(validate=0, join=0)
+        build_pair(plan)
+        assert counted == {"validate": 2, "join": 0}
+
+    @pytest.mark.parametrize("r", range(14))
+    def test_cover_validates_its_members_and_joins(self, r, counted):
+        plan = minimal_plan(r)
+        certify.certify_cover(plan)  # fills the ingredient caches
+        counted.update(validate=0, join=0)
+        cov = certify.certify_cover(plan)
+        joins = {"adjoin_E_2A": 3, "internal_join": 1}[cov.branch]
+        assert counted == {"validate": 2 + joins, "join": 0}
