@@ -12,20 +12,28 @@ of G joined by (1)-handles, and chains associate to the left.  At each
 join both sides use their free handle of the required kind with the
 largest minimum point; with that convention the chain recipes reproduce
 the published cycle data exactly.
+
+eval_expr and the construction schedules build chains with one engine,
+`Chain`, which validates only the finished map; `join`, `k_compose` and
+`self_join` validate each map they build.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._atlas_data import BASIC_MAPS
 from .atlas import BASIC_MAP_IDS, basic_map
-from .maps import HurwitzMap, MapError
+from .maps import Handle, HurwitzMap, MapError, handles_in_arrays
 from .perm import Permutation
 
 __all__ = [
     "CompositionError",
+    "MAX_DEGREE",
+    "Chain",
     "k_compose",
     "self_join",
     "eval_expr",
@@ -35,6 +43,10 @@ __all__ = [
 ]
 
 
+# The largest degree eval_expr builds; checked before anything is joined.
+MAX_DEGREE = 2**20
+
+
 class CompositionError(MapError):
     """A join cannot be performed as requested."""
 
@@ -42,6 +54,10 @@ class CompositionError(MapError):
 def _check_handle(m, h):
     if h not in m.find_handles(h.k):
         raise CompositionError(f"handle {h} does not belong to the map")
+    _check_paired(h)
+
+
+def _check_paired(h):
     if not h.mirror_paired:
         # Only the map with overlapping handles has such pairs; the
         # composed reflection (the union of the two) would violate its
@@ -62,14 +78,9 @@ def k_compose(d1, h1, d2, h2):
         raise CompositionError(f"handle kinds differ: ({h1.k}) vs ({h2.k})")
     _check_handle(d1, h1)
     _check_handle(d2, h2)
-    xa, ya, ta = (
-        np.concatenate((g1.array, g2.array + d1.n))
-        for g1, g2 in ((d1.x, d2.x), (d1.y, d2.y), (d1.t, d2.t))
-    )
-    a2, b2 = h2.a + d1.n, h2.b + d1.n
-    xa[h1.a], xa[a2] = a2, h1.a
-    xa[h1.b], xa[b2] = b2, h1.b
-    return HurwitzMap(d1.n + d2.n, *map(Permutation._trusted, (xa, ya, ta)))
+    n = d1.n
+    arrays = chain_arrays(((d1, 0), (d2, n)), ((h1.a, h2.a + n), (h1.b, h2.b + n)))
+    return HurwitzMap(n + d2.n, *map(Permutation._trusted, arrays))
 
 
 def self_join(d, h1, h2):
@@ -85,8 +96,7 @@ def self_join(d, h1, h2):
     _check_handle(d, h1)
     _check_handle(d, h2)
     xa = np.array(d.x.array)
-    xa[h1.a], xa[h2.a] = h2.a, h1.a
-    xa[h1.b], xa[h2.b] = h2.b, h1.b
+    _swap(xa, ((h1.a, h2.a), (h1.b, h2.b)))
     before = d.genus()
     out = HurwitzMap(d.n, Permutation._trusted(xa), d.y, d.t)
     if out.genus() != before + 1:
@@ -104,7 +114,10 @@ def pick_handle(m, k):
     makes the published chain recipes come out with the published cycle
     data; find_handles still enumerates ascending.
     """
-    handles = m.find_handles(k)
+    return _last(m.find_handles(k), k)
+
+
+def _last(handles, k):
     if not handles:
         raise CompositionError(f"no free ({k})-handle available")
     return handles[-1]
@@ -148,48 +161,134 @@ def _terms(text):
         pos += 1
 
 
+_TOKEN = re.compile(r"\s|\(([^)]*)(\)?)|(\d+)|([%s])|(.)" % "".join(BASIC_MAP_IDS), re.S)
+
+
 def _tokenize(text):
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "(":
-            j = text.find(")", i)
-            if j < 0:
-                raise CompositionError(f"unclosed '(' at position {i} in {text!r}")
-            inner = text[i + 1 : j].strip()
-            if inner not in ("1", "2", "3"):
-                raise CompositionError(f"join kind must be 1, 2 or 3, got {inner!r}")
-            out.append(("join", int(inner)))
-            i = j + 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(("int", int(text[i:j])))
-            i = j
-        elif ch in BASIC_MAP_IDS:
-            out.append(("map", ch))
-            i += 1
-        else:
-            raise CompositionError(f"bad character {ch!r} at position {i} in {text!r}")
+    for match in _TOKEN.finditer(text):
+        inner, closed, digits, map_id, bad = match.groups()
+        if bad or inner is not None and not closed:
+            what = "unclosed '('" if inner is not None else f"bad character {bad!r}"
+            raise CompositionError(f"{what} at position {match.start()} in {text!r}")
+        if inner is not None:
+            k = inner.strip()
+            if k not in ("1", "2", "3"):
+                raise CompositionError(f"join kind must be 1, 2 or 3, got {k!r}")
+            out.append(("join", int(k)))
+        elif digits:
+            out.append(("int", int(digits)))
+        elif map_id:
+            out.append(("map", map_id))
     return out
 
 
 def eval_expr(text):
-    """Evaluate chain notation to a map, as one left fold over its terms:
-    "mG" is G joined (1) to itself m - 1 times, and each term is joined
-    whole onto the map built so far.  A chain of any length uses the
-    same stack depth."""
-    m = None
-    for k, count, map_id in _terms(text):
-        term = basic_map(map_id)
+    """Evaluate chain notation to a map: the whole text is read and its
+    degree bounded by MAX_DEGREE, then its terms are compiled to one
+    Chain, whose map is validated once.  "mG" is G joined (1) to itself
+    m - 1 times, and each term is joined whole onto the chain so far."""
+    terms = _terms(text)
+    degree = sum(count * BASIC_MAPS[map_id]["degree"] for _, count, map_id in terms)
+    if degree > MAX_DEGREE:
+        raise CompositionError(f"chain degree {degree} exceeds the limit {MAX_DEGREE}")
+    chain = None
+    for k, count, map_id in terms:
+        term = Chain(basic_map(map_id))
         for _ in range(count - 1):
-            term = join(term, 1, basic_map(map_id))
-        m = term if k is None else join(m, k, term)
-    return m
+            term.join(1, Chain(basic_map(map_id)))
+        chain = term if k is None else chain.join(k, term)
+    return chain.build()
+
+
+# -- the chain engine ----------------------------------------------------------
+
+
+class Chain:
+    """A map under construction: its pieces (map, offset) side by side,
+    the swaps (i, j) its joins make in x, and its degree.  A join changes
+    x only at its four handle points, which stop being fixed, so it
+    creates no (1)-handle: the chain keeps its (1)-handles ascending and
+    drops used ones from the end.  (2)- and (3)-handles, which a join can
+    create, are read off the realized arrays from the end back.  So a
+    join costs time linear in the chain joined on.
+    """
+
+    def __init__(self, m):
+        self.pieces, self.swaps, self.degree = [(m, 0)], [], m.n
+        self._handles, self._used = m.find_handles(1), set()
+        self._arrays, self._realized = [np.empty(0, np.int64)] * 3, (0, 0)
+
+    def free_handles(self):
+        """The free (1)-handles of the realized map, ascending by least point."""
+        return [h for h in self._handles if self._used.isdisjoint(h.points)]
+
+    def handle(self, k):
+        """`pick_handle(m, k)` on the map m this chain realizes."""
+        if k == 1:
+            handles = self._handles
+            while handles and not self._used.isdisjoint(handles[-1].points):
+                handles.pop()
+            return _last(handles, 1)
+        n = lo = self.degree
+        while True:
+            # the last handle with a >= lo is the last of all if its least
+            # point is >= lo too
+            lo = max(0, 2 * lo - n - 64)
+            handles = handles_in_arrays(*self.arrays(), lo)[k]
+            if lo == 0 or handles and min(handles[-1].points) >= lo:
+                return _last(handles, k)
+
+    def join(self, k, other):
+        """Join `other` onto this chain along each one's canonical
+        (k)-handle, as `join` does, and return this chain."""
+        h1, h2 = self.handle(k), other.handle(k)
+        _check_paired(h1)
+        _check_paired(h2)
+        n = self.degree
+        self.pieces += [(m, off + n) for m, off in other.pieces]
+        self.swaps += [(i + n, j + n) for i, j in other.swaps]
+        self.swaps += [(h1.a, h2.a + n), (h1.b, h2.b + n)]
+        self._handles += [
+            Handle(1, h.a + n, h.b + n, h.mirror_paired) for h in other.free_handles()
+        ]
+        self._used.update(self.swaps[-2] + self.swaps[-1])
+        self.degree += other.degree
+        return self
+
+    def arrays(self):
+        """The realized x, y and t, in buffers that each call extends by
+        the pieces and swaps joined since the last."""
+        n, (placed, swapped) = self.degree, self._realized
+        if self._arrays[0].size < n:
+            self._arrays = [np.resize(arr, 2 * n) for arr in self._arrays]
+        if self.pieces[placed:]:
+            start = self.pieces[placed][1]
+            for arr, new in zip(self._arrays, chain_arrays(self.pieces[placed:], ())):
+                arr[start:n] = new
+        _swap(self._arrays[0], self.swaps[swapped:])
+        self._realized = (len(self.pieces), len(self.swaps))
+        return tuple(arr[:n] for arr in self._arrays)
+
+    def build(self):
+        """The realized chain as a map, validated once."""
+        arrays = chain_arrays(self.pieces, self.swaps)
+        return HurwitzMap(self.degree, *map(Permutation._trusted, arrays))
+
+
+def chain_arrays(pieces, swaps):
+    """The x, y and t image arrays of a chain: its pieces' arrays at their
+    offsets in one concatenation, then x swapped on the listed pairs."""
+    offsets = np.repeat([off for _, off in pieces], [m.n for m, _ in pieces])
+    x, y, t = (np.concatenate([getattr(m, g).array for m, _ in pieces]) + offsets for g in "xyt")
+    _swap(x, swaps)
+    return x, y, t
+
+
+def _swap(x, swaps):
+    if swaps:
+        i, j = np.array(swaps).T
+        x[i], x[j] = j, i
 
 
 # -- merge law verification -----------------------------------------------

@@ -27,14 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
 
 from ._atlas_data import BASIC_MAPS
 from .atlas import basic_map
-from .compose import CompositionError, eval_expr, pick_handle
-from .maps import Handle, HurwitzMap, MapError
+from .compose import Chain, chain_arrays, eval_expr, pick_handle
+from .maps import HurwitzMap, MapError
 from .perm import Permutation
 
 __all__ = [
@@ -347,100 +344,36 @@ class Schedule:
     stock_range: tuple
 
 
+@lru_cache(maxsize=None)
 def schedule(plan):
-    """The plan's join schedule, read from its pieces' handle data.
-
-    A join fixes y and t and changes x only at its four handle points,
-    which stop being fixed.  So it creates no (1)-handle, every
-    (1)-handle that misses those points survives, and the handle
-    `pick_handle` would take at each (1)-join is the last one still free.
-    The (2)-handle of the r8 tail is read off the realized arrays.
-    """
+    """The plan's join schedule: each member compiled to one
+    `compose.Chain` over the cached ingredients, joined by their
+    (1)-handles, then its marker, then the r8 tail by (2)-handles.
+    Cached, so a plan is scheduled once."""
     names, chain = plan._layout
     first, *rest = (
         stock_U(plan.s_star) if name == "U" else v_map(chain) if name == "V" else basic_map(name)
         for name in names
     )
-    w = _Chain(((first, 0),), (), tuple(first.find_handles(1)), first.n)
-    for piece in rest:
-        w = w.joined(w.last_handle(), piece)
-    members = [w.joined(w.last_handle(), x_map(i)) for i in (1, 2)]
     tail = RECIPES[plan.variant].tail
-    if tail:
-        members = [m.joined(m.last_handle_in_arrays(2), basic_map(tail)) for m in members]
-    if members[0].degree != plan.degree:
-        raise PlanError(f"assembled degree {members[0].degree} != planned {plan.degree}")
-    pieces, swaps, handles, _ = zip(*members)
+    members = []
+    for i in (1, 2):
+        w = Chain(first)
+        for piece in rest + [x_map(i)]:
+            w.join(1, Chain(piece))
+        if tail:
+            w.join(2, Chain(basic_map(tail)))
+        members.append((tuple(w.pieces), tuple(w.swaps), tuple(w.free_handles()), w.degree))
+    pieces, swaps, handles, (degree, _) = zip(*members)
+    if degree != plan.degree:
+        raise PlanError(f"assembled degree {degree} != planned {plan.degree}")
     return Schedule(pieces, swaps, handles, plan.degree, plan.stock_range)
-
-
-class _Chain(NamedTuple):
-    """A map under construction, as schedule follows it: its pieces
-    (map, offset), its swaps of x, its free (1)-handles, its degree."""
-
-    pieces: tuple
-    swaps: tuple
-    handles: tuple
-    degree: int
-
-    def last_handle(self):
-        """`pick_handle(m, 1)` on the map m this chain realizes."""
-        if not self.handles:
-            raise CompositionError("no free (1)-handle available")
-        return self.handles[-1]
-
-    def last_handle_in_arrays(self, k):
-        """`pick_handle(m, k)` on the map m this chain realizes, from its arrays."""
-        x, y, t = _arrays(self.pieces, self.swaps)
-        step = xy = y[x]
-        for _ in range(k - 1):
-            step = xy[step]
-        pts = np.arange(x.size)
-        fixed = x == pts
-        a = np.flatnonzero(fixed & (step != pts) & fixed[step])
-        if not a.size:
-            raise CompositionError(f"no free ({k})-handle available")
-        b = step[a]
-        # find_handles' order: by least point, then by a
-        i = np.lexsort((a, np.minimum(a, b)))[-1]
-        return Handle(k, int(a[i]), int(b[i]), mirror_paired=bool(t[a[i]] == b[i]))
-
-    def joined(self, h1, piece):
-        """This chain joined along its handle h1 to `piece`, by the piece's
-        canonical handle of h1's kind, as `compose.join` would."""
-        h2 = pick_handle(piece, h1.k)
-        for h in (h1, h2):
-            if not h.mirror_paired:
-                raise CompositionError(
-                    f"handle {h} is not reflection-paired; the joined map would "
-                    "have no inherited reflection"
-                )
-        n = self.degree
-        a2, b2 = h2.a + n, h2.b + n
-        used = {h1.a, h1.b, a2, b2}
-        moved = tuple(Handle(1, h.a + n, h.b + n, h.mirror_paired) for h in piece.find_handles(1))
-        return _Chain(
-            self.pieces + ((piece, n),),
-            self.swaps + ((h1.a, a2), (h1.b, b2)),
-            tuple(h for h in self.handles + moved if used.isdisjoint(h.points)),
-            n + piece.n,
-        )
-
-
-def _arrays(pieces, swaps):
-    x, y, t = (
-        np.concatenate([getattr(m, g).array + off for m, off in pieces]) for g in "xyt"
-    )
-    if swaps:
-        i, j = np.array(swaps).T
-        x[i], x[j] = j, i
-    return x, y, t
 
 
 def realize(sched):
     """Each member's x, y and t image arrays: its pieces' arrays at their
     offsets in one concatenation, then x swapped on the listed pairs."""
-    return tuple(_arrays(p, s) for p, s in zip(sched.pieces, sched.swaps))
+    return tuple(chain_arrays(p, s) for p, s in zip(sched.pieces, sched.swaps))
 
 
 def build_pair(plan):

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .perm import (
     is_identity_array,
     is_prime,
@@ -33,6 +35,7 @@ __all__ = [
     "WCycles",
     "UsefulCycle",
     "HurwitzMap",
+    "handles_in_arrays",
     "new_map",
     "map_doc",
     "map_to_text",
@@ -102,6 +105,27 @@ class Handle:
     @property
     def points(self):
         return (self.a, self.b)
+
+
+def handles_in_arrays(x, y, t, lo=0):
+    """The (k)-handles (a, b) with a >= lo of the map with image arrays
+    x, y and t, as {k: [Handle, ...]} for k = 1, 2, 3: each list
+    ascending by least point and then by a.  Only the fixed points of x
+    from lo on are followed, (xy)^k one step at a time."""
+    a = np.flatnonzero(x[lo:] == np.arange(lo, x.size)) + lo
+    b = a
+    found = {}
+    for k in (1, 2, 3):
+        b = y[x[b]]
+        hit = (b != a) & (x[b] == b)
+        ka, kb = a[hit], b[hit]
+        order = np.lexsort((ka, np.minimum(ka, kb)))
+        ka, kb = ka[order], kb[order]
+        found[k] = [
+            Handle(k, i, j, mirror_paired=paired)
+            for i, j, paired in zip(ka.tolist(), kb.tolist(), (t[ka] == kb).tolist())
+        ]
+    return found
 
 
 class WCycles:
@@ -224,18 +248,7 @@ class HurwitzMap:
 
     @cached_property
     def _handles_by_k(self):
-        xfix = set(self.x.fixed_points())
-        xy = self.x * self.y
-        t = self.t
-        found = {1: [], 2: [], 3: []}
-        for k in (1, 2, 3):
-            step = xy ** k
-            for a in sorted(xfix):
-                b = step[a]
-                if b != a and b in xfix:
-                    found[k].append(Handle(k, a, b, mirror_paired=(t[a] == b)))
-            found[k].sort(key=lambda h: min(h.a, h.b))
-        return found
+        return handles_in_arrays(self.x.array, self.y.array, self.t.array)
 
     def find_handles(self, k):
         """All (k)-handles, ascending by least point."""

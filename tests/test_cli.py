@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -141,6 +142,24 @@ class TestErrors:
         assert main(["compose", "A(1)A(1)A(1)"]) == 2
         err = capsys.readouterr().err
         assert err == "error: expected a map name at end of 'A(1)A(1)A(1)'\n"
+
+    @pytest.mark.parametrize(
+        "argv, degree",
+        [
+            (["compose", "99999999999999999999G"], 42 * 99999999999999999999),
+            (["construct", "--r", "0", "--s", "1000000"], 14 * 10**6),
+            (["certify", "--r", "0", "--s", "1000000"], 14 * 10**6),
+            (["cover", "--r", "0", "--s", "1000000"], 14 * 10**6),
+        ],
+        ids=["compose", "construct", "certify", "cover"],
+    )
+    def test_chain_degree_is_bounded(self, capsys, argv, degree):
+        start = time.process_time()
+        code = main(argv)
+        assert time.process_time() - start < 1.0
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: chain degree {degree} exceeds the limit 1048576\n", err
 
     def test_invalid_plan_exit_2(self, capsys):
         assert main(["construct", "--r", "6", "--s", "3", "--variant", "standard"]) == 2

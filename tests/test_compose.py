@@ -1,12 +1,17 @@
 import random
 import sys
+import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from beauville import compose
 from beauville.atlas import BASIC_MAP_IDS, basic_map
+from beauville.maps import HurwitzMap, handles_in_arrays
 from beauville.perm import parse_cycles
 from beauville.compose import (
+    MAX_DEGREE,
     CompositionError,
     eval_expr,
     k_compose,
@@ -14,6 +19,26 @@ from beauville.compose import (
     pick_handle,
     self_join,
 )
+from fold_helpers import fold_expr
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the engine's joins and of map validations."""
+    counts = {"join": 0, "validate": 0}
+    chain_join, validate = compose.Chain.join, HurwitzMap._validate
+
+    def counting_join(*args):
+        counts["join"] += 1
+        return chain_join(*args)
+
+    def counting_validate(m):
+        counts["validate"] += 1
+        validate(m)
+
+    monkeypatch.setattr(compose.Chain, "join", counting_join)
+    monkeypatch.setattr(HurwitzMap, "_validate", counting_validate)
+    return counts
 
 
 class TestParser:
@@ -50,15 +75,17 @@ class TestParser:
     }
 
     @pytest.mark.parametrize("bad", sorted(MESSAGES))
-    def test_whole_text_is_read_before_any_join(self, bad, monkeypatch):
+    def test_whole_text_is_read_before_any_join(self, bad, calls):
         # A has one (1)-handle, so joining "A(1)A(1)A" would fail at the
         # second join; the malformed text must be refused first
-        joins = []
-        monkeypatch.setattr(compose, "join", lambda *args: joins.append(args))
         with pytest.raises(CompositionError) as exc:
             eval_expr(bad)
         assert str(exc.value) == self.MESSAGES[bad]
-        assert joins == []
+        assert calls == {"join": 0, "validate": 0}
+
+    def test_a_digit_that_is_not_decimal_is_a_bad_character(self):
+        with pytest.raises(CompositionError, match=r"^bad character '²' at position 0 in '²G'$"):
+            eval_expr("²G")
 
 
 class TestPublishedExamples:
@@ -94,7 +121,7 @@ class TestEvalExpr:
         # the left spine used to be evaluated by recursion: 1000G hit the
         # recursion limit
         depths = []
-        real_join = compose.join
+        real_join = compose.Chain.join
 
         def recording_join(*args):
             frame, depth = sys._getframe(), 0
@@ -103,7 +130,7 @@ class TestEvalExpr:
             depths.append(depth)
             return real_join(*args)
 
-        monkeypatch.setattr(compose, "join", recording_join)
+        monkeypatch.setattr(compose.Chain, "join", recording_join)
         assert eval_expr("40G").n == 40 * basic_map("G").n
         assert len(depths) == 39
         assert len(set(depths)) == 1, depths
@@ -112,6 +139,133 @@ class TestEvalExpr:
         g = basic_map("G")
         assert eval_expr("G(1)2G") == compose.join(g, 1, compose.join(g, 1, g))
         assert eval_expr("2G(1)G") == compose.join(compose.join(g, 1, g), 1, g)
+
+    # one case for each refusal of the engine's joins
+    REFUSALS = {
+        "A(1)A(1)A": "no free (1)-handle available",
+        "A(2)A": "no free (2)-handle available",
+        "B(2)D": "handle Handle(k=2, a=6, b=11, mirror_paired=False) is not "
+        "reflection-paired; the joined map would have no inherited reflection",
+    }
+
+    @pytest.mark.parametrize("text", sorted(REFUSALS))
+    def test_refusals(self, text):
+        with pytest.raises(CompositionError) as exc:
+            eval_expr(text)
+        assert str(exc.value) == self.REFUSALS[text]
+        with pytest.raises(CompositionError) as exc:
+            fold_expr(text)
+        assert str(exc.value) == self.REFUSALS[text]
+
+
+class TestDegreeBound:
+    def test_huge_count_is_refused_before_anything_is_built(self, calls):
+        start = time.process_time()
+        with pytest.raises(CompositionError) as exc:
+            eval_expr("99999999999999999999G")
+        assert time.process_time() - start < 1.0
+        assert str(exc.value) == (
+            f"chain degree {42 * 99999999999999999999} exceeds the limit {MAX_DEGREE}"
+        )
+        assert calls == {"join": 0, "validate": 0}
+
+    def test_the_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(compose, "MAX_DEGREE", 84 + 14)
+        assert eval_expr("2G(1)A").n == 98
+        with pytest.raises(CompositionError, match=r"^chain degree 99 exceeds the limit 98$"):
+            eval_expr("2G(1)B")
+
+
+def _random_text(rng):
+    """A chain text over A..N with joins (1), (2), (3) and counts 1..4.
+    A joined term mostly names a map with a handle of the join's kind,
+    and counts above 2 go to maps with two or more (1)-handles."""
+    text = ""
+    for i in range(rng.randrange(1, 5)):
+        k = rng.choice((1, 2, 3))
+        ids = [m for m in BASIC_MAP_IDS if basic_map(m).find_handles(k)]
+        map_id = rng.choice(ids if i and rng.random() < 0.8 else BASIC_MAP_IDS)
+        many = len(basic_map(map_id).find_handles(1)) > 1
+        count = rng.choice((1, 1, 2, 3, 4) if many else (1, 2))
+        text += (f"({k})" if i else "") + (f"{count}" if count > 1 else "") + map_id
+    return text
+
+
+def test_engine_agrees_with_the_join_fold_on_random_chains():
+    rng = random.Random(0xC4A1)
+    outcomes = {"built": 0, "refused": 0}
+    refusals = set()
+    for _ in range(300):
+        text = _random_text(rng)
+        try:
+            want = fold_expr(text)
+        except CompositionError as exc:
+            with pytest.raises(CompositionError) as got:
+                eval_expr(text)
+            assert str(got.value) == str(exc), text
+            outcomes["refused"] += 1
+            refusals.add("unpaired" if "reflection-paired" in str(exc) else str(exc))
+            continue
+        got = eval_expr(text)
+        assert got == want, text
+        for k in (1, 2, 3):
+            assert got.find_handles(k) == want.find_handles(k), (text, k)
+        outcomes["built"] += 1
+    assert outcomes == {"built": 76, "refused": 224}
+    assert refusals == {f"no free ({k})-handle available" for k in (1, 2, 3)} | {"unpaired"}
+
+
+def _fake_piece(rng, n):
+    """Image arrays that form no map but carry many handles, some sharing
+    a point and some straddling the engine's search windows; t = y pairs
+    every (1)-handle, so (1)-joins go through."""
+    x = np.arange(n)
+    a, b = rng.permutation(n)[: n // 4 * 2].reshape(2, -1)
+    x[a], x[b] = b, a
+    y = rng.permutation(n)
+    return SimpleNamespace(
+        n=n,
+        x=SimpleNamespace(array=x),
+        y=SimpleNamespace(array=y),
+        t=SimpleNamespace(array=y),
+        find_handles=lambda k: handles_in_arrays(x, y, y)[k],
+    )
+
+
+class TestChainAgainstTheFinder:
+    """The engine's handles equal the one handle finder's on its realized
+    arrays, on pieces whose handles overlap, unlike the basic maps'."""
+
+    @pytest.mark.parametrize("n", [40, 200, 900])
+    def test_last_handle_is_found_from_the_end_back(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            piece = _fake_piece(rng, n)
+            found = handles_in_arrays(piece.x.array, piece.y.array, piece.t.array)
+            for k in (2, 3):
+                chain = compose.Chain(piece)
+                if found[k]:
+                    assert chain.handle(k) == found[k][-1]
+                else:
+                    with pytest.raises(CompositionError):
+                        chain.handle(k)
+
+    def test_free_handles_survive_the_joins(self):
+        rng = np.random.default_rng(0)
+        joins = 0
+        for _ in range(20):
+            chain = compose.Chain(_fake_piece(rng, 30))
+            for _ in range(6):
+                try:
+                    chain.join(1, compose.Chain(_fake_piece(rng, 30)))
+                except CompositionError:
+                    break
+                joins += 1
+                found = handles_in_arrays(*chain.arrays())[1]
+                assert chain.free_handles() == found
+                if found:
+                    assert chain.handle(1) == found[-1]
+        assert joins > 60
 
 
 class TestKCompose:

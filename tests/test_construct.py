@@ -1,10 +1,11 @@
 import dataclasses
+from functools import lru_cache
 
 import pytest
 
 from beauville import certify, compose, construct
-from beauville.atlas import basic_map
-from beauville.compose import join, pick_handle
+from beauville.atlas import BASIC_MAP_IDS, basic_map
+from beauville.compose import eval_expr, join, pick_handle
 from beauville.construct import (
     MINIMAL_DEGREES,
     S3_SHORTCUT_DEGREES,
@@ -25,6 +26,27 @@ from beauville.construct import (
     x_map,
 )
 from beauville.maps import HurwitzMap
+from fold_helpers import fold_expr
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of map validations, of `compose.join` calls and of the
+    chain engine's joins."""
+    counts = {"validate": 0, "join": 0, "chain_join": 0}
+    validate, join_, chain_join = HurwitzMap._validate, compose.join, compose.Chain.join
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(HurwitzMap, "_validate", counting("validate", validate))
+    monkeypatch.setattr(compose, "join", counting("join", join_))
+    monkeypatch.setattr(compose.Chain, "join", counting("chain_join", chain_join))
+    return counts
 
 
 def _chained_stock(s):
@@ -40,20 +62,29 @@ def _chained_stock(s):
     return out
 
 
+@lru_cache(maxsize=None)
+def _folded(name):
+    """An ingredient as `compose.join` folds build it: "U<s>" the stock,
+    "V<r>" the chain map, "X<i>" a marker, a letter the basic map."""
+    if name[0] == "U":
+        return _chained_stock(int(name[1:]))
+    if name[0] == "V":
+        return fold_expr(CHAIN_RECIPES[int(name[1:])][0])
+    if name[0] == "X":
+        return fold_expr({"X1": "4G(1)A(1)A(1)A", "X2": "L(2)M"}[name])
+    return basic_map(name)
+
+
 def _folded_pair(plan):
     """A plan's members as joined one piece at a time: the pieces by their
-    (1)-handles, then each marker, then the tail by (2)-handles."""
+    (1)-handles, then each marker, then the tail by (2)-handles.  Every
+    ingredient comes from `compose.join` folds, not from the engine."""
     names, chain = plan._layout
     w = None
     for name in names:
-        if name == "U":
-            piece = stock_U(plan.s_star)
-        elif name == "V":
-            piece = v_map(chain)
-        else:
-            piece = basic_map(name)
+        piece = _folded({"U": f"U{plan.s_star}", "V": f"V{chain}"}.get(name, name))
         w = piece if w is None else join(w, 1, piece)
-    members = [join(w, 1, x_map(i)) for i in (1, 2)]
+    members = [join(w, 1, _folded(f"X{i}")) for i in (1, 2)]
     tail = RECIPES[plan.variant].tail
     if tail:
         members = [join(m, 2, basic_map(tail)) for m in members]
@@ -84,13 +115,24 @@ class TestStock:
         # the single-E choice at s = 2 mod 3 keeps two handles free at s=5
         assert len(stock_U(5).find_handles(1)) == 2
 
-    @pytest.mark.parametrize("s", range(3, 31))
+    @pytest.mark.parametrize("s", range(3, 73))
     def test_equals_the_chained_joins(self, s):
         assert stock_U(s) == _chained_stock(s)
 
     def test_rejects_small(self):
         with pytest.raises(PlanError):
             stock_U(2)
+
+    def test_a_stock_is_validated_once(self, counted):
+        basic_map("G")
+        stock_U.cache_clear()
+        assert stock_U(600).n == 8400
+        assert counted == {"validate": 1, "join": 0, "chain_join": 199}
+
+    def test_huge_stock_is_refused_by_degree(self, counted):
+        with pytest.raises(compose.CompositionError, match=r"^chain degree 14000000 exceeds"):
+            stock_U(10**6)
+        assert counted == {"validate": 0, "join": 0, "chain_join": 0}
 
     def test_stock_handle_pattern(self):
         # any free stock handle has its points in w-cycles of lengths 1, 13
@@ -120,6 +162,18 @@ class TestVMaps:
         p_r = CHAIN_RECIPES[r][4]
         assert p_r in [len(u.cycle) for u in m.useful_cycles()]
 
+    @pytest.mark.parametrize("r", range(14))
+    def test_equals_the_join_fold(self, r):
+        assert v_map(r) == _folded(f"V{r}")
+
+    @pytest.mark.parametrize("r", range(14))
+    def test_recipe_is_validated_once(self, r, counted):
+        for map_id in BASIC_MAP_IDS:
+            basic_map(map_id)
+        counted.update(validate=0, chain_join=0)
+        eval_expr(CHAIN_RECIPES[r][0])
+        assert counted["validate"] == 1
+
     def test_specific_degrees(self):
         assert v_map(0).n == 42
         assert v_map(6).n == 216
@@ -146,6 +200,10 @@ class TestMarkers:
         assert len(m.find_handles(1)) == 1
         assert m.prime_set() == frozenset({2, 3, 7, 13, 19, 29})
         assert m.tau() // 2 == 52
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_equals_the_join_fold(self, i):
+        assert x_map(i) == _folded(f"X{i}")
 
     def test_difference(self):
         d = x_map(1).fixed_point_vector() - x_map(2).fixed_point_vector()
@@ -276,36 +334,19 @@ class TestSchedule:
             for labels in (None, 42):
                 assert with_free_stock_handles(plan, labels) == expected(plan, labels), plan
 
-    @pytest.fixture
-    def counted(self, monkeypatch):
-        counts = {"validate": 0, "join": 0}
-        validate, join_ = HurwitzMap._validate, compose.join
-
-        def counting_validate(m):
-            counts["validate"] += 1
-            validate(m)
-
-        def counting_join(*args):
-            counts["join"] += 1
-            return join_(*args)
-
-        monkeypatch.setattr(HurwitzMap, "_validate", counting_validate)
-        monkeypatch.setattr(compose, "join", counting_join)
-        return counts
-
     @pytest.mark.parametrize("r", range(14))
     def test_build_pair_validates_each_member_once(self, r, counted):
         plan = minimal_plan(r)
-        schedule(plan)  # fills the ingredient caches
-        counted.update(validate=0, join=0)
+        schedule(plan)  # fills the ingredient and schedule caches
+        counted.update(validate=0, chain_join=0)
         build_pair(plan)
-        assert counted == {"validate": 2, "join": 0}
+        assert counted == {"validate": 2, "join": 0, "chain_join": 0}
 
     @pytest.mark.parametrize("r", range(14))
     def test_cover_validates_its_members_and_joins(self, r, counted):
         plan = minimal_plan(r)
-        certify.certify_cover(plan)  # fills the ingredient caches
-        counted.update(validate=0, join=0)
+        certify.certify_cover(plan)  # fills the ingredient and schedule caches
+        counted.update(validate=0, chain_join=0)
         cov = certify.certify_cover(plan)
         joins = {"adjoin_E_2A": 3, "internal_join": 1}[cov.branch]
-        assert counted == {"validate": 2 + joins, "join": 0}
+        assert counted == {"validate": 2 + joins, "join": 0, "chain_join": 0}

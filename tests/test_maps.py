@@ -1,15 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 
 from beauville import perm
 from beauville.atlas import basic_map
 from beauville.maps import (
+    Handle,
     HurwitzMap,
     IntransitiveError,
     MapError,
     RelationError,
     map_from_text,
+    handles_in_arrays,
     map_to_text,
     new_map,
 )
@@ -84,6 +87,35 @@ class TestHandles:
         xy = map_a.x * map_a.y
         assert xy[h.a] == h.b
         assert map_a.x[h.a] == h.a and map_a.x[h.b] == h.b
+
+    def test_finder_matches_a_point_by_point_search(self):
+        # on arrays that form no map, so that handles share points and
+        # tie on their least point: the orientation is a -> a(xy)^k, the
+        # order by least point then by a, and lo keeps a >= lo
+        rng = np.random.default_rng(3)
+        ties = 0
+        for n in (20, 60, 200):
+            for _ in range(20):
+                x = np.arange(n)
+                a, b = rng.permutation(n)[: n // 4 * 2].reshape(2, -1)
+                x[a], x[b] = b, a
+                y, t = rng.permutation(n), rng.permutation(n)
+                fixed = [p for p in range(n) if x[p] == p]
+                for lo in (0, n // 3):
+                    found = handles_in_arrays(x, y, t, lo)
+                    for k in (1, 2, 3):
+                        want = []
+                        for p in fixed:
+                            q = p
+                            for _ in range(k):
+                                q = y[x[q]]
+                            if p >= lo and q != p and x[q] == q:
+                                want.append(Handle(k, p, int(q), bool(t[p] == q)))
+                        want.sort(key=lambda h: min(h.points))
+                        assert found[k] == want
+                        mins = [min(h.points) for h in want]
+                        ties += len(mins) - len(set(mins))
+        assert ties > 0
 
     def test_handle_pair_unordered_once(self):
         for mid in "ABCDEFGHIJKLMN":

@@ -5,7 +5,7 @@ certificate's member sections are read in one place too:
 `certify.certificate_maps`.  And no certificate rests on the group-order
 oracle: no module of the package calls `perm.group_order`, and `perm`
 imports no other module of the package, so the oracle reuses none of the
-certificates' evidence."""
+certificates' evidence.  Chains are joined by one engine, `compose.Chain`."""
 
 import ast
 from pathlib import Path
@@ -110,3 +110,25 @@ def test_the_oracle_imports_no_other_module_of_the_package():
             imported.add("." * node.level + (node.module or ""))
     assert imported, "perm.py imports nothing"
     assert not {m for m in imported if m.startswith(".") or m.split(".")[0] == "beauville"}
+
+
+def test_chains_are_built_only_by_the_compose_engine():
+    # construct compiles its pairs to `compose.Chain`: it keeps no chain
+    # type of its own, makes no join on built maps and places no arrays
+    tree = ast.parse((SRC / "construct.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert not {name for name in classes if "chain" in name.lower()}, classes
+    joins = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    } & {"join", "k_compose", "self_join"}
+    assert joins == set()
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "compose"
+        for alias in node.names
+    }
+    assert imported.isdisjoint({"join", "k_compose", "self_join"}), imported
+    assert calls_by_function(tree, "concatenate") == set()
