@@ -11,10 +11,13 @@ combinations of the roots of unity E(n) = exp(2 pi i / n).  A table holds
 them over one conductor m, the lcm of its n, as sparse (exponent mod m,
 coefficient) pairs: products add exponents, sums add coefficients and
 conjugation negates exponents.  A sum that must be rational is
-reduced modulo the cyclotomic polynomial Phi_m and must come out
-constant, so every check and count is exact.  Tables ship as data files;
-the parser validates the class equation, the table shape, the degrees
-and row orthogonality at load.
+reduced modulo the cyclotomic polynomial Phi_k and must come out
+constant, so every check and count is exact.  The load-time checks
+reduce at k = m; a count reduces in the smallest field that holds its
+three columns, at k the lcm of their column conductors, which divides
+m (for L2(13), m = 91 but every (2, 3, 7) count has k = 1 or 7).
+Tables ship as data files; the parser validates the class equation, the
+table shape, the degrees and row orthogonality at load.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .perm import _read_cycles, enumerate_group, parse_cycles
+from .perm import _read_cycles, _row_bytes, _sorted_rows, enumerate_group, parse_cycles
 
 __all__ = [
     "TableError",
@@ -71,10 +74,12 @@ class CharacterTable:
 
     `characters` holds `parse_value` results.  The conductor is the lcm of
     their n, and each value is kept as (exponent mod conductor,
-    coefficient) pairs.  A table is read-only once built, since
+    coefficient) pairs.  `column_conductors` holds, per class, the least
+    k with the class's column in Q(E(k)): conductor / gcd(conductor, the
+    column's exponents).  A table is read-only once built, since
     `bundled_table` shares one among all its callers: `classes`,
-    `characters` and `weights` are tuples, `index` is a read-only
-    mapping, and no attribute can be set again.
+    `characters`, `weights` and `column_conductors` are tuples, `index`
+    is a read-only mapping, and no attribute can be set again.
     """
 
     def __init__(self, group_name, order, classes, characters):
@@ -91,6 +96,11 @@ class CharacterTable:
             for row in characters
         )
         self._validate()
+        # a column's values lie in Q(E(k)) for k = m / gcd(m, its exponents)
+        self.column_conductors = tuple(
+            m // math.gcd(m, *(e for row in self.characters for e, _ in row[i]))
+            for i in range(len(self.classes))
+        )
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -318,24 +328,36 @@ def frobenius_count(table, x_name, y_name, z_name):
 
     Each character's term is weighed by lcm(degrees) / chi(1), so the sum
     is a cyclotomic integer; it must reduce to a rational integer s, and
-    |X| |Y| |Z| s / (|G| lcm(degrees)) must be an integer.
+    |X| |Y| |Z| s / (|G| lcm(degrees)) must be an integer.  The sum lies
+    in Q(E(k)) for k the lcm of the three columns' conductors, so it is
+    reduced modulo Phi_k, its exponents divided by conductor / k.
     """
-    cx, cy, cz = (table.class_named(nm) for nm in (x_name, y_name, z_name))
-    ix, iy, iz = (table.index[c.name] for c in (cx, cy, cz))
-    m = table.conductor
-    terms = (
-        (ex + ey + ez, w * ax * ay * az)
-        for row, w in zip(table.characters, table.weights)
-        for ex, ax in row[ix] for ey, ay in row[iy] for ez, az in row[iz]
-    )
-    rem = _reduce(terms, m)
-    triple = f"({x_name}, {y_name}, {z_name})"
+    cx, cy, cz = table.class_named(x_name), table.class_named(y_name), table.class_named(z_name)
+    index, cond = table.index, table.column_conductors
+    ix, iy, iz = index[x_name], index[y_name], index[z_name]
+    k = math.lcm(cond[ix], cond[iy], cond[iz])
+    step = table.conductor // k
+    acc = [0] * k
+    for row, w in zip(table.characters, table.weights):
+        for ex, ax in row[ix]:
+            for ey, ay in row[iy]:
+                exy, cxy = ex + ey, w * ax * ay
+                for ez, az in row[iz]:
+                    acc[(exy + ez) // step % k] += cxy * az
+    rem = _divide(acc, k)[1]
     if any(rem[1:]):
-        raise TableError(f"the character sum for {triple} is {_format(rem, m)}, not rational")
-    count = Fraction(cx.size * cy.size * cz.size * rem[0], table.order * table.degree_lcm)
-    if count.denominator != 1:
-        raise TableError(f"non-integral count {count} for {triple}")
-    return int(count)
+        raise TableError(
+            f"the character sum for ({x_name}, {y_name}, {z_name}) is "
+            f"{_format(rem, k)}, not rational"
+        )
+    num = cx.size * cy.size * cz.size * rem[0]
+    den = table.order * table.degree_lcm
+    count, left = divmod(num, den)
+    if left:
+        raise TableError(
+            f"non-integral count {Fraction(num, den)} for ({x_name}, {y_name}, {z_name})"
+        )
+    return count
 
 
 def class_sum_coefficient(table, x_name, y_name, z_name):
@@ -354,11 +376,11 @@ def conjugacy_classes(elements, gens):
     <gens>; classes sorted by (rep order, size, min element), each sorted
     by images.
 
-    The elements are indexed by their image bytes.  Conjugation by a
-    generator g maps all of them at once, as one scatter of their image
-    rows (g^-1 p g sends a^g to (a^p)^g), and then to element indices;
-    the classes are the orbits of these index maps.  Raises if a
-    conjugate is not among the elements.
+    The distinct elements become one image block, and each is indexed by
+    its row's bytes.  Conjugation by a generator g maps all of them at
+    once, as one scatter of the block (g^-1 p g sends a^g to (a^p)^g),
+    and then to element indices; the classes are the orbits of these
+    index maps.  Raises if a conjugate is not among the elements.
     """
     perms = list(dict.fromkeys(elements))
     if not perms:
@@ -366,19 +388,20 @@ def conjugacy_classes(elements, gens):
     n = perms[0].degree
     if any(p.degree != n for p in itertools.chain(perms, gens)):
         raise ValueError("degree mismatch")
-    rows = np.stack([p.array for p in perms])
-    index = {p.array.tobytes(): i for i, p in enumerate(perms)}
+    rows = np.concatenate([p.array for p in perms]).reshape(-1, n)
+    index = {key: i for i, key in enumerate(_row_bytes(rows))}
     conj = np.empty_like(rows)
     maps = []
     for g in gens:
         conj[:, g.array] = g.array[rows]
         try:
-            maps.append([index[row.tobytes()] for row in conj])
+            maps.append([index[key] for key in _row_bytes(conj)])
         except KeyError:
             raise ValueError("conjugation left the element set") from None
     # label the orbits from the elements in images order, so that each
-    # class, listed in that order, starts at its least element
-    order = np.lexsort(rows.T[::-1]).tolist()
+    # class, listed in that order, starts at its least element, and the
+    # labels follow the order of those least elements
+    order = _sorted_rows(rows).tolist()
     label = [-1] * len(perms)
     count = 0
     for start in order:
@@ -396,7 +419,9 @@ def conjugacy_classes(elements, gens):
     classes = [[] for _ in range(count)]
     for i in order:
         classes[label[i]].append(perms[i])
-    classes.sort(key=lambda cl: (cl[0].order(), len(cl), cl[0].images))
+    # a stable sort: classes of equal rep order and size stay in label
+    # order, which is the order of their least elements
+    classes.sort(key=lambda cl: (cl[0].order(), len(cl)))
     return classes
 
 

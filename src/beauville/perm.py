@@ -82,6 +82,21 @@ class Permutation:
         self._cycles = self._counts = self._ctype = None
         return self
 
+    @classmethod
+    def _rows(cls, block):
+        # One trusted permutation per row of a C-contiguous int64 block of
+        # image arrays, each hashed from its row's bytes; the block turns
+        # read-only once, and so does every row viewing it.
+        block.setflags(write=False)
+        out = []
+        for arr, key in zip(block, _row_bytes(block)):
+            self = object.__new__(cls)
+            self._arr = arr
+            self._hash = hash(key)
+            self._cycles = self._counts = self._ctype = None
+            out.append(self)
+        return out
+
     @property
     def degree(self):
         return self._arr.size
@@ -496,12 +511,32 @@ def closure(gens, cap):
     return elements
 
 
+def _row_bytes(block):
+    """The bytes of each row of a C-contiguous int64 block, read at once
+    through a view of each row as one opaque item: the key that indexes
+    an element by its images."""
+    return block.view(np.dtype((np.void, 8 * block.shape[1]))).ravel().tolist()
+
+
+def _sorted_rows(block):
+    """The row indices of a block of distinct image arrays in ascending
+    order of images: the order of the rows' big-endian bytes, which for
+    non-negative integers is their order point by point."""
+    keys = block.astype(">i8").view(np.dtype((np.void, 8 * block.shape[1])))
+    return np.argsort(keys.ravel())
+
+
 def enumerate_group(gens, cap=10_000):
     """All elements of <gens> as Permutations, sorted by their images;
-    raises if the order exceeds the cap.  One Permutation is made per
-    element of the closure, in the sorted order of its image tuples."""
-    rows = np.array(sorted(closure(gens, cap)), dtype=np.int64)
-    return [Permutation._trusted(row) for row in rows]
+    raises if the order exceeds the cap.  The closure becomes one image
+    block, whose rows are put in order by one sort and made Permutations
+    in bulk (`Permutation._rows`)."""
+    elements = closure(gens, cap)
+    n = len(elements[0])
+    block = np.fromiter(
+        itertools.chain.from_iterable(elements), np.int64, len(elements) * n
+    ).reshape(-1, n)
+    return Permutation._rows(block[_sorted_rows(block)])
 
 
 def _has_giant_cycle(arr):

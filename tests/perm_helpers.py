@@ -1,5 +1,6 @@
-"""Permutation helpers shared by the tests: seeded random permutations and
-an enumeration oracle independent of the package's own."""
+"""Permutation helpers shared by the tests: seeded random permutations, an
+equality check that also compares hashes, and an enumeration oracle
+independent of the package's own."""
 
 import random
 from operator import itemgetter
@@ -12,6 +13,10 @@ def random_permutation(n, rng=None):
     images = list(range(n))
     rng.shuffle(images)
     return Permutation(images)
+
+
+def equal_and_same_hash(p, q):
+    return p == q and q == p and hash(p) == hash(q)
 
 
 def brute_closure(gens):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -7,6 +8,7 @@ from importlib import resources
 
 import pytest
 
+from beauville import frobenius
 from beauville.atlas import basic_map
 from beauville.frobenius import (
     BUNDLED_TABLES,
@@ -22,9 +24,10 @@ from beauville.frobenius import (
     parse_table,
     parse_value,
 )
-from beauville.perm import from_cycles, identity, parse_cycles
+from beauville.perm import Permutation, closure, from_cycles, identity, parse_cycles
 
-from perm_helpers import brute_enumerate, random_permutation
+from count_helpers import full_conductor_count
+from perm_helpers import brute_enumerate, equal_and_same_hash, random_permutation
 
 
 def s3_gens():
@@ -39,6 +42,45 @@ C3_TABLE = (
     "char 1 1 1\n"
     "char 1 E(3) E(3)^2\n"
     "char 1 E(3)^2 E(3)\n"
+)
+
+
+# cyclic group of order 4: character values are Gaussian integers
+C4_TABLE = (
+    "beauville-table v2\ngroup C4\norder 4\n"
+    "class 1A 1 1 1A id\n"
+    "class 4A 1 4 4B (0,1,2,3)\n"
+    "class 2A 1 2 2A (0,2)(1,3)\n"
+    "class 4B 1 4 4A (0,3,2,1)\n"
+    "char 1 1 1 1\n"
+    "char 1 E(4) -1 -E(4)\n"
+    "char 1 -1 1 -1\n"
+    "char 1 E(4)^3 -1 E(4)\n"
+)
+
+# rows orthonormal over weight-1 classes, but not the character table of
+# any group: the (1A, 2A, 2A) sum is 2 - 2 E(8)^2
+F_TABLE = (
+    "beauville-table v2\ngroup F\norder 4\n"
+    "class 1A 1 1 1A\nclass 2A 1 2 2A\nclass 2B 1 2 2B\nclass 2C 1 2 2C\n"
+    "char 1 1 1 1\n"
+    "char 1 E(8)^3 -1 E(8)^7\n"
+    "char 1 -1 1 -1\n"
+    "char 1 E(8)^7 -1 E(8)^3\n"
+)
+
+# the shape of D7's table (class sizes 1, 2, 2, 2, 7), with integers where
+# D7 has E(7)^k + E(7)^-k: rows orthogonal and every sum rational, but not
+# the table of any group, since n(7A, 7A, 7A) comes out as -6/7
+FAKE_D7_TABLE = (
+    "beauville-table v2\ngroup D\norder 14\n"
+    "class 1A 1 1 1A\nclass 7A 2 7 7A\nclass 7B 2 7 7B\nclass 7C 2 7 7C\n"
+    "class 2A 7 2 2A\n"
+    "char 1 1 1 1 1\n"
+    "char 1 1 1 1 -1\n"
+    "char 2 -2 0 1 0\n"
+    "char 2 0 1 -2 0\n"
+    "char 2 1 -2 0 0\n"
 )
 
 
@@ -126,36 +168,14 @@ class TestParsing:
         assert frobenius_count(t, "3A", "3A", "1A") == 0
 
     def test_exact_gaussian_values(self):
-        # cyclic group of order 4: character values are Gaussian integers
-        text = (
-            "beauville-table v2\ngroup C4\norder 4\n"
-            "class 1A 1 1 1A id\n"
-            "class 4A 1 4 4B (0,1,2,3)\n"
-            "class 2A 1 2 2A (0,2)(1,3)\n"
-            "class 4B 1 4 4A (0,3,2,1)\n"
-            "char 1 1 1 1\n"
-            "char 1 E(4) -1 -E(4)\n"
-            "char 1 -1 1 -1\n"
-            "char 1 E(4)^3 -1 E(4)\n"
-        )
-        t = parse_table(text)
+        t = parse_table(C4_TABLE)
         assert frobenius_count(t, "4A", "4A", "2A") == 1
         assert frobenius_count(t, "4A", "4B", "1A") == 1
         assert frobenius_count(t, "4A", "4A", "1A") == 0
         assert frobenius_count(t, "2A", "2A", "1A") == 1
 
     def test_irrational_count_refused(self):
-        # rows orthonormal over weight-1 classes, but not the character
-        # table of any group: the (1A, 2A, 2A) sum is 2 - 2 E(8)^2
-        text = (
-            "beauville-table v2\ngroup F\norder 4\n"
-            "class 1A 1 1 1A\nclass 2A 1 2 2A\nclass 2B 1 2 2B\nclass 2C 1 2 2C\n"
-            "char 1 1 1 1\n"
-            "char 1 E(8)^3 -1 E(8)^7\n"
-            "char 1 -1 1 -1\n"
-            "char 1 E(8)^7 -1 E(8)^3\n"
-        )
-        t = parse_table(text)
+        t = parse_table(F_TABLE)
         with pytest.raises(TableError, match=r"\(1A, 2A, 2A\) is 2-2\*E\(8\)\^2, not rational"):
             frobenius_count(t, "1A", "2A", "2A")
 
@@ -167,6 +187,31 @@ class TestParsing:
         )
         with pytest.raises(TableError, match="sum"):
             parse_table(bad)
+
+
+@pytest.mark.parametrize(
+    "text, triple, message",
+    [
+        (C3_TABLE + "char 1 1 1\n", None, "4 characters for 3 classes"),
+        (C3_TABLE.replace("char 1 1 1\n", "char 1 1 1 1\n"), None,
+         "character row length mismatch"),
+        (C3_TABLE.replace("class 3A 1 3 3B", "class 3A 1 3 3C"), None,
+         "inverse class '3C' of '3A' unknown"),
+        (C3_TABLE.replace("class 1A 1 1 1A id", "class 1A 1 3 1A"), None, "no identity class"),
+        (C3_TABLE.replace("class 1A 1 1 1A id", "class 1A 1 1"), None,
+         "bad class line: 'class 1A 1 1'"),
+        (C3_TABLE + "colour red\n", None, "unknown line 'colour red'"),
+        (C3_TABLE.replace("group C3\n", ""), None, "missing group or order header"),
+        (FAKE_D7_TABLE, ("7A", "7A", "7A"), "non-integral count -6/7 for (7A, 7A, 7A)"),
+    ],
+    ids=["characters", "row-length", "inverse", "identity", "class-line", "unknown-line",
+         "header", "non-integral"],
+)
+def test_each_refusal_fires(text, triple, message):
+    """Every refusal of the table reader and of the count, each named."""
+    with pytest.raises(TableError) as exc:
+        frobenius_count(parse_table(text), *triple) if triple else parse_table(text)
+    assert str(exc.value) == message
 
 
 class TestBundled:
@@ -275,6 +320,88 @@ class TestCounts:
                 )
 
 
+def cyclic_table(n):
+    """The table of the cyclic group of order n, class i holding g^i:
+    its columns' conductors are the divisors n / gcd(n, i) of n."""
+    lines = [f"beauville-table v2\ngroup C{n}\norder {n}\n"]
+    lines += [f"class g{i} 1 {n // math.gcd(n, i)} g{-i % n}\n" for i in range(n)]
+    for j in range(n):
+        powers = (i * j % n for i in range(n))
+        lines.append("char " + " ".join(f"E({n})^{e}" if e else "1" for e in powers) + "\n")
+    return "".join(lines)
+
+
+TEST_TABLES = {
+    "c3": C3_TABLE,
+    "c4": C4_TABLE,
+    "c8": cyclic_table(8),
+    "c12": cyclic_table(12),
+    "f": F_TABLE,
+    "fake_d7": FAKE_D7_TABLE,
+}
+
+
+class TestColumnFields:
+    """Each count is reduced in its own columns' field, Q(E(k)) for k the
+    lcm of their conductors, and agrees with the reduction at the table's
+    whole conductor."""
+
+    @pytest.mark.parametrize("name", BUNDLED_TABLES + tuple(TEST_TABLES))
+    def test_counts_and_refusals_match_the_full_conductor(self, name):
+        table = bundled_table(name) if name in BUNDLED_TABLES else parse_table(TEST_TABLES[name])
+        names = [c.name for c in table.classes]
+        for triple in itertools.product(names, repeat=3):
+            try:
+                want = full_conductor_count(table, *triple)
+            except TableError as exc:
+                with pytest.raises(TableError) as got:
+                    frobenius_count(table, *triple)
+                assert str(got.value) == str(exc), triple
+            else:
+                assert frobenius_count(table, *triple) == want, triple
+
+    def test_cyclic_counts(self):
+        # in C_n, n(g^a, g^b, g^c) = [a + b + c = 0 mod n]; C12's columns
+        # have conductors 1, 2, 3, 4, 6 and 12
+        table = parse_table(cyclic_table(12))
+        assert set(table.column_conductors) == {1, 2, 3, 4, 6, 12}
+        for a, b, c in itertools.product(range(12), repeat=3):
+            want = int((a + b + c) % 12 == 0)
+            assert frobenius_count(table, f"g{a}", f"g{b}", f"g{c}") == want
+
+    def test_l2_13_sweep_reduces_at_1_or_7(self, monkeypatch):
+        table = bundled_table("l2_13")
+        assert table.conductor == 91
+        assert table.column_conductors == (1, 1, 1, 1, 7, 7, 7, 13, 13)
+        names = [c.name for c in table.classes if c.rep_order in (1, 2, 3, 5, 7)]
+        assert names == ["1A", "2A", "3A", "7A", "7B", "7C"]
+        seen = []
+        divide = frobenius._divide
+
+        def recording_divide(poly, m):
+            seen.append(m)
+            return divide(poly, m)
+
+        monkeypatch.setattr(frobenius, "_divide", recording_divide)
+        for triple in itertools.product(names, repeat=3):
+            frobenius_count(table, *triple)
+        assert set(seen) == {1, 7}
+
+    @pytest.mark.parametrize("name", BUNDLED_TABLES)
+    def test_conductors_divide_the_class_orders(self, name):
+        # chi(g) lies in Q(E(o(g))); F_TABLE, no group's table, breaks this
+        table = bundled_table(name)
+        assert len(table.column_conductors) == len(table.classes)
+        for k, c in zip(table.column_conductors, table.classes):
+            assert c.rep_order % k == 0, c.name
+
+    def test_conductors_are_read_only(self):
+        table = bundled_table("l2_13")
+        with pytest.raises(AttributeError, match="read-only"):
+            table.column_conductors = (1,) * 9
+        assert isinstance(table.column_conductors, tuple)
+
+
 # SHA-256 of "X,Y,Z count" lines over every class triple (class names
 # sorted) of each bundled table; taken from the float-valued tables that
 # preceded the exact cyclotomic format, so any count that moved fails here.
@@ -345,6 +472,27 @@ class TestEnumeration:
         classes = conjugacy_classes(elements, gens)
         assert conjugacy_classes(elements[::-1] + elements[3:9], gens) == classes
         assert sum(map(len, classes)) == len(elements) == 12
+        # a seeded shuffle with repeats, some of them new objects, gives
+        # the classes of the sorted elements
+        rng = random.Random(48)
+        for name in BUNDLED_TABLES:
+            gens = ENUMERATED_GENS[name]()
+            elements = enumerate_group(gens, cap=3000)
+            classes = conjugacy_classes(elements, gens)
+            shuffled = elements + rng.sample(elements, len(elements) // 3)
+            shuffled += [Permutation(p.images) for p in rng.sample(elements, 5)]
+            rng.shuffle(shuffled)
+            assert conjugacy_classes(shuffled, gens) == classes, name
+            assert sum(map(len, classes)) == len(elements) == bundled_table(name).order
+
+    @pytest.mark.parametrize("name", BUNDLED_TABLES)
+    def test_elements_are_the_sorted_closure(self, name):
+        gens = ENUMERATED_GENS[name]()
+        elements = enumerate_group(gens, cap=3000)
+        assert [p.images for p in elements] == sorted(closure(gens, 3000))
+        for p in elements:
+            assert equal_and_same_hash(p, Permutation(p.images))
+            assert not p.array.flags.writeable
 
     def test_no_elements_or_no_generators(self):
         assert conjugacy_classes([], s3_gens()) == []

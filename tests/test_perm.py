@@ -31,7 +31,7 @@ from beauville.perm import (
 )
 
 from frozen_parse_cycles import parse_cycles as frozen_parse_cycles
-from perm_helpers import brute_closure, random_permutation
+from perm_helpers import brute_closure, equal_and_same_hash, random_permutation
 
 
 def random_even_permutation(n, rng):
@@ -110,10 +110,6 @@ class TestBasics:
             n = rng.randrange(1, 15)
             p = random_permutation(n, rng)
             assert parse_cycles(p.cycle_string(), degree=n) == p
-
-
-def equal_and_same_hash(p, q):
-    return p == q and q == p and hash(p) == hash(q)
 
 
 class TestEquality:
