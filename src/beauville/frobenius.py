@@ -22,7 +22,6 @@ table shape, the degrees and row orthogonality at load.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -150,11 +149,14 @@ class CharacterTable:
                         f"{_format(rem, m)}"
                     )
 
-    def class_named(self, name):
+    def class_index(self, name):
         try:
-            return self.classes[self.index[name]]
+            return self.index[name]
         except KeyError:
             raise TableError(f"unknown class {name!r}") from None
+
+    def class_named(self, name):
+        return self.classes[self.class_index(name)]
 
     def representatives(self, degree):
         """Permutation representatives of the given degree, when the table
@@ -332,25 +334,28 @@ def frobenius_count(table, x_name, y_name, z_name):
     in Q(E(k)) for k the lcm of the three columns' conductors, so it is
     reduced modulo Phi_k, its exponents divided by conductor / k.
     """
-    cx, cy, cz = table.class_named(x_name), table.class_named(y_name), table.class_named(z_name)
-    index, cond = table.index, table.column_conductors
-    ix, iy, iz = index[x_name], index[y_name], index[z_name]
+    ix, iy, iz = map(table.class_index, (x_name, y_name, z_name))
+    cond = table.column_conductors
     k = math.lcm(cond[ix], cond[iy], cond[iz])
     step = table.conductor // k
     acc = [0] * k
     for row, w in zip(table.characters, table.weights):
+        zs = row[iz]
         for ex, ax in row[ix]:
-            for ey, ay in row[iy]:
-                exy, cxy = ex + ey, w * ax * ay
-                for ez, az in row[iz]:
-                    acc[(exy + ez) // step % k] += cxy * az
+            if ax:  # a zero x or y term adds nothing: skip its products
+                for ey, ay in row[iy]:
+                    if ay:
+                        exy, cxy = ex + ey, w * ax * ay
+                        for ez, az in zs:
+                            acc[(exy + ez) // step % k] += cxy * az
     rem = _divide(acc, k)[1]
     if any(rem[1:]):
         raise TableError(
             f"the character sum for ({x_name}, {y_name}, {z_name}) is "
             f"{_format(rem, k)}, not rational"
         )
-    num = cx.size * cy.size * cz.size * rem[0]
+    classes = table.classes
+    num = classes[ix].size * classes[iy].size * classes[iz].size * rem[0]
     den = table.order * table.degree_lcm
     count, left = divmod(num, den)
     if left:
@@ -368,7 +373,8 @@ def class_sum_coefficient(table, x_name, y_name, z_name):
 
 
 # -- enumeration oracle ---------------------------------------------------------
-# The elements come from perm.enumerate_group, the package's one enumerator.
+# The elements come from perm.enumerate_group, which sorts perm.closure's
+# narrow image block and widens it to int64 Permutations in one pass.
 
 
 def conjugacy_classes(elements, gens):
@@ -376,33 +382,44 @@ def conjugacy_classes(elements, gens):
     <gens>; classes sorted by (rep order, size, min element), each sorted
     by images.
 
-    The distinct elements become one image block, and each is indexed by
-    its row's bytes.  Conjugation by a generator g maps all of them at
-    once, as one scatter of the block (g^-1 p g sends a^g to (a^p)^g),
-    and then to element indices; the classes are the orbits of these
-    index maps.  Raises if a conjugate is not among the elements.
+    The elements become one image block, and each is indexed by its
+    row's bytes at its first occurrence, so repeats drop out.
+    Conjugation by a generator g maps all of them at once, as one
+    scatter of the block (g^-1 p g sends a^g to (a^p)^g), and then to
+    element indices; the classes are the orbits of these index maps.
+    Raises if a conjugate is not among the elements.
     """
-    perms = list(dict.fromkeys(elements))
-    if not perms:
+    elements = list(elements)
+    if not elements:
         return []
-    n = perms[0].degree
-    if any(p.degree != n for p in itertools.chain(perms, gens)):
+    n = elements[0].degree
+    arrays = [p.array for p in elements]
+    if set(map(len, arrays)) != {n} or any(g.degree != n for g in gens):
         raise ValueError("degree mismatch")
-    rows = np.concatenate([p.array for p in perms]).reshape(-1, n)
-    index = {key: i for i, key in enumerate(_row_bytes(rows))}
+    rows = np.concatenate(arrays).reshape(-1, n)
+    keys = _row_bytes(rows)
+    index = dict(zip(keys, range(len(keys))))
+    if len(index) < len(keys):
+        # a repeat: keep each element's first occurrence
+        index = {}
+        for i, key in enumerate(keys):
+            index.setdefault(key, i)
+        first = list(index.values())
+        elements, rows = [elements[i] for i in first], rows[first]
+        index = dict(zip(index, range(len(first))))
     conj = np.empty_like(rows)
     maps = []
     for g in gens:
         conj[:, g.array] = g.array[rows]
         try:
-            maps.append([index[key] for key in _row_bytes(conj)])
+            maps.append(list(map(index.__getitem__, _row_bytes(conj))))
         except KeyError:
             raise ValueError("conjugation left the element set") from None
     # label the orbits from the elements in images order, so that each
     # class, listed in that order, starts at its least element, and the
     # labels follow the order of those least elements
     order = _sorted_rows(rows).tolist()
-    label = [-1] * len(perms)
+    label = [-1] * len(elements)
     count = 0
     for start in order:
         if label[start] >= 0:
@@ -418,7 +435,7 @@ def conjugacy_classes(elements, gens):
         count += 1
     classes = [[] for _ in range(count)]
     for i in order:
-        classes[label[i]].append(perms[i])
+        classes[label[i]].append(elements[i])
     # a stable sort: classes of equal rep order and size stay in label
     # order, which is the order of their least elements
     classes.sort(key=lambda cl: (cl[0].order(), len(cl)))

@@ -8,7 +8,9 @@ The module also holds an exact group-order oracle, `group_order`, which
 imports nothing else of the package.  It proves A_n <= G by the giant
 test, a cycle of prime length p with n/2 < p <= n - 3 met by a random
 walk in a transitive G, and otherwise counts G's `closure` up to
-CLOSURE_CAP elements; `enumerate_group` lists that closure.
+CLOSURE_CAP elements.  The closure is one image block with a row of
+narrow integers per element, one byte per point up to n = 256;
+`enumerate_group` lists its rows as sorted Permutations.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 import random
 from collections import Counter
 from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 
@@ -135,22 +136,6 @@ class Permutation:
         inv = np.empty_like(self._arr)
         inv[self._arr] = np.arange(self._arr.size, dtype=np.int64)
         return Permutation._trusted(inv)
-
-    def __pow__(self, k):
-        """k-fold product; negative k uses the inverse.  Computed by
-        repeated squaring of the image array."""
-        base = self._arr if k >= 0 else self.inverse()._arr
-        k = abs(k)
-        out = None
-        while k:
-            if k & 1:
-                out = base if out is None else base[out]
-            k >>= 1
-            if k:
-                base = base[base]
-        if out is None:
-            return identity(self._arr.size)
-        return Permutation._trusted(out)
 
     def _all_cycles(self):
         # The memoized decomposition, fixed points included.
@@ -478,13 +463,17 @@ CLOSURE_CAP = 28_800
 
 
 def closure(gens, cap):
-    """The elements of <gens> as a list of image tuples, so its length is
-    the group's order; raises ValueError once the order passes cap.
+    """The elements of <gens> as one read-only, C-contiguous image block,
+    a row per element, so its length is the group's order; raises
+    ValueError once the order passes cap.
 
-    The list grows from the identity, and each element in it is taken
-    once times every generator g: g * p sends a to p[g[a]], so its
-    images are p's at g's, one call of g's itemgetter.  It holds at most
-    cap tuples of n points."""
+    The rows have dtype np.min_scalar_type(n - 1), one byte per point up
+    to n = 256, and come layer by layer from the identity: each layer
+    times every generator g in turn, where g * p sends a to p[g[a]], so
+    the layer times g is one gather of its columns at g (`take`, which
+    returns a C-contiguous block).  A row is kept by its bytes
+    (`_row_bytes`), and the list of those keys is the storage until the
+    block is joined from it: at most cap keys of n points each."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
@@ -492,51 +481,50 @@ def closure(gens, cap):
     for g in gens:
         if g.degree != n:
             raise ValueError(f"degree mismatch: {n} vs {g.degree}")
-    elements = [tuple(range(n))]
-    if n == 1:  # itemgetter of one point returns it, not a 1-tuple
-        return elements
-    times = [itemgetter(*g.images) for g in gens]
-    seen = set(elements)
+    dtype = np.min_scalar_type(n - 1)
+    keys = _row_bytes(np.arange(n, dtype=dtype).reshape(1, n))
+    seen = set(keys)
     done = 0
-    while done < len(elements):
-        layer = elements[done:]
-        done = len(elements)
-        for g_times in times:
-            for q in map(g_times, layer):
-                if q not in seen:
-                    if len(elements) >= cap:
+    while done < len(keys):
+        layer = _block(keys[done:], dtype, n)
+        done = len(keys)
+        for g in gens:
+            for key in _row_bytes(layer.take(g.array, axis=1)):
+                if key not in seen:
+                    if len(keys) >= cap:
                         raise ValueError(f"group order exceeds the cap {cap}")
-                    seen.add(q)
-                    elements.append(q)
-    return elements
+                    seen.add(key)
+                    keys.append(key)
+    return _block(keys, dtype, n)
+
+
+def _block(keys, dtype, n):
+    # the rows whose bytes are the keys, as one read-only block
+    return np.frombuffer(b"".join(keys), dtype=dtype).reshape(-1, n)
 
 
 def _row_bytes(block):
-    """The bytes of each row of a C-contiguous int64 block, read at once
+    """The bytes of each row of a C-contiguous block, read at once
     through a view of each row as one opaque item: the key that indexes
     an element by its images."""
-    return block.view(np.dtype((np.void, 8 * block.shape[1]))).ravel().tolist()
+    return block.view(np.dtype((np.void, block.itemsize * block.shape[1]))).ravel().tolist()
 
 
 def _sorted_rows(block):
     """The row indices of a block of distinct image arrays in ascending
     order of images: the order of the rows' big-endian bytes, which for
     non-negative integers is their order point by point."""
-    keys = block.astype(">i8").view(np.dtype((np.void, 8 * block.shape[1])))
-    return np.argsort(keys.ravel())
+    keys = block.astype(block.dtype.newbyteorder(">"), copy=False)
+    return np.argsort(keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel())
 
 
 def enumerate_group(gens, cap=10_000):
     """All elements of <gens> as Permutations, sorted by their images;
-    raises if the order exceeds the cap.  The closure becomes one image
-    block, whose rows are put in order by one sort and made Permutations
-    in bulk (`Permutation._rows`)."""
-    elements = closure(gens, cap)
-    n = len(elements[0])
-    block = np.fromiter(
-        itertools.chain.from_iterable(elements), np.int64, len(elements) * n
-    ).reshape(-1, n)
-    return Permutation._rows(block[_sorted_rows(block)])
+    raises if the order exceeds the cap.  The closure's block is put in
+    order by one sort and widened to int64 once, and its rows are made
+    Permutations in bulk (`Permutation._rows`)."""
+    block = closure(gens, cap)
+    return Permutation._rows(block[_sorted_rows(block)].astype(np.int64))
 
 
 def _has_giant_cycle(arr):
@@ -607,7 +595,8 @@ def group_order(gens, upper_bound=None):
     When neither applies, ValueError names WALK_STEPS and CLOSURE_CAP:
     the answer is never guessed.  The walk starts from the seed 0x237,
     so a run is repeatable, and it holds 7 image arrays of n points; the
-    closure holds at most CLOSURE_CAP tuples of n points.
+    closure holds at most CLOSURE_CAP rows of n points, one byte each up
+    to n = 256, kept as bytes keys (about 12 MiB at n = 204).
     upper_bound is only a check: a proved order above it raises
     ValueError, as that bound was not valid.
     """

@@ -1,9 +1,11 @@
-"""Permutation helpers shared by the tests: seeded random permutations, an
-equality check that also compares hashes, and an enumeration oracle
-independent of the package's own."""
+"""Permutation helpers shared by the tests: seeded random permutations,
+powers, an equality check that also compares hashes, and an enumeration
+oracle independent of the package's own."""
 
 import random
 from operator import itemgetter
+
+import numpy as np
 
 from beauville.perm import Permutation
 
@@ -13,6 +15,20 @@ def random_permutation(n, rng=None):
     images = list(range(n))
     rng.shuffle(images)
     return Permutation(images)
+
+
+def power(p, k):
+    """The k-fold product of p, of its inverse for negative k, by repeated
+    squaring of the image array."""
+    base = p.array if k >= 0 else p.inverse().array
+    out = np.arange(p.degree)
+    k = abs(k)
+    while k:
+        if k & 1:
+            out = base[out]
+        base = base[base]
+        k >>= 1
+    return Permutation(out)
 
 
 def equal_and_same_hash(p, q):

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from beauville import frobenius
@@ -27,7 +28,7 @@ from beauville.frobenius import (
 from beauville.perm import Permutation, closure, from_cycles, identity, parse_cycles
 
 from count_helpers import full_conductor_count
-from perm_helpers import brute_enumerate, equal_and_same_hash, random_permutation
+from perm_helpers import brute_closure, brute_enumerate, equal_and_same_hash, random_permutation
 
 
 def s3_gens():
@@ -489,7 +490,7 @@ class TestEnumeration:
     def test_elements_are_the_sorted_closure(self, name):
         gens = ENUMERATED_GENS[name]()
         elements = enumerate_group(gens, cap=3000)
-        assert [p.images for p in elements] == sorted(closure(gens, 3000))
+        assert [p.images for p in elements] == sorted(map(tuple, closure(gens, 3000).tolist()))
         for p in elements:
             assert equal_and_same_hash(p, Permutation(p.images))
             assert not p.array.flags.writeable
@@ -522,6 +523,73 @@ ENUMERATED_GENS = {
     "l2_13": lambda: [basic_map("A").x, basic_map("A").y],
     **{f"alt{n}": (lambda n=n: alternating_gens(n)) for n in range(3, 8)},
 }
+
+def closure_case(case):
+    """The generators a block closure test runs on: a bundled table's,
+    an atlas map's x and y, or the group on one point."""
+    if case in ENUMERATED_GENS:
+        return ENUMERATED_GENS[case]()
+    if case.startswith("map "):
+        m = basic_map(case[4:])
+        return [m.x, m.y]
+    return [identity(1)]
+
+
+def layered_closure(gens):
+    """The closure's rows in the order it meets them, on tuples: the
+    layer times each generator in turn, g * p sending a to p[g[a]]."""
+    n = gens[0].degree
+    elements = [tuple(range(n))]
+    seen = set(elements)
+    done = 0
+    while done < len(elements):
+        layer = elements[done:]
+        done = len(elements)
+        for g in gens:
+            for p in layer:
+                q = tuple(p[a] for a in g.images)
+                if q not in seen:
+                    seen.add(q)
+                    elements.append(q)
+    return elements
+
+
+class TestBlockClosure:
+    CASES = [*BUNDLED_TABLES, *(f"map {mid}" for mid in "ACEFG"), "one point"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_are_the_group(self, case):
+        gens = closure_case(case)
+        block = closure(gens, 20_000)
+        rows = list(map(tuple, block.tolist()))
+        assert set(rows) == brute_closure(gens)
+        assert len(set(rows)) == len(rows)
+        assert block.dtype == np.min_scalar_type(gens[0].degree - 1)
+        assert block.flags.c_contiguous and not block.flags.writeable
+
+    @pytest.mark.parametrize("case", ["s4", "map A", "map C", "one point"])
+    def test_rows_come_in_the_order_met(self, case):
+        gens = closure_case(case)
+        assert list(map(tuple, closure(gens, 20_000).tolist())) == layered_closure(gens)
+
+    @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_row_width(self, n, dtype):
+        # one byte per point up to n = 256, two bytes past it: S_3 on the
+        # last three points
+        gens = [from_cycles(n, [tuple(range(n - 3, n))]), from_cycles(n, [(n - 2, n - 1)])]
+        block = closure(gens, 6)
+        assert block.dtype == dtype
+        assert set(map(tuple, block.tolist())) == brute_closure(gens)
+
+    @pytest.mark.parametrize("case", ["a5", "map A", "map F"])
+    def test_cap(self, case):
+        gens = closure_case(case)
+        order = len(brute_closure(gens))
+        assert len(closure(gens, order)) == order
+        with pytest.raises(ValueError) as exc:
+            closure(gens, order - 1)
+        assert str(exc.value) == f"group order exceeds the cap {order - 1}"
+
 
 # SHA-256 of each group's element list (one line of images per element,
 # in the order enumerate_group returns them) followed by its class

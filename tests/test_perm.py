@@ -31,7 +31,7 @@ from beauville.perm import (
 )
 
 from frozen_parse_cycles import parse_cycles as frozen_parse_cycles
-from perm_helpers import brute_closure, equal_and_same_hash, random_permutation
+from perm_helpers import brute_closure, equal_and_same_hash, power, random_permutation
 
 
 def random_even_permutation(n, rng):
@@ -66,17 +66,17 @@ class TestBasics:
 
     def test_power(self):
         seven = parse_cycles("(0 1 2 3 4 5 6)", 7)
-        assert (seven ** 7).is_identity()
-        assert (parse_cycles("(0 1 2)", 3) ** 2) == parse_cycles("(0 2 1)", 3)
+        assert power(seven, 7).is_identity()
+        assert power(parse_cycles("(0 1 2)", 3), 2) == parse_cycles("(0 2 1)", 3)
         p = parse_cycles("(0 1)(2 3 4)", 5)
-        assert p ** -1 == p.inverse()
-        assert p ** -3 == p.inverse() ** 3
+        assert power(p, -1) == p.inverse()
+        assert power(p, -3) == power(p.inverse(), 3)
 
     def test_power_isolates_coprime_cycle(self):
         # a 7-cycle next to cycles of lengths 2 and 3: raising to lcm(2,3)
         # kills them and leaves a 7-cycle
         p = parse_cycles("(0 1)(2 3 4)(5 6 7 8 9 10 11)", 12)
-        q = p ** math.lcm(2, 3)
+        q = power(p, math.lcm(2, 3))
         assert q.cycle_type() == CycleType([1] * 5 + [7])
         assert set(q.cycles()[0]) == set(range(5, 12))
 
@@ -137,15 +137,15 @@ class TestEquality:
             from_cycles(n, [(1, 2, 0), (4, 3)]),
             parse_cycles("(1 2)", n) * parse_cycles("(0 1)(3 4)", n),
             want.inverse().inverse(),
-            want ** 7,
-            want.inverse() ** -1,
+            power(want, 7),
+            power(want.inverse(), -1),
             want.conjugate_by(g).conjugate_by(g.inverse()),
         ]
         for p in made:
             assert equal_and_same_hash(p, want), p
         assert len({want, *made}) == 1
-        assert equal_and_same_hash(want ** 0, identity(n))
-        assert equal_and_same_hash(want ** 6, identity(n))
+        assert equal_and_same_hash(power(want, 0), identity(n))
+        assert equal_and_same_hash(power(want, 6), identity(n))
         assert equal_and_same_hash(want * want.inverse(), identity(n))
 
     def test_constructor_copies_the_callers_array(self):
@@ -181,6 +181,38 @@ class TestTransitivity:
         assert not is_transitive([identity(2)], 2)
         with pytest.raises(ValueError):
             is_transitive([], 2)
+
+
+class TestKernelRefusals:
+    # the whole text of each refusal next to the closure, and the edges of
+    # orbit and is_transitive that need no generator
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: perm.closure([], 10), "need at least one generator"),
+            (
+                lambda: perm.closure([identity(3), identity(4)], 10),
+                "degree mismatch: 3 vs 4",
+            ),
+            (
+                lambda: is_transitive([parse_cycles("(0 1)", 3)], 4),
+                "generator degree mismatch",
+            ),
+            (lambda: is_transitive([], 2), "empty generator list with n > 1"),
+        ],
+        ids=["closure no generator", "closure degrees", "transitive degrees", "transitive empty"],
+    )
+    def test_refusals(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_generator_on_at_most_one_point_is_transitive(self, n):
+        assert is_transitive([], n) is True
+
+    def test_orbit_without_generators_is_the_start(self):
+        assert perm.orbit([], 3) == {3}
 
 
 class TestGroupOrder:
@@ -430,6 +462,21 @@ class TestBoundedNo:
             group_order([m.x, m.y])
         assert time.process_time() - t0 < 0.5
 
+    @pytest.mark.parametrize("text, mib", [("J", 9.6), ("I(2)I", 14.2), ("L(2)L", 24.1)])
+    def test_imprimitive_maps_raise_within_a_memory_bound(self, text, mib):
+        # the closure keeps each element as the bytes of one narrow row,
+        # so a refusal at the cap of 28,800 elements stays under half of
+        # what image tuples of n ints took (19.2, 28.4 and 48.2 MiB)
+        m = eval_expr(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"more than {perm.CLOSURE_CAP} elements"):
+                group_order([m.x, m.y])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20
+
 
 def criterion_6_pairs():
     """The 30 pairs of acceptance criterion 6: every minimal, small and
@@ -528,7 +575,7 @@ class TestKernelsAgainstReference:
         for images in random_images(rng):
             p = Permutation(images)
             for k in [*range(-9, 10), big, -big]:
-                assert (p ** k).images == naive_power(images, k), k
+                assert power(p, k).images == naive_power(images, k), k
 
     def test_orbits(self):
         rng = random.Random(62)
@@ -574,7 +621,7 @@ class TestCycleMemo:
         assert passes.walks == []
         assert passes.lengths == [7]
         # a power is a new permutation with a pass of its own
-        assert (p ** 2).order() == 3
+        assert power(p, 2).order() == 3
         assert passes.walks == []
         assert passes.lengths == [7, 7]
 
